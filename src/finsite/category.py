@@ -78,8 +78,8 @@ def validate_category(data: dict) -> FiniteCategory:
         raise InvalidCategoryError(problems)
     morphisms = [Morphism(m["id"], m["dom"], m["cod"]) for m in data["morphisms"]]
     compose = {(c["g"], c["f"]): c["gf"] for c in data["compose"]}
-    return FiniteCategory(data["objects"], morphisms, data["identities"], compose,
-                          name=data.get("name"))
+    return FiniteCategory._trusted(data["objects"], morphisms, data["identities"], compose,
+                                   name=data.get("name"))
 
 
 def _table_problems(objects, morphisms, identity, compose) -> list[str]:
@@ -154,16 +154,28 @@ class FiniteCategory:
 
     def __init__(self, objects: Iterable[str], morphisms, identity: dict, compose: dict,
                  *, name: str | None = None):
+        self._setup(objects, morphisms, identity, compose, name, check=True)
+
+    @classmethod
+    def _trusted(cls, objects, morphisms, identity: dict, compose: dict,
+                 *, name: str | None = None) -> FiniteCategory:
+        """Build from a table already known to be valid, without re-checking it."""
+        cat = cls.__new__(cls)
+        cat._setup(objects, morphisms, identity, compose, name, check=False)
+        return cat
+
+    def _setup(self, objects, morphisms, identity, compose, name, *, check: bool):
         self.name = name
         self.objects = tuple(objects)
         self.morphisms = tuple(m if isinstance(m, Morphism) else Morphism(*m)
                                for m in morphisms)
         self.identity = dict(identity)
         self.compose_table = dict(compose)
-        problems = _table_problems(self.objects, self.morphisms, self.identity,
-                                   self.compose_table)
-        if problems:
-            raise InvalidCategoryError(problems)
+        if check:
+            problems = _table_problems(self.objects, self.morphisms, self.identity,
+                                       self.compose_table)
+            if problems:
+                raise InvalidCategoryError(problems)
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
         self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         self._by_name = {m.name: m for m in self.morphisms}
@@ -250,8 +262,8 @@ class FiniteCategory:
         comp = {(g, f): gf for (g, f), gf in self.compose_table.items()
                 if g in kept_names and f in kept_names}
         label = ",".join(objs)
-        return FiniteCategory(objs, mors, ident, comp,
-                              name=f"{self.name or 'C'}[{label}]")
+        return FiniteCategory._trusted(objs, mors, ident, comp,
+                                       name=f"{self.name or 'C'}[{label}]")
 
     def same_as(self, other: FiniteCategory) -> bool:
         """Structural equality of the presented data (names included)."""
@@ -366,20 +378,33 @@ def is_karoubian(cat: FiniteCategory) -> bool:
     return karoubian_report(cat).ok
 
 
-def object_subsets(cat: FiniteCategory):
-    """All object subsets in (size, index-lex) order, as tuples."""
-    for r in range(len(cat.objects) + 1):
-        yield from itertools.combinations(cat.objects, r)
+def iso_classes(cat: FiniteCategory) -> tuple[tuple[str, ...], ...]:
+    """The isomorphism classes, in order of their first object."""
+    seen = set()
+    classes = []
+    for x in cat.objects:
+        if x not in seen:
+            cls = cat.iso_class(x)
+            classes.append(cls)
+            seen.update(cls)
+    return tuple(classes)
 
 
 def strictly_full_karoubian_subcategories(cat: FiniteCategory) -> list[FullSubcategory]:
-    """Every iso-closed object subset whose full subcategory splits its idempotents."""
-    out = []
-    for objs in object_subsets(cat):
-        sub = FullSubcategory(cat, objs)
-        if sub.is_strictly_full() and is_karoubian(sub.category):
-            out.append(sub)
-    return out
+    """Every iso-closed object subset whose full subcategory splits its idempotents,
+    in (size, index-lex) order.
+
+    The iso-closed subsets are the unions of isomorphism classes. On an EI
+    category every idempotent is an identity, so each of them qualifies.
+    """
+    classes = iso_classes(cat)
+    subs = [FullSubcategory(cat, tuple(x for cls in chosen for x in cls))
+            for r in range(len(classes) + 1)
+            for chosen in itertools.combinations(classes, r)]
+    subs.sort(key=lambda sub: (len(sub.objects), [cat.obj_index[x] for x in sub.objects]))
+    if is_ei(cat):
+        return subs
+    return [sub for sub in subs if is_karoubian(sub.category)]
 
 
 class IsoClassPoset:
@@ -430,15 +455,7 @@ class IsoClassPoset:
 def iso_class_poset(cat: FiniteCategory) -> IsoClassPoset:
     if not is_ei(cat):
         raise EIRequiredError("iso-class order is only defined for EI categories")
-    seen = {}
-    classes = []
-    for x in cat.objects:
-        if x in seen:
-            continue
-        cls = cat.iso_class(x)
-        classes.append(cls)
-        for y in cls:
-            seen[y] = len(classes) - 1
+    classes = iso_classes(cat)
     leq = set()
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):

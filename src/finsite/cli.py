@@ -17,7 +17,8 @@ from . import gallery
 from .algebras import (constant_algebra_presheaf, field_algebra,
                        grothendieck_construction, skew_category_algebra,
                        verify_algebra)
-from .category import FullSubcategory, category_problems, is_ei, is_karoubian
+from .category import (FullSubcategory, InvalidCategoryError, is_ei, is_karoubian,
+                       validate_category)
 from .errors import EngineError
 from .fields import field_by_label
 from .modules import (dense_block_decomposition, to_algebra_module,
@@ -143,9 +144,21 @@ def _select_topology(ws: Workspace, args, cat):
 
 
 def _parse_objects(text: str) -> tuple:
+    """Split on the commas outside braces: orbit-category objects such as
+    S3/{e,(23)} hold commas of their own."""
     if text.strip() == "":
         return ()
-    return tuple(part.strip() for part in text.split(","))
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return tuple(part.strip() for part in parts)
 
 
 def _emit(doc_or_text):
@@ -195,11 +208,11 @@ def _cmd_cat_validate(args):
     if doc["kind"] != "category":
         raise EngineError(f"{args.category} holds a {doc['kind']!r}, expected a category")
     body = {k: v for k, v in doc.items() if k not in ("format", "kind")}
-    problems = category_problems(body)
-    if problems:
-        _emit({"valid": False, "problems": problems})
+    try:
+        cat = validate_category(body)
+    except InvalidCategoryError as exc:
+        _emit({"valid": False, "problems": exc.problems})
         return 1
-    cat = category_from_doc(doc)
     _emit({"valid": True, "objects": len(cat.objects), "morphisms": len(cat.morphisms)})
     return 0
 
@@ -235,11 +248,7 @@ def _cmd_top_enumerate(args):
     cat = _load_category(ws, args)
     tops = enumerate_topologies(cat)
     for top in tops:
-        try:
-            sub = classify_topology(cat, top)
-            top.label = "J^{" + ",".join(sub.objects) + "}"
-        except EngineError:
-            top.label = "J?"
+        top.label = top.label or "J?"
     if args.format == "summary":
         _emit(f"{len(tops)} topologies\n" + _topology_table(cat, tops))
     else:
@@ -460,7 +469,8 @@ def _add_field(parser):
 
 def _add_topology_selectors(parser):
     parser.add_argument("--topology", help="topology document file")
-    parser.add_argument("--objects", help="comma-separated subcategory objects")
+    parser.add_argument("--objects", help="comma-separated subcategory objects "
+                                          "(commas inside braces are part of a name)")
     parser.add_argument("--dense", action="store_true")
     parser.add_argument("--minimal", action="store_true")
     parser.add_argument("--maximal", action="store_true")

@@ -72,10 +72,13 @@ def _scalar_out(value):
 
 def _scalar_in(field, raw):
     if isinstance(raw, str):
-        if "/" in raw:
-            num, den = raw.split("/", 1)
-            return field.of(Fraction(int(num), int(den)))
-        return field.of(int(raw))
+        try:
+            if "/" in raw:
+                num, den = raw.split("/", 1)
+                return field.of(Fraction(int(num), int(den)))
+            return field.of(int(raw))
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"bad field element {raw!r}") from None
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise DocumentError(f"bad field element {raw!r}")
     return field.of(raw)

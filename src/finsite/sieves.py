@@ -3,8 +3,8 @@ with a common codomain."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple
+from weakref import WeakKeyDictionary
 
 from .category import FiniteCategory
 from .errors import EngineError
@@ -45,23 +45,38 @@ def sieve_sort_key(cat: FiniteCategory, s: Sieve):
     return (len(s.members), tuple(sorted(cat.mor_index[m] for m in s.members)))
 
 
+_SIEVES: WeakKeyDictionary = WeakKeyDictionary()  # category -> {object: sieves}
+
+
 def sieves_on(cat: FiniteCategory, x: str) -> tuple[Sieve, ...]:
     """All sieves on x, in (size, member-index) order.
 
-    Enumeration is by brute force over subsets of the morphisms into x,
-    which is the point at desk scale; a guard refuses blow-ups.
+    Every sieve is the union of the principal sieves of its members, so
+    the sieves are the closure of {empty} under union with principal
+    sieves. The result is cached per category; a guard refuses objects
+    with more than 20 morphisms into them.
     """
     if x not in cat.obj_index:
         raise EngineError(f"unknown object {x!r}")
+    cached = _SIEVES.setdefault(cat, {})
+    if x in cached:
+        return cached[x]
     into = cat.into(x)
     if len(into) > 20:
         raise EngineError(f"sieve enumeration too large at {x!r}: 2^{len(into)} subsets")
-    out = []
-    for r in range(len(into) + 1):
-        for subset in itertools.combinations(into, r):
-            if is_sieve(cat, x, subset):
-                out.append(Sieve(x, frozenset(subset)))
-    return tuple(out)
+    bit = {u: 1 << i for i, u in enumerate(into)}
+    masks = {0}
+    for u in into:
+        principal = 0
+        for v in cat.into(cat.dom(u)):
+            principal |= bit[cat.compose(u, v)]
+        masks |= {m | principal for m in masks}
+    # Bit i stands for into[i], and into is in morphism-index order.
+    keyed = sorted((bin(m).count("1"), [i for i in range(len(into)) if m >> i & 1])
+                   for m in masks)
+    cached[x] = tuple(Sieve(x, frozenset(into[i] for i in members))
+                      for _size, members in keyed)
+    return cached[x]
 
 
 def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:

@@ -2,9 +2,11 @@
 
 Each of these recomputes a quantity along a different route than the
 library: word reduction for the involution presentation, long-form
-colimits for half-sheafification, an unpruned topology census, pointwise
-coset maps for orbit categories, a direct category-algebra table, and a
-searched basis change onto the 2x2 matrix algebra.
+colimits for half-sheafification, sieves by a scan of every subset, the
+topology census by a product search and unpruned, with labels found by a
+scan of every object subset, pointwise coset maps for orbit categories,
+a direct category-algebra table, and a searched basis change onto the
+2x2 matrix algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from finsite.fields import (Matrix, matrix, matrix_from_cols, rank, solve,
                             unit_vec, vec_sub, zero_vec)
 from finsite.sheaves import (linear_matching_families, member_order,
                              set_matching_families)
-from finsite.sieves import maximal_sieve, sieve_sort_key, sieves_on
+from finsite.serialize import dump_text, topology_to_doc
+from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
 from finsite.topology import GrothendieckTopology, check_topology
 
 
@@ -147,7 +150,111 @@ def colimit_dimension_linear(f, top: GrothendieckTopology, x: str) -> int:
     return total - rank(k, matrix(k, relations, cols=total))
 
 
-# -- unpruned topology census ------------------------------------------------
+# -- sieves by subset scan, and the census by product search ------------------
+
+
+def subset_scan_sieves(cat: FiniteCategory, x: str) -> tuple:
+    """All sieves on x, by testing every subset of the morphisms into x, in
+    (size, index-lex) order."""
+    into = cat.into(x)
+    out = []
+    for r in range(len(into) + 1):
+        for subset in itertools.combinations(into, r):
+            if is_sieve(cat, x, subset):
+                out.append(Sieve(x, frozenset(subset)))
+    return tuple(out)
+
+
+def _pullback(cat, members, f):
+    return frozenset(g for g in cat.into(cat.dom(f)) if cat.compose(f, g) in members)
+
+
+def _axioms_hold(cat, covering, sieves) -> bool:
+    """Maximal sieve, stability and transitivity for families of member sets."""
+    for x in cat.objects:
+        if frozenset(cat.into(x)) not in covering[x]:
+            return False
+        for s in covering[x]:
+            if any(_pullback(cat, s, f) not in covering[cat.dom(f)] for f in cat.into(x)):
+                return False
+        for r in sieves[x]:
+            if r in covering[x]:
+                continue
+            for s in covering[x]:
+                if all(_pullback(cat, r, f) in covering[cat.dom(f)] for f in s):
+                    return False
+    return True
+
+
+def product_search_topologies(cat: FiniteCategory):
+    """Every topology, as the axiom-checked product of the up-closed sieve
+    families per object, in product order: object by object, family size,
+    then the positions of its sieves."""
+    sieves = {x: [s.members for s in subset_scan_sieves(cat, x)] for x in cat.objects}
+    per_object = []
+    for x in cat.objects:
+        families = []
+        for r in range(len(sieves[x]) + 1):
+            for subset in itertools.combinations(sieves[x], r):
+                family = frozenset(subset)
+                if frozenset(cat.into(x)) in family and all(
+                        t in family for s in family for t in sieves[x] if s <= t):
+                    families.append(family)
+        per_object.append(families)
+    out = []
+    for combo in itertools.product(*per_object):
+        covering = dict(zip(cat.objects, combo))
+        if _axioms_hold(cat, covering, sieves):
+            out.append(GrothendieckTopology(
+                cat, {x: {Sieve(x, m) for m in fam} for x, fam in covering.items()}))
+    return out
+
+
+def _isomorphic(cat, x, y) -> bool:
+    return any(cat.compose(g, f) == cat.id_of(x) and cat.compose(f, g) == cat.id_of(y)
+               for f in cat.hom(x, y) for g in cat.hom(y, x))
+
+
+def _splits_within(cat, keep) -> bool:
+    """Every idempotent on an object of keep splits through an object of keep."""
+    for x in keep:
+        for e in cat.hom(x, x):
+            if cat.compose(e, e) != e:
+                continue
+            if not any(cat.compose(s, r) == e and cat.compose(r, s) == cat.id_of(y)
+                       for y in keep for r in cat.hom(x, y) for s in cat.hom(y, x)):
+                return False
+    return True
+
+
+def subset_scan_labels(cat: FiniteCategory) -> dict:
+    """Covering data -> "J^{D}" for the first iso-closed object subset D, in
+    (size, index-lex) order, whose full subcategory splits its idempotents."""
+    sieves = {x: subset_scan_sieves(cat, x) for x in cat.objects}
+    labels = {}
+    for r in range(len(cat.objects) + 1):
+        for keep in itertools.combinations(cat.objects, r):
+            if any(_isomorphic(cat, x, y) for x in keep for y in cat.objects
+                   if y not in keep):
+                continue
+            if not _splits_within(cat, keep):
+                continue
+            covering = []
+            for x in cat.objects:
+                required = {f for f in cat.into(x) if cat.dom(f) in keep}
+                covering.append((x, frozenset(s for s in sieves[x] if required <= s.members)))
+            labels.setdefault(tuple(covering), "J^{" + ",".join(keep) + "}")
+    return labels
+
+
+def census_yaml(cat: FiniteCategory) -> str:
+    """The `finsite top enumerate` document, from the product-search census."""
+    labels = subset_scan_labels(cat)
+    tops = product_search_topologies(cat)
+    for top in tops:
+        key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
+        top.label = labels.get(key, "J?")
+    return dump_text({"count": len(tops), "topologies": [topology_to_doc(t) for t in tops]})
 
 
 def unpruned_topologies(cat: FiniteCategory):
@@ -155,7 +262,7 @@ def unpruned_topologies(cat: FiniteCategory):
     the axiom checker, with no up-closure pruning at all."""
     per_object = []
     for x in cat.objects:
-        sieves = sieves_on(cat, x)
+        sieves = subset_scan_sieves(cat, x)
         top_sieve = maximal_sieve(cat, x)
         others = [s for s in sieves if s != top_sieve]
         families = []

@@ -195,3 +195,31 @@ def test_full_subcategory_structure(chain3):
     sub = chain3.full_subcategory(("x", "z"))
     assert tuple(m.name for m in sub.morphisms) == ("1x", "gf", "1z")
     assert sub.compose("1z", "gf") == "gf"
+
+
+def test_invalid_table_refused_by_every_entry_point():
+    from finsite.category import FiniteCategory, Morphism
+    from finsite.serialize import category_from_doc, category_to_doc
+    data = chain3_data()
+    data["compose"] = [c for c in data["compose"]
+                       if not (c["g"] == "g" and c["f"] == "f")]
+    morphisms = [Morphism(m["id"], m["dom"], m["cod"]) for m in data["morphisms"]]
+    compose = {(c["g"], c["f"]): c["gf"] for c in data["compose"]}
+    doc = {"format": "finsite/1", "kind": "category", **data}
+    for build in (lambda: validate_category(data),
+                  lambda: category_from_doc(doc),
+                  lambda: FiniteCategory(data["objects"], morphisms,
+                                         data["identities"], compose)):
+        with pytest.raises(InvalidCategoryError, match="missing composite"):
+            build()
+    assert category_from_doc(category_to_doc(chain_poset(3))).same_as(chain_poset(3))
+
+
+def test_full_subcategory_equals_validated_build(involution):
+    from finsite.category import FiniteCategory
+    for objs in (("x",), ("y",), ("x", "y")):
+        sub = involution.full_subcategory(objs)
+        again = FiniteCategory(sub.objects, sub.morphisms, sub.identity,
+                               sub.compose_table, name=sub.name)
+        assert sub.same_as(again)
+        assert sub.into(objs[0]) == again.into(objs[0])

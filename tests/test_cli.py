@@ -242,3 +242,81 @@ def test_workspace_names_are_unique():
     with pytest.raises(EngineError):
         ws.put("category", 2, "there")
     assert ws.get("category") == 1
+
+
+def test_objects_split_outside_braces(tmp_path, capsys):
+    """Orbit-category object names hold commas; --objects keeps them whole."""
+    from finsite.cli import _parse_objects
+    from finsite.gallery import category_by_name
+    assert _parse_objects("x, y") == ("x", "y")
+    assert _parse_objects("") == ()
+    d = "S3/{e,(23)},S3/{e,(12)},S3/{e,(13)}"
+    objects = ("S3/{e,(23)}", "S3/{e,(12)}", "S3/{e,(13)}")
+    assert _parse_objects(d) == objects
+    cat = category_by_name("orbit", group="S3")
+    jd = dump_text(topology_to_doc(subcategory_topology(cat, objects)))
+    code, out, _ = run_cli(capsys, "top", "subcat", "--gallery", "orbit",
+                           "--group", "S3", "--objects", d)
+    assert code == 0
+    assert out == jd
+    top_file = tmp_path / "jd.yaml"
+    top_file.write_text(jd)
+    ps_file = tmp_path / "ps.yaml"
+    ps_file.write_text(dump_text(presheaf_to_doc(
+        representable_presheaf(cat, "S3/{e,(23)}"))))
+    outs = []
+    for selector in (["--objects", d], ["--topology", str(top_file)]):
+        code, out, _ = run_cli(capsys, "sheaf", "sheafify", "--gallery", "orbit",
+                               "--group", "S3", "--presheaf", str(ps_file), *selector)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_bad_scalar_is_one_error_line(tmp_path, capsys, chain3, f5):
+    from finsite.presheaves import constant_linear_presheaf
+    doc = presheaf_to_doc(constant_linear_presheaf(chain3, f5, 1))
+    doc["maps"]["f"] = [["1/0"]]
+    ps_file = tmp_path / "ps.yaml"
+    ps_file.write_text(dump_text(doc))
+    code, out, err = run_cli(capsys, "sheaf", "check", "--gallery", "chain3",
+                             "--presheaf", str(ps_file), "--minimal")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'1/0'" in err
+
+
+def test_cat_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
+    import finsite.category
+    good = tmp_path / "cat.yaml"
+    good.write_text(dump_text(category_to_doc(chain_poset(3))))
+    calls = []
+    check = finsite.category._table_problems
+    monkeypatch.setattr(finsite.category, "_table_problems",
+                        lambda *a: calls.append(1) or check(*a))
+    code, _, _ = run_cli(capsys, "cat", "validate", "--category", str(good))
+    assert code == 0 and len(calls) == 1
+    code, _, _ = run_cli(capsys, "cat", "info", "--category", str(good))
+    assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("gallery", [["orbit", "--group", "S3"], ["idem"]],
+                         ids=["orbit S3", "idem"])
+def test_top_enumerate_independent_of_hash_seed(gallery):
+    import os
+    import subprocess
+    import sys
+
+    import finsite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finsite.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-m", "finsite.cli", "top", "enumerate",
+                              "--gallery", *gallery],
+                             env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("count:")

@@ -157,3 +157,12 @@ def test_topology_doc_rejects_unknown_morphisms(chain3):
     doc["covering"]["z"][0] = ["nope"]
     with pytest.raises(DocumentError, match="nope"):
         topology_from_doc(roundtrip(doc), chain3)
+
+
+@pytest.mark.parametrize("raw", ["1/0", "abc", "1/x", ""])
+def test_bad_scalar_strings_rejected(chain3, f5, rationals, raw):
+    for field in (f5, rationals):
+        doc = presheaf_to_doc(constant_linear_presheaf(chain3, field, 1))
+        doc["maps"]["f"] = [[raw]]
+        with pytest.raises(DocumentError, match="bad field element"):
+            presheaf_from_doc(roundtrip(doc), chain3)

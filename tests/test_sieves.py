@@ -65,3 +65,27 @@ def test_generated_sieve(chain3):
     assert generated_sieve(chain3, "z", []).members == frozenset()
     with pytest.raises(EngineError):
         generated_sieve(chain3, "y", ["g"])
+
+
+# Gallery members; on orbit S4 --p 3 the object S4/1 is past the sieve guard.
+GALLERY = [("chain1",), ("chain2",), ("chain3",), ("chain4",), ("chain5",), ("chain6",),
+           ("chain7",), ("chain8",), ("involution",), ("idem",), ("idem-split",),
+           ("group", "trivial"), ("group", "C2"), ("group", "C4"), ("group", "S3"),
+           ("orbit", "trivial"), ("orbit", "C2"), ("orbit", "C4"), ("orbit", "S3"),
+           ("orbit", "S3", 2), ("orbit", "S3", 3), ("orbit-p", "S3", 2),
+           ("orbit-p", "S3", 3), ("orbit-p", "S4", 3), ("orbit", "S4", 3)]
+
+
+@pytest.mark.parametrize("member", GALLERY, ids=lambda m: " ".join(map(str, m)))
+def test_sieves_on_matches_subset_scan(member):
+    from finsite.gallery import category_by_name
+    from oracles import subset_scan_sieves
+    cat = category_by_name(member[0], group=member[1] if len(member) > 1 else None,
+                           p=member[2] if len(member) > 2 else None)
+    for x in cat.objects:
+        n = len(cat.into(x))
+        if n > 20:
+            with pytest.raises(EngineError, match=rf"too large at .*: 2\^{n} subsets"):
+                sieves_on(cat, x)
+        else:
+            assert sieves_on(cat, x) == subset_scan_sieves(cat, x), x

@@ -15,7 +15,13 @@ from finsite.topology import (ClassificationError,
                               minimal_covering_sieve, minimal_topology,
                               subcategory_topology, topology_from_minimal_covers)
 
-from oracles import unpruned_topologies
+from oracles import census_yaml, unpruned_topologies
+
+# The census members of the benchmark ladder that the guards let through.
+CENSUS_MEMBERS = [("chain3",), ("chain4",), ("chain5",), ("chain6",),
+                  ("involution",), ("idem",), ("idem-split",),
+                  ("group", "C2"), ("group", "S3"), ("orbit", "C2"), ("orbit", "S3"),
+                  ("orbit", "S3", 2), ("orbit-p", "S3", 3), ("orbit-p", "S4", 3)]
 
 # The minimal covering sieve of every topology on the three-object chain,
 # one row per classifying subcategory ("max" marks the maximal sieve).
@@ -121,9 +127,25 @@ def test_empty_covering_forces_everything(chain3):
 def test_enumeration_matches_unpruned_oracle(involution, group_c2, orbit_c2):
     for cat in (chain_poset(2), chain_poset(3), involution, group_c2, orbit_c2,
                 idempotent_pair_category()):
-        pruned = set(enumerate_topologies(cat))
-        oracle = set(unpruned_topologies(cat))
-        assert pruned == oracle
+        pruned = enumerate_topologies(cat)
+        oracle = unpruned_topologies(cat)
+        assert len(pruned) == len(set(pruned)) == len(oracle)
+        assert set(pruned) == set(oracle)
+
+
+@pytest.mark.parametrize("member", CENSUS_MEMBERS, ids=lambda m: " ".join(map(str, m)))
+def test_top_enumerate_matches_product_search_oracle(member, capsys):
+    """The CLI census, labels and order included, byte for byte."""
+    from finsite.cli import main
+    from finsite.gallery import category_by_name
+    group = member[1] if len(member) > 1 else None
+    p = member[2] if len(member) > 2 else None
+    argv = ["top", "enumerate", "--gallery", member[0]]
+    argv += ["--group", group] if group else []
+    argv += ["--p", str(p)] if p else []
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == census_yaml(category_by_name(member[0], group=group, p=p))
 
 
 def test_idempotent_category_census_is_unclassifiable():
