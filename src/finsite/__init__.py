@@ -2,10 +2,10 @@
 Grothendieck topologies, sheafification, skew category algebras, and the
 module-category equivalences they induce."""
 
-from .algebras import (AlgebraPresheaf, FiniteDimAlgebra, SkewCategoryAlgebra,
-                       chain_diagonal_algebra_presheaf,
+from .algebras import (AlgebraPresheaf, FiniteDimAlgebra, GrothendieckConstruction,
+                       SkewCategoryAlgebra, chain_diagonal_algebra_presheaf,
                        constant_algebra_presheaf, diagonal_algebra,
-                       field_algebra, group_algebra, grothendieck_construction,
+                       field_algebra, group_algebra,
                        involution_group_algebra_presheaf, matrix_algebra,
                        skew_category_algebra, swap_action_presheaf,
                        verify_algebra)
@@ -37,16 +37,16 @@ from .presheaves import (LinearPresheaf, SetPresheaf, constant_linear_presheaf,
                          presheaves_isomorphic, representable_presheaf,
                          set_presheaf_isomorphism, singleton_presheaf,
                          zero_presheaf)
-from .sheaves import (dense_sheafify_fixed_points, extend_by_default,
-                      half_sheafify, is_sheaf, matching_families, restrict,
-                      right_kan_extension, rk_counit, sheaf_defect, sheafify,
-                      unit_into_half_sheafification)
+from .sheaves import (FamilySpace, dense_sheafify_fixed_points, extend_by_default,
+                      families, half_sheafify, is_sheaf, kan_extension,
+                      matching_families, right_kan_extension, rk_counit,
+                      sheaf_defect, sheafify, unit_into_half_sheafification)
 from .sieves import (Sieve, empty_sieve, generated_sieve, is_sieve,
                      maximal_sieve, pullback_sieve, sieves_on)
 from .topology import (ClassificationError, GrothendieckTopology,
                        check_topology, classify_topology, dense_topology,
                        enumerate_topologies, finest_topology_for, is_topology,
-                       maximal_topology, minimal_covering_sieve,
-                       minimal_topology, subcategory_topology)
+                       maximal_topology, minimal_topology,
+                       subcategory_topology)
 
 __version__ = "0.1.0"

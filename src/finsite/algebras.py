@@ -362,10 +362,6 @@ class GrothendieckConstruction:
                                 name=f"Aut({x})")
 
 
-def grothendieck_construction(cat: FiniteCategory, r: AlgebraPresheaf) -> GrothendieckConstruction:
-    return GrothendieckConstruction(cat, r)
-
-
 # -- skew category algebra -----------------------------------------------
 
 

@@ -14,9 +14,8 @@ import os
 import sys
 
 from . import gallery
-from .algebras import (constant_algebra_presheaf, field_algebra,
-                       grothendieck_construction, skew_category_algebra,
-                       verify_algebra)
+from .algebras import (GrothendieckConstruction, constant_algebra_presheaf,
+                       field_algebra, skew_category_algebra, verify_algebra)
 from .category import (FullSubcategory, InvalidCategoryError, is_ei, is_karoubian,
                        validate_category)
 from .errors import EngineError
@@ -36,24 +35,6 @@ from .topology import (classify_topology, dense_topology, enumerate_topologies,
                        maximal_topology, minimal_topology, subcategory_topology)
 
 
-class Workspace:
-    """Loaded artifacts by name, each revalidated on load."""
-
-    def __init__(self):
-        self.items = {}
-        self.provenance = {}
-
-    def put(self, name, value, origin):
-        if name in self.items:
-            raise EngineError(f"workspace name {name!r} is already taken")
-        self.items[name] = value
-        self.provenance[name] = origin
-        return value
-
-    def get(self, name):
-        return self.items[name]
-
-
 def _read(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -62,62 +43,49 @@ def _read(path: str) -> dict:
         raise EngineError(f"cannot read {path}: {exc}") from None
 
 
-def _load_category(ws: Workspace, args):
+def _load_category(args):
     if getattr(args, "category", None):
         doc = _read(args.category)
         if doc["kind"] != "category":
             raise EngineError(f"{args.category} holds a {doc['kind']!r}, "
                               "expected a category")
-        return ws.put("category", category_from_doc(doc), args.category)
+        return category_from_doc(doc)
     if getattr(args, "gallery", None):
+        group = getattr(args, "group", None)
         group_file = getattr(args, "group_file", None)
         if group_file:
             doc = _read(group_file)
             if doc["kind"] != "group":
                 raise EngineError(f"{group_file} holds a {doc['kind']!r}, "
                                   "expected a group")
-            custom = ws.put("group", group_from_doc(doc), group_file)
-            token = args.gallery.strip().lower()
-            if token == "group":
-                cat = gallery.group_category(custom)
-            elif token == "orbit":
-                p = getattr(args, "p", None)
-                cat = gallery.p_orbit_category(custom, p) if p is not None \
-                    else gallery.orbit_category(custom)
-            elif token == "orbit-p":
-                if getattr(args, "p", None) is None:
-                    raise EngineError("gallery 'orbit-p' needs a prime")
-                cat = gallery.reduced_p_orbit_category(custom, args.p)
-            else:
+            group = group_from_doc(doc)
+            if args.gallery.strip().lower() not in ("group", "orbit", "orbit-p"):
                 raise EngineError("--group-file only applies to the group "
                                   "and orbit galleries")
-            return ws.put("category", cat, f"gallery:{args.gallery}")
-        cat = gallery.category_by_name(args.gallery, group=getattr(args, "group", None),
-                                       p=getattr(args, "p", None))
-        return ws.put("category", cat, f"gallery:{args.gallery}")
+        return gallery.category_by_name(args.gallery, group=group,
+                                        p=getattr(args, "p", None))
     raise EngineError("select a category with --gallery or --category")
 
 
-def _load_presheaf(ws: Workspace, args, cat):
+def _load_presheaf(args, cat):
     doc = _read(args.presheaf)
     if doc["kind"] != "presheaf":
         raise EngineError(f"{args.presheaf} holds a {doc['kind']!r}, expected a presheaf")
-    return ws.put("presheaf", presheaf_from_doc(doc, cat), args.presheaf)
+    return presheaf_from_doc(doc, cat)
 
 
-def _load_algebra_presheaf(ws: Workspace, args, cat):
+def _load_algebra_presheaf(args, cat):
     if getattr(args, "algebra", None):
         doc = _read(args.algebra)
         if doc["kind"] != "algebra-presheaf":
             raise EngineError(f"{args.algebra} holds a {doc['kind']!r}, "
                               "expected an algebra-presheaf")
-        return ws.put("algebra", algebra_presheaf_from_doc(doc, cat), args.algebra)
+        return algebra_presheaf_from_doc(doc, cat)
     field = field_by_label(args.constant_field)
-    r = constant_algebra_presheaf(cat, field_algebra(field))
-    return ws.put("algebra", r, f"constant:{field.label}")
+    return constant_algebra_presheaf(cat, field_algebra(field))
 
 
-def _select_topology(ws: Workspace, args, cat):
+def _select_topology(args, cat):
     chosen = [bool(getattr(args, "topology", None)),
               bool(getattr(args, "objects", None) is not None),
               bool(getattr(args, "dense", False)),
@@ -131,16 +99,14 @@ def _select_topology(ws: Workspace, args, cat):
         if doc["kind"] != "topology":
             raise EngineError(f"{args.topology} holds a {doc['kind']!r}, "
                               "expected a topology")
-        return ws.put("topology", topology_from_doc(doc, cat), args.topology)
+        return topology_from_doc(doc, cat)
     if getattr(args, "objects", None) is not None:
-        return ws.put("topology",
-                      subcategory_topology(cat, _parse_objects(args.objects)),
-                      "subcategory")
+        return subcategory_topology(cat, _parse_objects(args.objects))
     if getattr(args, "dense", False):
-        return ws.put("topology", dense_topology(cat), "dense")
+        return dense_topology(cat)
     if getattr(args, "minimal", False):
-        return ws.put("topology", minimal_topology(cat), "minimal")
-    return ws.put("topology", maximal_topology(cat), "maximal")
+        return minimal_topology(cat)
+    return maximal_topology(cat)
 
 
 def _parse_objects(text: str) -> tuple:
@@ -218,8 +184,7 @@ def _cmd_cat_validate(args):
 
 
 def _cmd_cat_info(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     info = {"objects": list(cat.objects),
             "morphisms": len(cat.morphisms),
             "ei": is_ei(cat),
@@ -244,8 +209,7 @@ def _cmd_gallery_show(args):
 
 
 def _cmd_top_enumerate(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     tops = enumerate_topologies(cat)
     for top in tops:
         top.label = top.label or "J?"
@@ -258,8 +222,7 @@ def _cmd_top_enumerate(args):
 
 
 def _cmd_top_subcat(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     top = subcategory_topology(cat, _parse_objects(args.objects))
     if args.format == "summary":
         _emit(_topology_table(cat, [top]))
@@ -269,8 +232,7 @@ def _cmd_top_subcat(args):
 
 
 def _cmd_top_classify(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     doc = _read(args.topology)
     if doc["kind"] != "topology":
         raise EngineError(f"{args.topology} holds a {doc['kind']!r}, expected a topology")
@@ -281,8 +243,7 @@ def _cmd_top_classify(args):
 
 
 def _cmd_top_dense(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     top = dense_topology(cat)
     if args.format == "summary":
         _emit(_topology_table(cat, [top]))
@@ -292,10 +253,9 @@ def _cmd_top_dense(args):
 
 
 def _cmd_sheaf_check(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    f = _load_presheaf(ws, args, cat)
-    top = _select_topology(ws, args, cat)
+    cat = _load_category(args)
+    f = _load_presheaf(args, cat)
+    top = _select_topology(args, cat)
     defect = sheaf_defect(f, top)
     if defect is None:
         _emit({"sheaf": True})
@@ -307,17 +267,15 @@ def _cmd_sheaf_check(args):
 
 
 def _cmd_sheaf_sheafify(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    f = _load_presheaf(ws, args, cat)
-    top = _select_topology(ws, args, cat)
+    cat = _load_category(args)
+    f = _load_presheaf(args, cat)
+    top = _select_topology(args, cat)
     _emit(presheaf_to_doc(sheafify(f, top)))
     return 0
 
 
 def _cmd_sheaf_kan(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
+    cat = _load_category(args)
     sub = FullSubcategory(cat, _parse_objects(args.objects))
     doc = _read(args.presheaf)
     if doc["kind"] != "presheaf":
@@ -328,27 +286,24 @@ def _cmd_sheaf_kan(args):
 
 
 def _cmd_alg_skew(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     _emit(skew_algebra_to_doc(skew_category_algebra(cat, r)))
     return 0
 
 
 def _cmd_alg_verify(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     problems = verify_algebra(skew_category_algebra(cat, r))
     _emit({"valid": not problems, "problems": problems})
     return 0 if not problems else 1
 
 
 def _cmd_alg_gr(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
-    gr = grothendieck_construction(cat, r)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
+    gr = GrothendieckConstruction(cat, r)
     sizes = {}
     for x in cat.objects:
         for y in cat.objects:
@@ -358,9 +313,8 @@ def _cmd_alg_gr(args):
 
 
 def _cmd_mod_theta(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     doc = _read(args.module)
     if doc["kind"] != "module-presheaf":
         raise EngineError(f"{args.module} holds a {doc['kind']!r}, "
@@ -371,9 +325,8 @@ def _cmd_mod_theta(args):
 
 
 def _cmd_mod_omega(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     skew = skew_category_algebra(cat, r)
     doc = _read(args.algebra_module)
     if doc["kind"] != "algebra-module":
@@ -385,9 +338,8 @@ def _cmd_mod_omega(args):
 
 
 def _cmd_mod_roundtrip(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     report = verify_equivalence_roundtrip(r, seed=args.seed, count=args.count)
     results = [{"instance": inst["instance"],
                 "presheaf_dims": list(inst["presheaf_dims"]),
@@ -401,9 +353,8 @@ def _cmd_mod_roundtrip(args):
 
 
 def _cmd_mod_transport(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     doc = _read(args.module)
     if doc["kind"] != "module-presheaf":
         raise EngineError(f"{args.module} holds a {doc['kind']!r}, "
@@ -428,9 +379,8 @@ def _cmd_mod_transport(args):
 
 
 def _cmd_mod_blocks(args):
-    ws = Workspace()
-    cat = _load_category(ws, args)
-    r = _load_algebra_presheaf(ws, args, cat)
+    cat = _load_category(args)
+    r = _load_algebra_presheaf(args, cat)
     blocks = dense_block_decomposition(cat, r)
     out = []
     for b in blocks:
@@ -450,7 +400,7 @@ def _cmd_mod_blocks(args):
     return 0
 
 
-def _add_source(parser, *, required=True):
+def _add_source(parser):
     parser.add_argument("--gallery", help="gallery category name, e.g. chain3")
     parser.add_argument("--group", help="group name for group/orbit galleries")
     parser.add_argument("--group-file", help="group document file, an "

@@ -319,6 +319,29 @@ def vstack(field, mats: Sequence[Matrix]) -> Matrix:
     return Matrix(sum(m.rows for m in mats), cols, data)
 
 
+def block_matrix(field, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix holding each (row offset, column offset,
+    Matrix) of blocks at its place, and zero elsewhere."""
+    cells = [[field.zero] * cols for _ in range(rows)]
+    for r0, c0, b in blocks:
+        for i, row in enumerate(b.data):
+            cells[r0 + i][c0:c0 + b.cols] = row
+    return Matrix(rows, cols, tuple(tuple(r) for r in cells))
+
+
+def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
+    """The sum of c * a over the pairs (c, a) of coeffs and mats, all of
+    shape rows x cols."""
+    zero = field.zero
+    acc = zero_matrix(field, rows, cols)
+    for c, a in zip(coeffs, mats):
+        if c != zero:
+            acc = Matrix(rows, cols, tuple(tuple(field.add(e, field.mul(c, ae))
+                                                 for e, ae in zip(er, ar))
+                                           for er, ar in zip(acc.data, a.data)))
+    return acc
+
+
 def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with the pivot columns, fully canonical."""
     rows = [list(r) for r in a.data]

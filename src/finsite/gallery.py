@@ -253,8 +253,14 @@ def group_by_name(name: str) -> FiniteGroup:
     raise EngineError(f"unknown group name {name!r} (use trivial, C<n>, or S<n>)")
 
 
-def category_by_name(name: str, *, group: str | None = None, p: int | None = None) -> FiniteCategory:
-    """Resolve a gallery token like "chain3", "involution", or "orbit-p"."""
+def _as_group(group: str | FiniteGroup) -> FiniteGroup:
+    return group if isinstance(group, FiniteGroup) else group_by_name(group)
+
+
+def category_by_name(name: str, *, group: str | FiniteGroup | None = None,
+                     p: int | None = None) -> FiniteCategory:
+    """Resolve a gallery token like "chain3", "involution", or "orbit-p";
+    group is a group name or a FiniteGroup."""
     text = name.strip().lower()
     if text.startswith("chain") and text[5:].isdigit():
         return chain_poset(int(text[5:]))
@@ -267,18 +273,17 @@ def category_by_name(name: str, *, group: str | None = None, p: int | None = Non
     if text == "group":
         if group is None:
             raise EngineError("gallery 'group' needs a group name")
-        return group_category(group_by_name(group))
+        return group_category(_as_group(group))
     if text == "orbit":
         if group is None:
             raise EngineError("gallery 'orbit' needs a group name")
-        g = group_by_name(group)
         if p is not None:
-            return p_orbit_category(g, p)
-        return orbit_category(g)
+            return p_orbit_category(_as_group(group), p)
+        return orbit_category(_as_group(group))
     if text == "orbit-p":
         if group is None or p is None:
             raise EngineError("gallery 'orbit-p' needs a group name and a prime")
-        return reduced_p_orbit_category(group_by_name(group), p)
+        return reduced_p_orbit_category(_as_group(group), p)
     raise EngineError(f"unknown gallery name {name!r}")
 
 

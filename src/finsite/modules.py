@@ -14,11 +14,11 @@ from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
                        SkewCategoryAlgebra, skew_category_algebra)
 from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei
 from .errors import EngineError
-from .fields import (Matrix, col_space, hstack, identity_matrix, inverse,
-                     is_invertible, mat_mul, mat_vec, matrix, null_space,
+from .fields import (Matrix, block_matrix, col_space, hstack, identity_matrix,
+                     is_invertible, mat_combination, mat_mul, matrix, null_space,
                      solve_matrix, unit_vec, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, _as_subcategory
-from .sheaves import _rk_linear_space, right_kan_extension, sheaf_defect
+from .sheaves import kan_extension, sheaf_defect
 from .topology import GrothendieckTopology, subcategory_topology
 
 
@@ -60,15 +60,8 @@ class ModulePresheaf:
     def act(self, x: str, coeffs) -> Matrix:
         """Matrix of the right action of the algebra element with the given
         coordinates at x."""
-        k = self.field
         d = self.dim(x)
-        acc = zero_matrix(k, d, d)
-        for c, a in zip(coeffs, self.actions[x]):
-            if c != k.zero:
-                acc = Matrix(d, d, tuple(tuple(k.add(e, k.mul(c, ae))
-                                               for e, ae in zip(er, ar))
-                                         for er, ar in zip(acc.data, a.data)))
-        return acc
+        return mat_combination(self.field, coeffs, self.actions[x], d, d)
 
     def _check(self):
         k = self.field
@@ -132,15 +125,7 @@ class AlgebraModule:
         return self.algebra.field
 
     def act(self, coeffs) -> Matrix:
-        k = self.field
-        acc = zero_matrix(k, self.dim, self.dim)
-        for c, a in zip(coeffs, self.actions):
-            if c != k.zero:
-                acc = Matrix(self.dim, self.dim,
-                             tuple(tuple(k.add(e, k.mul(c, ae))
-                                         for e, ae in zip(er, ar))
-                                   for er, ar in zip(acc.data, a.data)))
-        return acc
+        return mat_combination(self.field, coeffs, self.actions, self.dim, self.dim)
 
     def _check(self):
         k = self.field
@@ -182,11 +167,7 @@ def to_algebra_module(m: ModulePresheaf, skew: SkewCategoryAlgebra | None = None
         j = idx - skew.basis_offset[fname]
         x, y = cat.dom(fname), cat.cod(fname)
         block = mat_mul(k, m.actions[x][j], m.space.mat(fname))
-        cells = [[k.zero] * total for _ in range(total)]
-        for rr in range(block.rows):
-            for cc in range(block.cols):
-                cells[offsets[x] + rr][offsets[y] + cc] = block.entry(rr, cc)
-        actions.append(matrix(k, cells, cols=total))
+        actions.append(block_matrix(k, total, total, [(offsets[x], offsets[y], block)]))
     return AlgebraModule(skew, total, actions, check=check)
 
 
@@ -196,19 +177,14 @@ def to_algebra_module_map(m1: ModulePresheaf, m2: ModulePresheaf,
     bundled modules (the block diagonal of its components)."""
     k = m1.field
     cat = m1.cat
-    rows = sum(m2.dim(x) for x in cat.objects)
-    cols = sum(m1.dim(x) for x in cat.objects)
-    cells = [[k.zero] * cols for _ in range(rows)]
+    blocks = []
     roff = 0
     coff = 0
     for x in cat.objects:
-        block = comps[x]
-        for i in range(block.rows):
-            for j in range(block.cols):
-                cells[roff + i][coff + j] = block.entry(i, j)
+        blocks.append((roff, coff, comps[x]))
         roff += m2.dim(x)
         coff += m1.dim(x)
-    return matrix(k, cells, cols=cols) if rows else zero_matrix(k, 0, cols)
+    return block_matrix(k, roff, coff, blocks)
 
 
 def direct_sum_module_presheaves(m1: ModulePresheaf, m2: ModulePresheaf) -> ModulePresheaf:
@@ -220,16 +196,8 @@ def direct_sum_module_presheaves(m1: ModulePresheaf, m2: ModulePresheaf) -> Modu
     cat = m1.cat
 
     def block_diag(a: Matrix, b: Matrix) -> Matrix:
-        rows = a.rows + b.rows
-        cols = a.cols + b.cols
-        cells = [[k.zero] * cols for _ in range(rows)]
-        for i in range(a.rows):
-            for j in range(a.cols):
-                cells[i][j] = a.entry(i, j)
-        for i in range(b.rows):
-            for j in range(b.cols):
-                cells[a.rows + i][a.cols + j] = b.entry(i, j)
-        return matrix(k, cells, cols=cols) if rows else zero_matrix(k, 0, cols)
+        return block_matrix(k, a.rows + b.rows, a.cols + b.cols,
+                            [(0, 0, a), (a.rows, a.cols, b)])
 
     dims = {x: m1.dim(x) + m2.dim(x) for x in cat.objects}
     mats = {mor.name: block_diag(m1.space.mat(mor.name), m2.space.mat(mor.name))
@@ -371,14 +339,7 @@ def algebra_module_isomorphism(n1: AlgebraModule, n2: AlgebraModule,
         return None
 
     def combine(coeffs):
-        acc = zero_matrix(k, n2.dim, n1.dim)
-        for c, b in zip(coeffs, basis):
-            if c != k.zero:
-                acc = Matrix(acc.rows, acc.cols,
-                             tuple(tuple(k.add(e, k.mul(c, be))
-                                         for e, be in zip(er, br))
-                                   for er, br in zip(acc.data, b.data)))
-        return acc
+        return mat_combination(k, coeffs, basis, n2.dim, n1.dim)
 
     if k.enumerable and k.char ** len(basis) <= enum_limit:
         for coeffs in itertools.product(k.elements(), repeat=len(basis)):
@@ -420,10 +381,7 @@ def unbundle_bundle_witness(m: ModulePresheaf, skew: SkewCategoryAlgebra | None 
     comps = {}
     for x in cat.objects:
         d = m.dim(x)
-        inc_cells = [[k.zero] * d for _ in range(total)]
-        for i in range(d):
-            inc_cells[offsets[x] + i][i] = k.one
-        inc = matrix(k, inc_cells, cols=d) if total else zero_matrix(k, 0, d)
+        inc = block_matrix(k, total, d, [(offsets[x], 0, identity_matrix(k, d))])
         sol = solve_matrix(k, data.value_bases[x], inc)
         if sol is None:
             raise ModuleError("value basis does not span the object block")
@@ -535,6 +493,11 @@ def transport_module_back(n: AlgebraModule, r: AlgebraPresheaf,
     """Inverse transport: unbundle over the subcategory, right Kan extend
     the underlying presheaf, and act on each family componentwise
     (the value of r is restricted along each family member)."""
+    return _transport_back(n, r, sub, top)[0]
+
+
+def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub, top):
+    """transport_module_back, with the Kan families it is built on."""
     cat = r.cat
     sub = _as_subcategory(cat, sub)
     if top is None:
@@ -543,31 +506,24 @@ def transport_module_back(n: AlgebraModule, r: AlgebraPresheaf,
     if not m_d.cat.same_as(sub.category):
         raise ModuleError("module does not live over the chosen subcategory")
     k = n.field
-    keep = set(sub.objects)
-    space = right_kan_extension(m_d.space, sub)
+    space, kan = kan_extension(m_d.space, sub)
     actions = {}
     for x in cat.objects:
-        kan = _rk_linear_space(m_d.space, cat, keep, x)
-        alg = r.algebra(x)
+        fams = kan[x]
         acts = []
-        for bidx in range(alg.dim):
-            cells = [[k.zero] * kan.basis.rows for _ in range(kan.basis.rows)]
-            for i, t in enumerate(kan.members):
-                w = cat.dom(t)
-                rho = r.mat(t).col(bidx)
-                block = m_d.act(w, rho)
-                for rr in range(block.rows):
-                    for cc in range(block.cols):
-                        cells[kan.offsets[i] + rr][kan.offsets[i] + cc] = block.entry(rr, cc)
-            big = matrix(k, cells, cols=kan.basis.rows)
-            sol = solve_matrix(k, kan.basis, mat_mul(k, big, kan.basis))
+        for bidx in range(r.algebra(x).dim):
+            big = block_matrix(k, fams.total, fams.total,
+                               [(fams.offsets[i], fams.offsets[i],
+                                 m_d.act(cat.dom(t), r.mat(t).col(bidx)))
+                                for i, t in enumerate(fams.members)])
+            sol = solve_matrix(k, fams.basis, mat_mul(k, big, fams.basis))
             if sol is None:
                 raise ModuleError("componentwise action left the family space")
             acts.append(sol)
         actions[x] = tuple(acts)
     out = ModulePresheaf(r, space, actions)
     _check_sheaf_module(out, top)
-    return out
+    return out, kan
 
 
 def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory,
@@ -580,20 +536,14 @@ def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory,
     if top is None:
         top = subcategory_topology(cat, sub)
     n = transport_module(m, sub, top)
-    back = transport_module_back(n, m.r, sub, top)
-    m_d = m.restrict(sub)
-    _, unit_comps = unbundle_bundle_witness(m_d)
-    keep = set(sub.objects)
-    m_back_d = to_module_presheaf(n, check=False)
+    back, kan = _transport_back(n, m.r, sub, top)
+    _, unit_comps = unbundle_bundle_witness(m.restrict(sub))
     comps = {}
     for x in cat.objects:
-        kan = _rk_linear_space(m_back_d.space, cat, keep, x)
-        blocks = []
-        for t in kan.members:
-            w = cat.dom(t)
-            blocks.append(mat_mul(k, unit_comps[w], m.space.mat(t)))
+        blocks = [mat_mul(k, unit_comps[cat.dom(t)], m.space.mat(t))
+                  for t in kan[x].members]
         stacked = vstack(k, blocks) if blocks else zero_matrix(k, 0, m.dim(x))
-        sol = solve_matrix(k, kan.basis, stacked)
+        sol = solve_matrix(k, kan[x].basis, stacked)
         if sol is None:
             raise ModuleError("restriction family left the Kan space")
         comps[x] = sol
@@ -611,18 +561,12 @@ def transport_back_roundtrip_witness(n: AlgebraModule, r: AlgebraPresheaf,
     sub = _as_subcategory(cat, sub)
     if top is None:
         top = subcategory_topology(cat, sub)
-    back = transport_module_back(n, r, sub, top)
+    back, kan = _transport_back(n, r, sub, top)
     forward = transport_module(back, sub, top)
-    m_d = to_module_presheaf(n, check=False)
     data = _unbundle(n, check=False)
-    keep = set(sub.objects)
     blocks = []
     for w in sub.objects:
-        kan = _rk_linear_space(m_d.space, cat, keep, w)
-        i = kan.members.index(cat.id_of(w))
-        counit = Matrix(kan.block_dims[i], kan.basis.cols,
-                        kan.basis.data[kan.offsets[i]:
-                                       kan.offsets[i] + kan.block_dims[i]])
+        counit = kan[w].block(kan[w].members.index(cat.id_of(w)))
         blocks.append(mat_mul(k, data.value_bases[w], counit))
     t = hstack(k, blocks) if blocks else zero_matrix(k, n.dim, 0)
     return forward, t

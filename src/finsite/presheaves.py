@@ -14,8 +14,8 @@ from typing import Iterable
 
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, identity_matrix, is_invertible, mat_mul,
-                     matrix, null_space, zero_matrix)
+from .fields import (Matrix, identity_matrix, is_invertible, mat_combination,
+                     mat_mul, matrix, null_space, zero_matrix)
 
 
 class PresheafError(EngineError):
@@ -308,17 +308,8 @@ def linear_presheaf_isomorphism(f: LinearPresheaf, g: LinearPresheaf,
         return None
 
     def combine(coeffs):
-        comp = {}
-        for x in cat.objects:
-            acc = zero_matrix(k, g.at(x), f.at(x))
-            for c, b in zip(coeffs, basis):
-                if c != k.zero:
-                    acc = Matrix(acc.rows, acc.cols,
-                                 tuple(tuple(k.add(e, k.mul(c, be))
-                                             for e, be in zip(er, br))
-                                       for er, br in zip(acc.data, b[x].data)))
-            comp[x] = acc
-        return comp
+        return {x: mat_combination(k, coeffs, [b[x] for b in basis], g.at(x), f.at(x))
+                for x in cat.objects}
 
     def invertible(comp):
         return all(is_invertible(k, comp[x]) for x in cat.objects)

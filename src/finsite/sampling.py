@@ -17,7 +17,7 @@ from .algebras import AlgebraPresheaf, FiniteDimAlgebra, constant_algebra_preshe
     field_algebra, skew_category_algebra
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, col_space, hstack, inverse, is_invertible,
+from .fields import (Matrix, block_matrix, col_space, hstack, inverse, is_invertible,
                      mat_mul, matrix, matrix_from_cols, solve_matrix,
                      unit_vec, zero_matrix)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
@@ -48,15 +48,9 @@ def free_module(algebra: FiniteDimAlgebra, rank: int) -> AlgebraModule:
     k = algebra.field
     reg = regular_module(algebra)
     n = algebra.dim * rank
-    acts = []
-    for a in reg.actions:
-        cells = [[k.zero] * n for _ in range(n)]
-        for b in range(rank):
-            off = b * algebra.dim
-            for i in range(algebra.dim):
-                for j in range(algebra.dim):
-                    cells[off + i][off + j] = a.entry(i, j)
-        acts.append(matrix(k, cells, cols=n))
+    acts = [block_matrix(k, n, n, [(b * algebra.dim, b * algebra.dim, a)
+                                   for b in range(rank)])
+            for a in reg.actions]
     return AlgebraModule(algebra, n, acts, check=False)
 
 

@@ -1,11 +1,16 @@
-"""Matching families, the sheaf condition, sheafification, the dense-site
-fixed-point formula for EI categories, and restriction / right Kan
-extension along full subcategory inclusions.
+"""Compatible families and what is built from them: matching families,
+the sheaf condition, sheafification, the dense-site fixed-point formula
+for EI categories, and right Kan extension along full subcategory
+inclusions.
 
-A matching family for a sieve S on x assigns to each member u of S an
-element (or vector) over dom(u), compatibly with every precomposition:
-F(v)(m_u) = m_{uv}. The sheaf condition asks the canonical map from F(x)
-into these families to be a bijection for every covering sieve.
+A family over a tuple of morphisms u into one object assigns to each u
+an element (or vector) over dom(u), compatibly with every precomposition:
+F(v)(m_u) = m_{uv}. Over the members of a sieve these are its matching
+families; over the morphisms from a subcategory D into x, compatible
+under D's morphisms, they are the value at x of the right Kan extension
+along D. ``families`` computes both. The sheaf condition asks the
+canonical map from F(x) into the matching families to be a bijection
+for every covering sieve.
 
 Half-sheafification is computed on the minimal covering sieve. On a
 finite site the covering sieves at an object are closed under
@@ -21,10 +26,10 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, identity_matrix, mat_mul, matrix, null_space,
-                     rank, solve_matrix, vstack, zero_matrix)
+from .fields import (Matrix, block_matrix, identity_matrix, mat_mul, matrix,
+                     null_space, rank, solve_matrix, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
-from .sieves import Sieve
+from .sieves import Sieve, sieve_sort_key
 from .topology import GrothendieckTopology
 
 
@@ -32,29 +37,8 @@ def member_order(cat: FiniteCategory, s: Sieve) -> tuple[str, ...]:
     return tuple(sorted(s.members, key=lambda m: cat.mor_index[m]))
 
 
-def set_matching_families(f: SetPresheaf, s: Sieve) -> tuple[tuple, ...]:
-    """All compatible assignments over the sieve, in product order."""
-    cat = f.cat
-    members = member_order(cat, s)
-    index = {u: i for i, u in enumerate(members)}
-    pools = [f.at(cat.dom(u)) for u in members]
-    out = []
-    for combo in itertools.product(*pools):
-        ok = True
-        for i, u in enumerate(members):
-            for v in cat.into(cat.dom(u)):
-                if f.apply(v, combo[i]) != combo[index[cat.compose(u, v)]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(combo))
-    return tuple(out)
-
-
-class LinearFamilySpace(NamedTuple):
-    members: tuple          # sieve members in canonical order
+class FamilySpace(NamedTuple):
+    members: tuple          # the morphisms the families run over
     block_dims: tuple       # dim of F at dom(u) per member
     offsets: tuple          # starting row of each member block
     basis: Matrix           # (total block dim) x (space dim), canonical columns
@@ -67,41 +51,95 @@ class LinearFamilySpace(NamedTuple):
     def total(self) -> int:
         return self.basis.rows
 
+    def block(self, i: int) -> Matrix:
+        """The rows of member i: each basis family's vector over dom(u_i)."""
+        lo = self.offsets[i]
+        return Matrix(self.block_dims[i], self.basis.cols,
+                      self.basis.data[lo:lo + self.block_dims[i]])
 
-def linear_matching_families(f: LinearPresheaf, s: Sieve) -> LinearFamilySpace:
-    """Canonical basis of the solution space of the compatibility equations."""
-    cat, k = f.cat, f.field
-    members = member_order(cat, s)
+
+def families(f, cat: FiniteCategory, members: tuple):
+    """The families over members, morphisms of cat into one object, that
+    are compatible under f.cat: F(v)(m_u) = m_{uv} for every member u and
+    every f.cat-morphism v into dom(u). For a sieve f.cat is cat; for a
+    right Kan extension along D it is D, whose morphisms keep cat's names.
+
+    Set flavour: the compatible tuples, in product order of the pools.
+    Linear flavour: the FamilySpace solving the compatibility equations.
+    """
+    d = f.cat
     index = {u: i for i, u in enumerate(members)}
+    # (i, v, j): member i precomposed with v is member j.
+    links = [(i, v, index[cat.compose(u, v)]) for i, u in enumerate(members)
+             for v in d.into(cat.dom(u)) if not d.is_identity(v)]
+    if f.flavor == "set":
+        pools = [f.at(cat.dom(u)) for u in members]
+        return tuple(combo for combo in itertools.product(*pools)
+                     if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
+    k = f.field
     dims = tuple(f.at(cat.dom(u)) for u in members)
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
+    offsets = tuple(itertools.accumulate(dims[:-1], initial=0)) if dims else ()
+    total = sum(dims)
     rows = []
-    for i, u in enumerate(members):
-        du = f.at(cat.dom(u))
-        for v in cat.into(cat.dom(u)):
-            if cat.is_identity(v):
-                continue
-            j = index[cat.compose(u, v)]
-            fv = f.mat(v)
-            dv = fv.rows
-            for r in range(dv):
-                row = [k.zero] * total
-                for c in range(du):
-                    row[offsets[i] + c] = k.add(row[offsets[i] + c], fv.entry(r, c))
-                row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
-                rows.append(row)
-    a = matrix(k, rows, cols=total)
-    return LinearFamilySpace(members, dims, tuple(offsets), null_space(k, a))
+    for i, v, j in links:
+        fv = f.mat(v)
+        for r in range(fv.rows):
+            row = [k.zero] * total
+            row[offsets[i]:offsets[i] + fv.cols] = fv.row(r)
+            row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
+            rows.append(row)
+    return FamilySpace(members, dims, offsets,
+                       null_space(k, matrix(k, rows, cols=total)))
+
+
+def set_matching_families(f: SetPresheaf, s: Sieve) -> tuple[tuple, ...]:
+    """All compatible assignments over the sieve, in product order."""
+    return families(f, f.cat, member_order(f.cat, s))
+
+
+def linear_matching_families(f: LinearPresheaf, s: Sieve) -> FamilySpace:
+    """Canonical basis of the solution space of the compatibility equations."""
+    return families(f, f.cat, member_order(f.cat, s))
 
 
 def matching_families(f, s: Sieve):
     if f.flavor == "set":
         return set_matching_families(f, s)
     return linear_matching_families(f, s)
+
+
+def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
+    """The presheaf on cat whose value at x is values[x], families over
+    members[x]; m: w -> x sends a family to its entries at "v then m" for
+    the members v at w."""
+    index = {x: {u: i for i, u in enumerate(members[x])} for x in cat.objects}
+
+    def positions(m):
+        try:
+            return [index[m.cod][cat.compose(m.name, v)] for v in members[m.dom]]
+        except KeyError:
+            raise EngineError("stability violated: a pulled member escapes "
+                              "the members of its family") from None
+
+    if f.flavor == "set":
+        maps = {}
+        for m in cat.morphisms:
+            pos = positions(m)
+            maps[m.name] = {fam: tuple(fam[j] for j in pos) for fam in values[m.cod]}
+        return SetPresheaf(cat, values, maps)
+    k = f.field
+    mats = {}
+    for m in cat.morphisms:
+        src, dst = values[m.dom], values[m.cod]
+        sel = block_matrix(k, src.total, dst.total,
+                           [(src.offsets[i], dst.offsets[j],
+                             identity_matrix(k, src.block_dims[i]))
+                            for i, j in enumerate(positions(m))])
+        sol = solve_matrix(k, src.basis, mat_mul(k, sel, dst.basis))
+        if sol is None:
+            raise EngineError("pulled family left the family space")
+        mats[m.name] = sol
+    return LinearPresheaf(cat, k, {x: values[x].dim for x in cat.objects}, mats)
 
 
 def set_restriction_map(f: SetPresheaf, s: Sieve) -> dict:
@@ -122,10 +160,10 @@ def linear_restriction_matrix(f: LinearPresheaf, s: Sieve) -> Matrix:
 
 def _sieve_is_descent(f, s: Sieve) -> bool:
     if f.flavor == "set":
-        families = set_matching_families(f, s)
+        fams = set_matching_families(f, s)
         images = list(set_restriction_map(f, s).values())
-        return len(set(images)) == len(images) == len(families) \
-            and set(images) == set(families)
+        return len(set(images)) == len(images) == len(fams) \
+            and set(images) == set(fams)
     k = f.field
     space = linear_matching_families(f, s)
     res = linear_restriction_matrix(f, s)
@@ -134,23 +172,13 @@ def _sieve_is_descent(f, s: Sieve) -> bool:
     return space.dim == dx and rank(k, res) == dx
 
 
-def sheaf_defect(f, top: GrothendieckTopology, *, minimal_only: bool = False):
+def sheaf_defect(f, top: GrothendieckTopology):
     """The first (object, covering sieve) violating descent, or None.
 
-    By default every covering sieve is checked. ``minimal_only`` checks
-    just the least covering sieve per object; it is experimental: it
-    agrees with the full check on all tested finite sites, but no proof
-    is recorded that the least sieve always suffices, so the full sweep
-    stays the default.
+    Objects are swept in order, and the covering sieves at each in
+    sieve_sort_key order.
     """
     cat = f.cat
-    from .sieves import sieve_sort_key
-    if minimal_only:
-        for x in cat.objects:
-            least = top.minimal_cover(x)
-            if not _sieve_is_descent(f, least):
-                return (x, least)
-        return None
     for x in cat.objects:
         for s in sorted(top.covering[x], key=lambda s: sieve_sort_key(cat, s)):
             if not _sieve_is_descent(f, s):
@@ -158,8 +186,8 @@ def sheaf_defect(f, top: GrothendieckTopology, *, minimal_only: bool = False):
     return None
 
 
-def is_sheaf(f, top: GrothendieckTopology, *, minimal_only: bool = False) -> bool:
-    return sheaf_defect(f, top, minimal_only=minimal_only) is None
+def is_sheaf(f, top: GrothendieckTopology) -> bool:
+    return sheaf_defect(f, top) is None
 
 
 # -- sheafification -----------------------------------------------------
@@ -168,69 +196,10 @@ def is_sheaf(f, top: GrothendieckTopology, *, minimal_only: bool = False) -> boo
 def half_sheafify(f, top: GrothendieckTopology):
     """Matching families over the minimal covering sieves, with the
     pullback action on families."""
-    if f.flavor == "set":
-        return _half_sheafify_set(f, top)
-    return _half_sheafify_linear(f, top)
-
-
-def _half_sheafify_set(f: SetPresheaf, top: GrothendieckTopology) -> SetPresheaf:
     cat = f.cat
-    minimal = {x: top.minimal_cover(x) for x in cat.objects}
-    members = {x: member_order(cat, minimal[x]) for x in cat.objects}
-    index = {x: {u: i for i, u in enumerate(members[x])} for x in cat.objects}
-    values = {x: set_matching_families(f, minimal[x]) for x in cat.objects}
-    maps = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        table = {}
-        for fam in values[x]:
-            pulled = []
-            for v in members[w]:
-                fv = cat.compose(m.name, v)
-                if fv not in index[x]:
-                    raise EngineError(
-                        "stability violated: pulled member escapes the minimal sieve")
-                pulled.append(fam[index[x][fv]])
-            table[fam] = tuple(pulled)
-        maps[m.name] = table
-    return SetPresheaf(cat, values, maps)
-
-
-def _pullback_selection(k, cat, src_space: LinearFamilySpace,
-                        dst_space: LinearFamilySpace, f_name: str) -> Matrix:
-    """Rows picking, for each member v at dom(f), the block of "v then f"."""
-    dst_index = {u: i for i, u in enumerate(dst_space.members)}
-    rows = []
-    for i, v in enumerate(src_space.members):
-        fv = cat.compose(f_name, v)
-        if fv not in dst_index:
-            raise EngineError(
-                "stability violated: pulled member escapes the minimal sieve")
-        j = dst_index[fv]
-        d = src_space.block_dims[i]
-        for r in range(d):
-            row = [k.zero] * dst_space.total
-            row[dst_space.offsets[j] + r] = k.one
-            rows.append(row)
-    return matrix(k, rows, cols=dst_space.total)
-
-
-def _half_sheafify_linear(f: LinearPresheaf, top: GrothendieckTopology) -> LinearPresheaf:
-    cat, k = f.cat, f.field
-    spaces = {x: linear_matching_families(f, top.minimal_cover(x))
-              for x in cat.objects}
-    dims = {x: spaces[x].dim for x in cat.objects}
-    mats = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        sel = _pullback_selection(k, cat, spaces[w], spaces[x], m.name)
-        pulled = mat_mul(k, sel, spaces[x].basis)
-        sol = solve_matrix(k, spaces[w].basis, pulled)
-        if sol is None:
-            raise EngineError("pulled family left the family space; "
-                              "minimal covers are inconsistent")
-        mats[m.name] = sol
-    return LinearPresheaf(cat, k, dims, mats)
+    members = {x: member_order(cat, top.minimal_cover(x)) for x in cat.objects}
+    values = {x: matching_families(f, top.minimal_cover(x)) for x in cat.objects}
+    return _precomposition(f, cat, members, values)
 
 
 def sheafify(f, top: GrothendieckTopology):
@@ -382,8 +351,7 @@ def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPr
     mats = {}
     for m in cat.morphisms:
         w, x = m.dom, m.cod
-        rows_total, cols_total = dims[w], dims[x]
-        cells = [[k.zero] * cols_total for _ in range(rows_total)]
+        blocks = []
         for i, comp in enumerate(components[w]):
             t = cat.compose(m.name, comp.orbit_rep)
             j, a = _match_component(cat, components[x], comp.class_index, t)
@@ -392,23 +360,33 @@ def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPr
             if block is None:
                 raise EngineError("fixed subspace not preserved; "
                                   "stabilizer matching is inconsistent")
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    cells[offsets[w][i] + r][offsets[x][j] + c] = block.entry(r, c)
-        mats[m.name] = matrix(k, cells, cols=cols_total)
+            blocks.append((offsets[w][i], offsets[x][j], block))
+        mats[m.name] = block_matrix(k, dims[w], dims[x], blocks)
     return LinearPresheaf(cat, k, dims, mats)
 
 
-# -- restriction and right Kan extension --------------------------------
+# -- right Kan extension --------------------------------------------------
 
 
-def restrict(f, sub):
-    """Objectwise and morphismwise restriction to a full subcategory."""
-    return f.restrict(sub)
-
-
-def _kan_members(cat: FiniteCategory, keep: set, x: str) -> tuple[str, ...]:
+def _kan_members(sub: FullSubcategory, x: str) -> tuple[str, ...]:
+    """The morphisms from objects of sub into x, in the parent's order."""
+    cat = sub.parent
+    keep = set(sub.objects)
     return tuple(t for t in cat.into(x) if cat.dom(t) in keep)
+
+
+def kan_extension(g, sub: FullSubcategory):
+    """The right Kan extension of g along sub with its families: the pair
+    (presheaf, families per object), each value a tuple of families
+    (set flavour) or a FamilySpace (linear flavour)."""
+    cat = sub.parent
+    if not sub.is_strictly_full():
+        raise EngineError("right Kan extension expects a strictly full subcategory")
+    if not g.cat.same_as(sub.category):
+        raise EngineError("presheaf does not live on the chosen subcategory")
+    members = {x: _kan_members(sub, x) for x in cat.objects}
+    values = {x: families(g, cat, members[x]) for x in cat.objects}
+    return _precomposition(g, cat, members, values), values
 
 
 def right_kan_extension(g, sub: FullSubcategory):
@@ -416,107 +394,7 @@ def right_kan_extension(g, sub: FullSubcategory):
     category: the value at x is the set (or space) of families over all
     morphisms from subcategory objects into x that are natural for
     subcategory morphisms."""
-    cat = sub.parent
-    if not sub.is_strictly_full():
-        raise EngineError("right Kan extension expects a strictly full subcategory")
-    if not g.cat.same_as(sub.category):
-        raise EngineError("presheaf does not live on the chosen subcategory")
-    keep = set(sub.objects)
-    if g.flavor == "set":
-        return _rk_set(g, cat, keep)
-    return _rk_linear(g, cat, keep)
-
-
-def _rk_set(g: SetPresheaf, cat: FiniteCategory, keep: set) -> SetPresheaf:
-    d = g.cat
-    members = {x: _kan_members(cat, keep, x) for x in cat.objects}
-    index = {x: {t: i for i, t in enumerate(members[x])} for x in cat.objects}
-    values = {}
-    for x in cat.objects:
-        pools = [g.at(cat.dom(t)) for t in members[x]]
-        fams = []
-        for combo in itertools.product(*pools):
-            ok = True
-            for i, t in enumerate(members[x]):
-                for v in d.morphisms:
-                    if v.cod != cat.dom(t):
-                        continue
-                    if g.apply(v.name, combo[i]) != combo[index[x][cat.compose(t, v.name)]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                fams.append(tuple(combo))
-        values[x] = tuple(fams)
-    maps = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        table = {}
-        for fam in values[x]:
-            table[fam] = tuple(fam[index[x][cat.compose(m.name, t)]]
-                               for t in members[w])
-        maps[m.name] = table
-    return SetPresheaf(cat, values, maps)
-
-
-class KanSpace(NamedTuple):
-    members: tuple
-    block_dims: tuple
-    offsets: tuple
-    basis: Matrix
-
-
-def _rk_linear_space(g: LinearPresheaf, cat: FiniteCategory, keep: set, x: str) -> KanSpace:
-    d, k = g.cat, g.field
-    members = _kan_members(cat, keep, x)
-    index = {t: i for i, t in enumerate(members)}
-    dims = tuple(g.at(cat.dom(t)) for t in members)
-    offsets = []
-    total = 0
-    for dd in dims:
-        offsets.append(total)
-        total += dd
-    rows = []
-    for i, t in enumerate(members):
-        dt = g.at(cat.dom(t))
-        for v in d.morphisms:
-            if v.cod != cat.dom(t) or d.is_identity(v.name):
-                continue
-            j = index[cat.compose(t, v.name)]
-            gv = g.mat(v.name)
-            for r in range(gv.rows):
-                row = [k.zero] * total
-                for c in range(dt):
-                    row[offsets[i] + c] = k.add(row[offsets[i] + c], gv.entry(r, c))
-                row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
-                rows.append(row)
-    return KanSpace(members, dims, tuple(offsets),
-                    null_space(k, matrix(k, rows, cols=total)))
-
-
-def _rk_linear(g: LinearPresheaf, cat: FiniteCategory, keep: set) -> LinearPresheaf:
-    k = g.field
-    spaces = {x: _rk_linear_space(g, cat, keep, x) for x in cat.objects}
-    dims = {x: spaces[x].basis.cols for x in cat.objects}
-    mats = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        src, dst = spaces[w], spaces[x]
-        dst_index = {t: i for i, t in enumerate(dst.members)}
-        rows = []
-        for i, t in enumerate(src.members):
-            j = dst_index[cat.compose(m.name, t)]
-            for r in range(src.block_dims[i]):
-                row = [k.zero] * dst.basis.rows
-                row[dst.offsets[j] + r] = k.one
-                rows.append(row)
-        sel = matrix(k, rows, cols=dst.basis.rows)
-        sol = solve_matrix(k, src.basis, mat_mul(k, sel, dst.basis))
-        if sol is None:
-            raise EngineError("pulled family left the Kan space")
-        mats[m.name] = sol
-    return LinearPresheaf(cat, k, dims, mats)
+    return kan_extension(g, sub)[0]
 
 
 def rk_counit(g, sub: FullSubcategory):
@@ -526,25 +404,14 @@ def rk_counit(g, sub: FullSubcategory):
     matrices; both are natural isomorphisms (tested, not assumed).
     """
     cat = sub.parent
-    keep = set(sub.objects)
-    if g.flavor == "set":
-        comps = {}
-        rk = _rk_set(g, cat, keep)
-        for w in sub.objects:
-            members = _kan_members(cat, keep, w)
-            i = members.index(cat.id_of(w))
-            comps[w] = {fam: fam[i] for fam in rk.at(w)}
-        return rk, comps
-    k = g.field
-    rk = _rk_linear(g, cat, keep)
+    rk, values = kan_extension(g, sub)
     comps = {}
     for w in sub.objects:
-        space = _rk_linear_space(g, cat, keep, w)
-        i = space.members.index(cat.id_of(w))
-        block = Matrix(space.block_dims[i], space.basis.cols,
-                       space.basis.data[space.offsets[i]:
-                                        space.offsets[i] + space.block_dims[i]])
-        comps[w] = block
+        i = _kan_members(sub, w).index(cat.id_of(w))
+        if g.flavor == "set":
+            comps[w] = {fam: fam[i] for fam in values[w]}
+        else:
+            comps[w] = values[w].block(i)
     return rk, comps
 
 

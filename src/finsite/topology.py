@@ -185,10 +185,6 @@ def subcategory_topology(cat: FiniteCategory, sub) -> GrothendieckTopology:
     return GrothendieckTopology(cat, covering, label=label)
 
 
-def minimal_covering_sieve(top: GrothendieckTopology, x: str) -> Sieve:
-    return top.minimal_cover(x)
-
-
 def topology_from_minimal_covers(cat: FiniteCategory, minimal: dict) -> GrothendieckTopology:
     """Upward closure of one chosen sieve per object (sieves above stay covering)."""
     covering = {}

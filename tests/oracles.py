@@ -2,11 +2,12 @@
 
 Each of these recomputes a quantity along a different route than the
 library: word reduction for the involution presentation, long-form
-colimits for half-sheafification, sieves by a scan of every subset, the
-topology census by a product search and unpruned, with labels found by a
-scan of every object subset, pointwise coset maps for orbit categories,
-a direct category-algebra table, and a searched basis change onto the
-2x2 matrix algebra.
+colimits for half-sheafification, the sheaf condition on least covering
+sieves only, right Kan extension with its own family solver, sieves by a
+scan of every subset, the topology census by a product search and
+unpruned, with labels found by a scan of every object subset, pointwise
+coset maps for orbit categories, a direct category-algebra table, and a
+searched basis change onto the 2x2 matrix algebra.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import itertools
 
 from finsite.category import FiniteCategory
-from finsite.fields import (Matrix, matrix, matrix_from_cols, rank, solve,
-                            unit_vec, vec_sub, zero_vec)
-from finsite.sheaves import (linear_matching_families, member_order,
-                             set_matching_families)
+from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
+                            null_space, rank, solve, solve_matrix, unit_vec,
+                            vec_sub, zero_vec)
+from finsite.presheaves import LinearPresheaf, SetPresheaf
+from finsite.sheaves import (_sieve_is_descent, linear_matching_families,
+                             member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
 from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
 from finsite.topology import GrothendieckTopology, check_topology
@@ -148,6 +151,115 @@ def colimit_dimension_linear(f, top: GrothendieckTopology, x: str) -> int:
     if not relations:
         return total
     return total - rank(k, matrix(k, relations, cols=total))
+
+
+# -- the sheaf condition on least covering sieves -------------------------------
+
+
+def least_sieve_defect(f, top: GrothendieckTopology):
+    """The first object x whose least covering sieve S_x violates descent,
+    with S_x, or None.
+
+    None exactly when f is a sheaf. Every covering sieve R at x contains
+    S_x, since covering sieves are closed under intersection. Descent on
+    S_x gives separatedness on R: elements agreeing on R agree on S_x.
+    For gluing, a matching family m on R restricts to S_x and glues to
+    some a in F(x). For u: y -> x in R, the pullback of S_x along u
+    covers y, so it contains S_y; F(u)(a) and m_u agree on S_y, hence
+    are equal by separatedness on S_y. So separatedness on the least
+    covering sieve at each y carries over to every larger sieve. The
+    full sweep in sheaf_defect may still name a different first
+    (object, sieve) pair.
+    """
+    for x in f.cat.objects:
+        least = top.minimal_cover(x)
+        if not _sieve_is_descent(f, least):
+            return (x, least)
+    return None
+
+
+# -- right Kan extension, by its own family solver ------------------------------
+
+
+def _kan_members(cat, keep, x):
+    return tuple(t for t in cat.into(x) if cat.dom(t) in keep)
+
+
+def _kan_set_values(g, cat, members):
+    """Product-filtered families over members, natural for every morphism of
+    the subcategory, with the subcategory's morphisms scanned whole."""
+    d = g.cat
+    index = {t: i for i, t in enumerate(members)}
+    out = []
+    for combo in itertools.product(*[g.at(cat.dom(t)) for t in members]):
+        if all(g.apply(v.name, combo[i]) == combo[index[cat.compose(t, v.name)]]
+               for i, t in enumerate(members) for v in d.morphisms
+               if v.cod == cat.dom(t)):
+            out.append(combo)
+    return tuple(out)
+
+
+def _kan_linear_space(g, cat, members):
+    """(offsets, dims, basis) of the natural families over members."""
+    d, k = g.cat, g.field
+    index = {t: i for i, t in enumerate(members)}
+    dims = [g.at(cat.dom(t)) for t in members]
+    offsets = [sum(dims[:i]) for i in range(len(dims))]
+    total = sum(dims)
+    rows = []
+    for i, t in enumerate(members):
+        for v in d.morphisms:
+            if v.cod != cat.dom(t) or d.is_identity(v.name):
+                continue
+            j = index[cat.compose(t, v.name)]
+            gv = g.mat(v.name)
+            for r in range(gv.rows):
+                row = [k.zero] * total
+                for c in range(dims[i]):
+                    row[offsets[i] + c] = k.add(row[offsets[i] + c], gv.entry(r, c))
+                row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
+                rows.append(row)
+    return offsets, dims, null_space(k, matrix(k, rows, cols=total))
+
+
+def kan_extension_oracle(g, sub):
+    """Right Kan extension along sub and its counit, as (presheaf, counit
+    components), each family space solved on its own for every object."""
+    cat = sub.parent
+    keep = set(sub.objects)
+    members = {x: _kan_members(cat, keep, x) for x in cat.objects}
+    index = {x: {t: i for i, t in enumerate(members[x])} for x in cat.objects}
+    if g.flavor == "set":
+        values = {x: _kan_set_values(g, cat, members[x]) for x in cat.objects}
+        maps = {m.name: {fam: tuple(fam[index[m.cod][cat.compose(m.name, t)]]
+                                    for t in members[m.dom])
+                         for fam in values[m.cod]}
+                for m in cat.morphisms}
+        comps = {w: {fam: fam[index[w][cat.id_of(w)]] for fam in values[w]}
+                 for w in sub.objects}
+        return SetPresheaf(cat, values, maps), comps
+    k = g.field
+    spaces = {x: _kan_linear_space(g, cat, members[x]) for x in cat.objects}
+    mats = {}
+    for m in cat.morphisms:
+        src_off, src_dims, src_basis = spaces[m.dom]
+        dst_off, _dst_dims, dst_basis = spaces[m.cod]
+        rows = []
+        for i, t in enumerate(members[m.dom]):
+            j = index[m.cod][cat.compose(m.name, t)]
+            for r in range(src_dims[i]):
+                row = [k.zero] * dst_basis.rows
+                row[dst_off[j] + r] = k.one
+                rows.append(row)
+        sel = matrix(k, rows, cols=dst_basis.rows)
+        mats[m.name] = solve_matrix(k, src_basis, mat_mul(k, sel, dst_basis))
+    comps = {}
+    for w in sub.objects:
+        off, dims, basis = spaces[w]
+        i = index[w][cat.id_of(w)]
+        comps[w] = Matrix(dims[i], basis.cols, basis.data[off[i]:off[i] + dims[i]])
+    rk = LinearPresheaf(cat, k, {x: spaces[x][2].cols for x in cat.objects}, mats)
+    return rk, comps
 
 
 # -- sieves by subset scan, and the census by product search ------------------

@@ -37,7 +37,7 @@ from finsite.sampling import (random_algebra_module, random_linear_presheaf,
                               random_module_presheaf, random_set_presheaf,
                               random_sheaf_module)
 from finsite.sheaves import (dense_sheafify_fixed_points, half_sheafify,
-                             is_sheaf, member_order, restrict, rk_counit,
+                             is_sheaf, member_order, rk_counit,
                              right_kan_extension, set_matching_families,
                              sheafify, unit_into_half_sheafification)
 from finsite.sieves import Sieve, maximal_sieve
@@ -265,7 +265,7 @@ def test_criterion_07_comparison_lemma():
                     rk = right_kan_extension(g, sub)
                     assert is_sheaf(rk, top)
                     _, counit = rk_counit(g, sub)
-                    back = restrict(rk, sub)
+                    back = rk.restrict(sub)
                     assert is_natural_linear_map(back, g, counit)
                     assert all(is_invertible(field, counit[w])
                                for w in sub.objects)
@@ -275,7 +275,7 @@ def test_criterion_07_comparison_lemma():
                 rks = right_kan_extension(gs, sub)
                 assert is_sheaf(rks, top)
                 _, counit = rk_counit(gs, sub)
-                back = restrict(rks, sub)
+                back = rks.restrict(sub)
                 assert is_natural_set_map(back, gs, counit)
                 for w in sub.objects:
                     assert len(set(counit[w].values())) == len(gs.at(w)) \

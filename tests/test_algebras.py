@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from finsite.algebras import (AlgebraError, AlgebraPresheaf, FiniteDimAlgebra,
-                              GrMorphism, chain_diagonal_algebra_presheaf,
+                              GrMorphism, GrothendieckConstruction,
+                              chain_diagonal_algebra_presheaf,
                               constant_algebra_presheaf, diagonal_algebra,
                               field_algebra, group_algebra,
-                              grothendieck_construction,
                               involution_group_algebra_presheaf, matrix_algebra,
                               skew_category_algebra, swap_action_presheaf,
                               verify_algebra)
@@ -143,7 +143,7 @@ def test_swap_skew_is_matrix_algebra(f5):
 
 def test_grothendieck_construction_counts(chain3, f2):
     r = constant_algebra_presheaf(chain3, field_algebra(f2))
-    gr = grothendieck_construction(chain3, r)
+    gr = GrothendieckConstruction(chain3, r)
     assert gr.hom_size("x", "z") == 2      # one morphism, F2 coefficients
     assert gr.hom_size("x", "x") == 2
     assert gr.hom_size("z", "x") == 0
@@ -152,7 +152,7 @@ def test_grothendieck_construction_counts(chain3, f2):
 
 def test_grothendieck_construction_aut_is_coefficient_algebra(f5):
     r = swap_action_presheaf(f5)
-    gr = grothendieck_construction(r.cat, r)
+    gr = GrothendieckConstruction(r.cat, r)
     aut = gr.aut_algebra("*")
     assert aut.table == r.algebra("*").table
     assert aut.unit == r.algebra("*").unit
@@ -163,7 +163,7 @@ def test_component_is_rank_one_free(f5):
     sweep over r is injective."""
     r = chain_diagonal_algebra_presheaf(f5)
     cat = r.cat
-    gr = grothendieck_construction(cat, r)
+    gr = GrothendieckConstruction(cat, r)
     for m in cat.morphisms:
         base = gr.component_base(m.name)
         x = cat.dom(m.name)
@@ -181,7 +181,7 @@ def test_gr_composition_matches_skew_product(f5):
     morphisms; composing pairs matches multiplying basis elements."""
     r = involution_group_algebra_presheaf(f5)
     cat = r.cat
-    gr = grothendieck_construction(cat, r)
+    gr = GrothendieckConstruction(cat, r)
     skew = skew_category_algebra(cat, r)
     for gi, (gname, _) in enumerate(skew.labels):
         for fi, (fname, _) in enumerate(skew.labels):
@@ -197,6 +197,6 @@ def test_gr_composition_matches_skew_product(f5):
 
 def test_hom_size_requires_finite_field(rationals, chain3):
     r = constant_algebra_presheaf(chain3, field_algebra(rationals))
-    gr = grothendieck_construction(chain3, r)
+    gr = GrothendieckConstruction(chain3, r)
     with pytest.raises(AlgebraError):
         gr.hom_size("x", "z")

@@ -166,6 +166,16 @@ def test_group_file_input(tmp_path, capsys, c2):
     assert doc["morphisms"] == 4 and doc["ei"] is True
 
 
+def test_group_file_refused_outside_group_galleries(tmp_path, capsys, c2):
+    from finsite.serialize import group_to_doc
+    group_file = tmp_path / "c2.yaml"
+    group_file.write_text(dump_text(group_to_doc(c2)))
+    code, out, err = run_cli(capsys, "cat", "info", "--gallery", "chain3",
+                             "--group-file", str(group_file))
+    assert code == 1 and out == ""
+    assert err == "error: --group-file only applies to the group and orbit galleries\n"
+
+
 def test_module_pipeline_through_files(tmp_path, capsys, chain3, f5):
     """theta, omega, and transport drive the library through documents."""
     import random
@@ -232,16 +242,6 @@ def test_module_pipeline_through_files(tmp_path, capsys, chain3, f5):
                            "--algebra", str(alg_file))
     assert code == 0
     assert yaml.safe_load(out)["valid"] is True
-
-
-def test_workspace_names_are_unique():
-    from finsite.cli import Workspace
-    from finsite.errors import EngineError
-    ws = Workspace()
-    ws.put("category", 1, "here")
-    with pytest.raises(EngineError):
-        ws.put("category", 2, "there")
-    assert ws.get("category") == 1
 
 
 def test_objects_split_outside_braces(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finsite.category import FullSubcategory
+from finsite.category import FullSubcategory, strictly_full_karoubian_subcategories
 from finsite.errors import EngineError
 from finsite.presheaves import (LinearPresheaf, SetPresheaf,
                                 constant_linear_presheaf,
@@ -10,9 +10,11 @@ from finsite.presheaves import (LinearPresheaf, SetPresheaf,
                                 linear_presheaf_isomorphism,
                                 set_presheaf_isomorphism)
 from finsite.sampling import random_linear_presheaf, random_set_presheaf
-from finsite.sheaves import (extend_by_default, is_sheaf, restrict, rk_counit,
+from finsite.sheaves import (extend_by_default, is_sheaf, rk_counit,
                              right_kan_extension, sheafify)
 from finsite.topology import subcategory_topology
+
+from oracles import kan_extension_oracle
 
 GALLERY_PAIRS = [
     ("chain3", ("x",)), ("chain3", ("x", "y")), ("chain3", ("y", "z")),
@@ -31,7 +33,7 @@ def resolve_pair(name, objs, chain3, involution, orbit_c2):
 def test_restrict_whole_is_identity(chain3, f5):
     f = constant_linear_presheaf(chain3, f5, 2)
     sub = FullSubcategory(chain3, chain3.objects)
-    r = restrict(f, sub)
+    r = f.restrict(sub)
     assert r.dims == f.dims and r.mats == f.mats
 
 
@@ -63,13 +65,13 @@ def test_rk_lands_in_sheaves_and_restricts_back(chain3, involution, orbit_c2,
             g = random_linear_presheaf(sub.category, field, rng)
             rk = right_kan_extension(g, sub)
             assert is_sheaf(rk, top)
-            back = restrict(rk, sub)
+            back = rk.restrict(sub)
             iso = linear_presheaf_isomorphism(back, g)
             assert iso is not None
         gs = random_set_presheaf(sub.category, rng)
         rks = right_kan_extension(gs, sub)
         assert is_sheaf(rks, top)
-        assert set_presheaf_isomorphism(restrict(rks, sub), gs) is not None
+        assert set_presheaf_isomorphism(rks.restrict(sub), gs) is not None
 
 
 def test_rk_from_empty_subcategory_is_terminal(chain3, f5):
@@ -92,14 +94,14 @@ def test_rk_counit_is_canonical_isomorphism(chain3, f5):
     rng = random.Random(2)
     g = random_linear_presheaf(sub.category, f5, rng)
     rk, comps = rk_counit(g, sub)
-    back = restrict(rk, sub)
+    back = rk.restrict(sub)
     assert is_natural_linear_map(back, g, comps)
     from finsite.fields import is_invertible
     assert all(is_invertible(f5, comps[w]) for w in sub.objects)
 
     gs = random_set_presheaf(sub.category, rng)
     rks, comps_s = rk_counit(gs, sub)
-    back_s = restrict(rks, sub)
+    back_s = rks.restrict(sub)
     assert is_natural_set_map(back_s, gs, comps_s)
     for w in sub.objects:
         assert len(set(comps_s[w].values())) == len(gs.at(w))
@@ -158,3 +160,30 @@ def test_extension_on_co_ideals_of_orbit(orbit_c2, f5):
     lhs = sheafify(ext, top)
     rhs = right_kan_extension(g, sub)
     assert linear_presheaf_isomorphism(lhs, rhs) is not None
+
+
+def _tables(f):
+    if f.flavor == "set":
+        return f.values, f.maps
+    return f.dims, f.mats
+
+
+def test_kan_extension_matches_oracle(chain3, involution, group_c2, orbit_c2, f5):
+    """right_kan_extension and rk_counit equal the oracle's separately
+    solved route, as tables and matrices, on every strictly full D (these
+    categories are EI, so every strictly full D is Karoubian)."""
+    rng = random.Random(11)
+    for cat in (chain3, involution, group_c2, orbit_c2):
+        for sub in strictly_full_karoubian_subcategories(cat):
+            if sub.objects:
+                gs = (random_set_presheaf(sub.category, rng),
+                      random_linear_presheaf(sub.category, f5, rng))
+            else:
+                gs = (SetPresheaf(sub.category, {}, {}),
+                      LinearPresheaf(sub.category, f5, {}, {}))
+            for g in gs:
+                ref, ref_comps = kan_extension_oracle(g, sub)
+                assert _tables(right_kan_extension(g, sub)) == _tables(ref)
+                rk, comps = rk_counit(g, sub)
+                assert _tables(rk) == _tables(ref)
+                assert comps == ref_comps

@@ -19,7 +19,7 @@ from finsite.topology import (dense_topology, enumerate_topologies,
                               maximal_topology, minimal_topology,
                               subcategory_topology)
 
-from oracles import colimit_dimension_linear, colimit_families_set
+from oracles import colimit_dimension_linear, colimit_families_set, least_sieve_defect
 
 
 def swap_presheaf(involution):
@@ -265,17 +265,20 @@ def test_sheafification_over_the_rationals(chain3, rationals):
     assert linear_presheaf_isomorphism(sheafify(fa, jxy), fa) is not None
 
 
-def test_minimal_only_fast_path_agrees(chain3, involution, f5):
-    """The experimental least-sieve check matches the full sweep on every
-    gallery topology and a spread of random presheaves."""
+def test_minimal_only_fast_path_agrees(chain3, involution, group_c2, orbit_c2, f5):
+    """The least-sieve check of the oracles and the full sweep agree on
+    whether a presheaf is a sheaf, on every census topology of a spread of
+    gallery members (the non-Karoubian idem included) and random presheaves."""
+    from finsite.gallery import idempotent_pair_category, split_idempotent_category
     rng = random.Random(7)
-    for cat in (chain3, involution):
+    cats = (chain3, involution, idempotent_pair_category(), split_idempotent_category(),
+            group_c2, orbit_c2)
+    for cat in cats:
         for top in enumerate_topologies(cat):
             for _ in range(3):
-                s = random_set_presheaf(cat, rng)
-                assert is_sheaf(s, top) == is_sheaf(s, top, minimal_only=True)
-                l = random_linear_presheaf(cat, f5, rng)
-                assert is_sheaf(l, top) == is_sheaf(l, top, minimal_only=True)
+                for f in (random_set_presheaf(cat, rng), random_linear_presheaf(cat, f5, rng)):
+                    assert (sheaf_defect(f, top) is None) == \
+                        (least_sieve_defect(f, top) is None)
 
 
 def test_fixed_point_route_rejects_non_ei():

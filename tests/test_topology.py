@@ -11,8 +11,7 @@ from finsite.topology import (ClassificationError,
                               census_size_bound, check_topology,
                               classify_topology, dense_topology,
                               enumerate_topologies, finest_topology_for,
-                              is_topology, maximal_topology,
-                              minimal_covering_sieve, minimal_topology,
+                              is_topology, maximal_topology, minimal_topology,
                               subcategory_topology, topology_from_minimal_covers)
 
 from oracles import census_yaml, unpruned_topologies
@@ -186,12 +185,12 @@ def test_subcategory_topology_requires_strict_fullness():
 
 def test_minimal_covering_sieves(chain3):
     jx = subcategory_topology(chain3, ("x",))
-    assert minimal_covering_sieve(jx, "z") == Sieve("z", frozenset({"gf"}))
+    assert jx.minimal_cover("z") == Sieve("z", frozenset({"gf"}))
     jmin = minimal_topology(chain3)
     for x in chain3.objects:
-        assert minimal_covering_sieve(jmin, x) == maximal_sieve(chain3, x)
+        assert jmin.minimal_cover(x) == maximal_sieve(chain3, x)
     jyz = subcategory_topology(chain3, ("y", "z"))
-    assert minimal_covering_sieve(jyz, "x") == Sieve("x", frozenset())
+    assert jyz.minimal_cover("x") == Sieve("x", frozenset())
 
 
 def test_minimal_cover_exists_across_census(chain3, involution, orbit_c2):
