@@ -22,8 +22,7 @@ from .gallery import (category_by_name, chain_poset, cyclic_group,
                       reduced_p_orbit_category, split_idempotent_category,
                       symmetric_group)
 from .groups import FiniteGroup, InvalidGroupError
-from .modules import (AlgebraModule, ModulePresheaf,
-                      algebra_module_isomorphism, bundle_unbundle_witness,
+from .modules import (AlgebraModule, ModulePresheaf, bundle_unbundle_witness,
                       dense_block_decomposition, direct_sum_module_presheaves,
                       is_algebra_module_isomorphism, is_algebra_module_map,
                       is_module_presheaf_isomorphism, is_module_presheaf_map,
@@ -32,11 +31,12 @@ from .modules import (AlgebraModule, ModulePresheaf,
                       transport_back_roundtrip_witness, transport_module,
                       transport_module_back, transport_roundtrip_witness,
                       unbundle_bundle_witness, verify_equivalence_roundtrip)
-from .presheaves import (LinearPresheaf, SetPresheaf, constant_linear_presheaf,
-                         constant_set_presheaf, linear_presheaf_isomorphism,
-                         presheaves_isomorphic, representable_presheaf,
-                         set_presheaf_isomorphism, singleton_presheaf,
-                         zero_presheaf)
+from .presheaves import (LinearPresheaf, Representation, SetPresheaf,
+                         constant_linear_presheaf, constant_set_presheaf,
+                         intertwiner_basis, invertible_intertwiner,
+                         is_intertwiner, presheaves_isomorphic,
+                         representable_presheaf, set_presheaf_isomorphism,
+                         singleton_presheaf, zero_presheaf)
 from .sheaves import (FamilySpace, dense_sheafify_fixed_points, extend_by_default,
                       families, half_sheafify, is_sheaf, kan_extension,
                       matching_families, right_kan_extension, rk_counit,

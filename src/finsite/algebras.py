@@ -201,13 +201,11 @@ class AlgebraPresheaf:
                                                                self.at[x].dim):
                 raise AlgebraError(f"identity at {x!r} is not the identity map")
         for g in self.cat.morphisms:
-            for f in self.cat.morphisms:
-                if g.dom != f.cod:
-                    continue
-                gf = self.cat.compose(g.name, f.name)
-                k = self.at[g.cod].field
-                if mat_mul(k, self.maps[f.name], self.maps[g.name]) != self.maps[gf]:
-                    raise AlgebraError(f"functoriality fails on ({g.name!r},{f.name!r})")
+            k = self.at[g.cod].field
+            for f in self.cat.into(g.dom):
+                gf = self.cat.compose(g.name, f)
+                if mat_mul(k, self.maps[f], self.maps[g.name]) != self.maps[gf]:
+                    raise AlgebraError(f"functoriality fails on ({g.name!r},{f!r})")
 
     def algebra(self, x: str) -> FiniteDimAlgebra:
         return self.at[x]
@@ -425,18 +423,16 @@ def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCatego
     table = [[list(zero_cell) for _ in range(dim)] for _ in range(dim)]
     for g in cat.morphisms:
         dg = r.algebra(g.dom).dim
-        for f in cat.morphisms:
-            if g.dom != f.cod:
-                continue
-            df = r.algebra(f.dom).dim
-            gf = cat.compose(g.name, f.name)
-            restr = r.mat(f.name)  # R(f): R(cod f) -> R(dom f)
-            target = r.algebra(f.dom)
+        for f in cat.into(g.dom):
+            target = r.algebra(cat.dom(f))
+            df = target.dim
+            gf = cat.compose(g.name, f)
+            restr = r.mat(f)  # R(f): R(cod f) -> R(dom f)
             for j in range(dg):
                 moved = restr.col(j)
                 for i in range(df):
                     prod = target.mul(moved, unit_vec(k, df, i))
-                    cell = table[offsets[g.name] + j][offsets[f.name] + i]
+                    cell = table[offsets[g.name] + j][offsets[f] + i]
                     base = offsets[gf]
                     for t, c in enumerate(prod):
                         cell[base + t] = c

@@ -121,10 +121,13 @@ def _table_problems(objects, morphisms, identity, compose) -> list[str]:
     if problems:
         return problems
 
-    # Totality on composable pairs.
-    for g, f in itertools.product(morphisms, repeat=2):
-        if g.dom == f.cod and (g.name, f.name) not in compose:
-            problems.append(f"missing composite ({g.name!r},{f.name!r})")
+    # Totality on composable pairs, walked through the morphisms into each
+    # object (in morphism order, so the pairs come in product order).
+    into = {x: [m.name for m in morphisms if m.cod == x] for x in objects}
+    for g in morphisms:
+        for f in into[g.dom]:
+            if (g.name, f) not in compose:
+                problems.append(f"missing composite ({g.name!r},{f!r})")
     if problems:
         return problems
 
@@ -138,14 +141,15 @@ def _table_problems(objects, morphisms, identity, compose) -> list[str]:
             problems.append(f"bad identity at {m.dom!r}: {m.name!r}∘1 = {right!r}")
 
     # Associativity on every composable triple.
-    for h, g, f in itertools.product(morphisms, repeat=3):
-        if h.dom == g.cod and g.dom == f.cod:
-            a = compose[(h.name, compose[(g.name, f.name)])]
-            b = compose[(compose[(h.name, g.name)], f.name)]
-            if a != b:
-                problems.append(
-                    f"associativity failure ({h.name!r},{g.name!r},{f.name!r}): "
-                    f"{a!r} != {b!r}")
+    for h in morphisms:
+        for g in into[h.dom]:
+            hg = compose[(h.name, g)]
+            for f in into[mor[g].dom]:
+                a = compose[(h.name, compose[(g, f)])]
+                b = compose[(hg, f)]
+                if a != b:
+                    problems.append(f"associativity failure ({h.name!r},{g!r},{f!r}): "
+                                    f"{a!r} != {b!r}")
     return problems
 
 

@@ -35,30 +35,27 @@ from .topology import (classify_topology, dense_topology, enumerate_topologies,
                        maximal_topology, minimal_topology, subcategory_topology)
 
 
-def _read(path: str) -> dict:
+def _read(path: str, kind: str) -> dict:
+    """The document in the file, which must be of the given kind."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return load_text(handle.read())
+            doc = load_text(handle.read())
     except OSError as exc:
         raise EngineError(f"cannot read {path}: {exc}") from None
+    if doc["kind"] != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise EngineError(f"{path} holds a {doc['kind']!r}, expected {article} {kind}")
+    return doc
 
 
 def _load_category(args):
     if getattr(args, "category", None):
-        doc = _read(args.category)
-        if doc["kind"] != "category":
-            raise EngineError(f"{args.category} holds a {doc['kind']!r}, "
-                              "expected a category")
-        return category_from_doc(doc)
+        return category_from_doc(_read(args.category, "category"))
     if getattr(args, "gallery", None):
         group = getattr(args, "group", None)
         group_file = getattr(args, "group_file", None)
         if group_file:
-            doc = _read(group_file)
-            if doc["kind"] != "group":
-                raise EngineError(f"{group_file} holds a {doc['kind']!r}, "
-                                  "expected a group")
-            group = group_from_doc(doc)
+            group = group_from_doc(_read(group_file, "group"))
             if args.gallery.strip().lower() not in ("group", "orbit", "orbit-p"):
                 raise EngineError("--group-file only applies to the group "
                                   "and orbit galleries")
@@ -68,19 +65,12 @@ def _load_category(args):
 
 
 def _load_presheaf(args, cat):
-    doc = _read(args.presheaf)
-    if doc["kind"] != "presheaf":
-        raise EngineError(f"{args.presheaf} holds a {doc['kind']!r}, expected a presheaf")
-    return presheaf_from_doc(doc, cat)
+    return presheaf_from_doc(_read(args.presheaf, "presheaf"), cat)
 
 
 def _load_algebra_presheaf(args, cat):
     if getattr(args, "algebra", None):
-        doc = _read(args.algebra)
-        if doc["kind"] != "algebra-presheaf":
-            raise EngineError(f"{args.algebra} holds a {doc['kind']!r}, "
-                              "expected an algebra-presheaf")
-        return algebra_presheaf_from_doc(doc, cat)
+        return algebra_presheaf_from_doc(_read(args.algebra, "algebra-presheaf"), cat)
     field = field_by_label(args.constant_field)
     return constant_algebra_presheaf(cat, field_algebra(field))
 
@@ -95,11 +85,7 @@ def _select_topology(args, cat):
         raise EngineError("select exactly one topology: --topology FILE, "
                           "--objects LIST, --dense, --minimal, or --maximal")
     if getattr(args, "topology", None):
-        doc = _read(args.topology)
-        if doc["kind"] != "topology":
-            raise EngineError(f"{args.topology} holds a {doc['kind']!r}, "
-                              "expected a topology")
-        return topology_from_doc(doc, cat)
+        return topology_from_doc(_read(args.topology, "topology"), cat)
     if getattr(args, "objects", None) is not None:
         return subcategory_topology(cat, _parse_objects(args.objects))
     if getattr(args, "dense", False):
@@ -166,13 +152,7 @@ def _topology_table(cat, tops) -> str:
 
 
 def _cmd_cat_validate(args):
-    try:
-        with open(args.category, "r", encoding="utf-8") as handle:
-            doc = load_text(handle.read())
-    except OSError as exc:
-        raise EngineError(f"cannot read {args.category}: {exc}") from None
-    if doc["kind"] != "category":
-        raise EngineError(f"{args.category} holds a {doc['kind']!r}, expected a category")
+    doc = _read(args.category, "category")
     body = {k: v for k, v in doc.items() if k not in ("format", "kind")}
     try:
         cat = validate_category(body)
@@ -233,11 +213,7 @@ def _cmd_top_subcat(args):
 
 def _cmd_top_classify(args):
     cat = _load_category(args)
-    doc = _read(args.topology)
-    if doc["kind"] != "topology":
-        raise EngineError(f"{args.topology} holds a {doc['kind']!r}, expected a topology")
-    top = topology_from_doc(doc, cat)
-    sub = classify_topology(cat, top)
+    sub = classify_topology(cat, topology_from_doc(_read(args.topology, "topology"), cat))
     _emit({"objects": list(sub.objects)})
     return 0
 
@@ -277,10 +253,7 @@ def _cmd_sheaf_sheafify(args):
 def _cmd_sheaf_kan(args):
     cat = _load_category(args)
     sub = FullSubcategory(cat, _parse_objects(args.objects))
-    doc = _read(args.presheaf)
-    if doc["kind"] != "presheaf":
-        raise EngineError(f"{args.presheaf} holds a {doc['kind']!r}, expected a presheaf")
-    g = presheaf_from_doc(doc, sub.category)
+    g = presheaf_from_doc(_read(args.presheaf, "presheaf"), sub.category)
     _emit(presheaf_to_doc(right_kan_extension(g, sub)))
     return 0
 
@@ -315,11 +288,7 @@ def _cmd_alg_gr(args):
 def _cmd_mod_theta(args):
     cat = _load_category(args)
     r = _load_algebra_presheaf(args, cat)
-    doc = _read(args.module)
-    if doc["kind"] != "module-presheaf":
-        raise EngineError(f"{args.module} holds a {doc['kind']!r}, "
-                          "expected a module-presheaf")
-    m = module_presheaf_from_doc(doc, r)
+    m = module_presheaf_from_doc(_read(args.module, "module-presheaf"), r)
     _emit(algebra_module_to_doc(to_algebra_module(m)))
     return 0
 
@@ -328,11 +297,7 @@ def _cmd_mod_omega(args):
     cat = _load_category(args)
     r = _load_algebra_presheaf(args, cat)
     skew = skew_category_algebra(cat, r)
-    doc = _read(args.algebra_module)
-    if doc["kind"] != "algebra-module":
-        raise EngineError(f"{args.algebra_module} holds a {doc['kind']!r}, "
-                          "expected an algebra-module")
-    n = algebra_module_from_doc(doc, skew)
+    n = algebra_module_from_doc(_read(args.algebra_module, "algebra-module"), skew)
     _emit(module_presheaf_to_doc(to_module_presheaf(n)))
     return 0
 
@@ -355,20 +320,12 @@ def _cmd_mod_roundtrip(args):
 def _cmd_mod_transport(args):
     cat = _load_category(args)
     r = _load_algebra_presheaf(args, cat)
-    doc = _read(args.module)
-    if doc["kind"] != "module-presheaf":
-        raise EngineError(f"{args.module} holds a {doc['kind']!r}, "
-                          "expected a module-presheaf")
-    m = module_presheaf_from_doc(doc, r)
+    m = module_presheaf_from_doc(_read(args.module, "module-presheaf"), r)
     if (args.objects is None) == (args.topology is None):
         raise EngineError("select the target with exactly one of --objects "
                           "or --topology")
     if args.topology:
-        top_doc = _read(args.topology)
-        if top_doc["kind"] != "topology":
-            raise EngineError(f"{args.topology} holds a {top_doc['kind']!r}, "
-                              "expected a topology")
-        top = topology_from_doc(top_doc, cat)
+        top = topology_from_doc(_read(args.topology, "topology"), cat)
         sub = classify_topology(cat, top)
     else:
         sub = FullSubcategory(cat, _parse_objects(args.objects))

@@ -7,7 +7,6 @@ block decomposition.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
@@ -15,9 +14,10 @@ from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
 from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei
 from .errors import EngineError
 from .fields import (Matrix, block_matrix, col_space, hstack, identity_matrix,
-                     is_invertible, mat_combination, mat_mul, matrix, null_space,
-                     solve_matrix, unit_vec, vstack, zero_matrix)
-from .presheaves import LinearPresheaf, _as_subcategory
+                     is_invertible, mat_combination, mat_mul, solve_matrix,
+                     unit_vec, vstack, zero_matrix)
+from .presheaves import (LinearPresheaf, Representation, _as_subcategory,
+                         all_invertible, is_intertwiner)
 from .sheaves import kan_extension, sheaf_defect
 from .topology import GrothendieckTopology, subcategory_topology
 
@@ -94,6 +94,13 @@ class ModulePresheaf:
                     raise ModuleError(
                         f"restriction along {m.name!r} is not action-compatible")
 
+    @property
+    def rep(self) -> Representation:
+        """The morphism matrices, then the action matrices at each object."""
+        space = self.space.rep
+        return space._replace(arrows=space.arrows + tuple(
+            (x, x, a) for x in self.cat.objects for a in self.actions[x]))
+
     def restrict(self, sub) -> ModulePresheaf:
         sub = _as_subcategory(self.cat, sub)
         return ModulePresheaf(self.r.restrict(sub), self.space.restrict(sub),
@@ -102,6 +109,9 @@ class ModulePresheaf:
     def __repr__(self):
         dims = ",".join(str(self.dim(x)) for x in self.cat.objects)
         return f"<ModulePresheaf dims [{dims}]>"
+
+
+ALGEBRA_MODULE_KEY = "*"  # the key of the only space of an algebra module's rep
 
 
 class AlgebraModule:
@@ -126,6 +136,13 @@ class AlgebraModule:
 
     def act(self, coeffs) -> Matrix:
         return mat_combination(self.field, coeffs, self.actions, self.dim, self.dim)
+
+    @property
+    def rep(self) -> Representation:
+        """One space, keyed ALGEBRA_MODULE_KEY, with the action matrices as arrows."""
+        key = ALGEBRA_MODULE_KEY
+        return Representation(self.field, {key: self.dim},
+                              tuple((key, key, a) for a in self.actions))
 
     def _check(self):
         k = self.field
@@ -262,101 +279,19 @@ def to_module_presheaf(n: AlgebraModule, *, check: bool = True) -> ModulePreshea
 
 def is_module_presheaf_map(m1: ModulePresheaf, m2: ModulePresheaf, comps: dict) -> bool:
     """Natural and actionwise-equivariant componentwise maps m1 -> m2."""
-    cat, k = m1.cat, m1.field
-    for x in cat.objects:
-        a = comps[x]
-        if (a.rows, a.cols) != (m2.dim(x), m1.dim(x)):
-            return False
-    for mor in cat.morphisms:
-        lhs = mat_mul(k, comps[mor.dom], m1.space.mat(mor.name))
-        rhs = mat_mul(k, m2.space.mat(mor.name), comps[mor.cod])
-        if lhs != rhs:
-            return False
-    for x in cat.objects:
-        for j in range(m1.r.algebra(x).dim):
-            lhs = mat_mul(k, comps[x], m1.actions[x][j])
-            rhs = mat_mul(k, m2.actions[x][j], comps[x])
-            if lhs != rhs:
-                return False
-    return True
+    return is_intertwiner(m1.rep, m2.rep, comps)
 
 
 def is_module_presheaf_isomorphism(m1, m2, comps) -> bool:
-    return (is_module_presheaf_map(m1, m2, comps)
-            and all(is_invertible(m1.field, comps[x]) for x in m1.cat.objects))
+    return is_module_presheaf_map(m1, m2, comps) and all_invertible(m1.field, comps)
 
 
 def is_algebra_module_map(n1: AlgebraModule, n2: AlgebraModule, t: Matrix) -> bool:
-    k = n1.field
-    if (t.rows, t.cols) != (n2.dim, n1.dim):
-        return False
-    for a1, a2 in zip(n1.actions, n2.actions):
-        if mat_mul(k, t, a1) != mat_mul(k, a2, t):
-            return False
-    return True
+    return is_intertwiner(n1.rep, n2.rep, {ALGEBRA_MODULE_KEY: t})
 
 
 def is_algebra_module_isomorphism(n1, n2, t) -> bool:
     return is_algebra_module_map(n1, n2, t) and is_invertible(n1.field, t)
-
-
-def algebra_module_intertwiners(n1: AlgebraModule, n2: AlgebraModule) -> list[Matrix]:
-    """Basis of the space of module maps n1 -> n2."""
-    k = n1.field
-    rows_n, cols_n = n2.dim, n1.dim
-    total = rows_n * cols_n
-    rows = []
-    for a1, a2 in zip(n1.actions, n2.actions):
-        for i in range(rows_n):
-            for j in range(cols_n):
-                row = [k.zero] * total
-                for t in range(cols_n):
-                    row[i * cols_n + t] = k.add(row[i * cols_n + t], a1.entry(t, j))
-                for s in range(rows_n):
-                    row[s * cols_n + j] = k.sub(row[s * cols_n + j], a2.entry(i, s))
-                rows.append(row)
-    basis = null_space(k, matrix(k, rows, cols=total))
-    out = []
-    for c in range(basis.cols):
-        v = basis.col(c)
-        out.append(Matrix(rows_n, cols_n,
-                          tuple(tuple(v[i * cols_n + j] for j in range(cols_n))
-                                for i in range(rows_n))))
-    return out
-
-
-def algebra_module_isomorphism(n1: AlgebraModule, n2: AlgebraModule,
-                               *, enum_limit: int = 200_000,
-                               attempts: int = 512) -> Matrix | None:
-    """Search the intertwiner space for an invertible element."""
-    k = n1.field
-    if n1.dim != n2.dim:
-        return None
-    if n1.dim == 0:
-        return zero_matrix(k, 0, 0)
-    basis = algebra_module_intertwiners(n1, n2)
-    if not basis:
-        return None
-
-    def combine(coeffs):
-        return mat_combination(k, coeffs, basis, n2.dim, n1.dim)
-
-    if k.enumerable and k.char ** len(basis) <= enum_limit:
-        for coeffs in itertools.product(k.elements(), repeat=len(basis)):
-            cand = combine(coeffs)
-            if is_invertible(k, cand):
-                return cand
-        return None
-    import random
-    rng = random.Random(20_240_602)
-    for b in basis:
-        if is_invertible(k, b):
-            return b
-    for _ in range(attempts):
-        cand = combine([k.rand(rng) for _ in basis])
-        if is_invertible(k, cand):
-            return cand
-    return None
 
 
 # -- canonical round-trip witnesses ---------------------------------------

@@ -10,7 +10,8 @@ validated exhaustively on construction (identities and functoriality).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+import random
+from typing import Iterable, NamedTuple
 
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
@@ -51,14 +52,12 @@ class SetPresheaf:
             if any(ident[a] != a for a in self.values[x]):
                 raise PresheafError(f"identity at {x!r} does not act as identity")
         for g in self.cat.morphisms:
-            for f in self.cat.morphisms:
-                if g.dom != f.cod:
-                    continue
-                gf = self.cat.compose(g.name, f.name)
+            for f in self.cat.into(g.dom):
+                gf = self.cat.compose(g.name, f)
                 for a in self.values[g.cod]:
-                    if self.maps[f.name][self.maps[g.name][a]] != self.maps[gf][a]:
+                    if self.maps[f][self.maps[g.name][a]] != self.maps[gf][a]:
                         raise PresheafError(
-                            f"functoriality fails on ({g.name!r},{f.name!r})")
+                            f"functoriality fails on ({g.name!r},{f!r})")
 
     def at(self, x: str) -> tuple:
         return self.values[x]
@@ -112,16 +111,19 @@ class LinearPresheaf:
             if self.mats[self.cat.id_of(x)] != identity_matrix(self.field, self.dims[x]):
                 raise PresheafError(f"identity at {x!r} is not the identity matrix")
         for g in self.cat.morphisms:
-            for f in self.cat.morphisms:
-                if g.dom != f.cod:
-                    continue
-                gf = self.cat.compose(g.name, f.name)
-                lhs = mat_mul(self.field, self.mats[f.name], self.mats[g.name])
-                if lhs != self.mats[gf]:
-                    raise PresheafError(f"functoriality fails on ({g.name!r},{f.name!r})")
+            for f in self.cat.into(g.dom):
+                lhs = mat_mul(self.field, self.mats[f], self.mats[g.name])
+                if lhs != self.mats[self.cat.compose(g.name, f)]:
+                    raise PresheafError(f"functoriality fails on ({g.name!r},{f!r})")
 
     def at(self, x: str) -> int:
         return self.dims[x]
+
+    @property
+    def rep(self) -> Representation:
+        """The morphism matrices as arrows, for the intertwiner kernel."""
+        return Representation(self.field, self.dims, tuple(
+            (m.dom, m.cod, self.mats[m.name]) for m in self.cat.morphisms))
 
     def mat(self, f: str) -> Matrix:
         return self.mats[f]
@@ -203,20 +205,6 @@ def is_natural_set_map(f: SetPresheaf, g: SetPresheaf, components: dict) -> bool
     return True
 
 
-def is_natural_linear_map(f: LinearPresheaf, g: LinearPresheaf, components: dict) -> bool:
-    cat, k = f.cat, f.field
-    for x in cat.objects:
-        a = components[x]
-        if (a.rows, a.cols) != (g.at(x), f.at(x)):
-            return False
-    for m in cat.morphisms:
-        lhs = mat_mul(k, components[m.dom], f.mat(m.name))
-        rhs = mat_mul(k, g.mat(m.name), components[m.cod])
-        if lhs != rhs:
-            return False
-    return True
-
-
 def set_presheaf_isomorphism(f: SetPresheaf, g: SetPresheaf) -> dict | None:
     """A natural objectwise bijection, found by backtracking, or None."""
     cat = f.cat
@@ -248,94 +236,114 @@ def set_presheaf_isomorphism(f: SetPresheaf, g: SetPresheaf) -> dict | None:
     return search(0, {})
 
 
-def natural_transformation_space(f: LinearPresheaf, g: LinearPresheaf) -> list[dict]:
-    """A basis of the space of natural maps f -> g, as component dictionaries."""
-    cat, k = f.cat, f.field
-    offsets = {}
-    total = 0
-    for x in cat.objects:
-        offsets[x] = total
-        total += g.at(x) * f.at(x)
-    rows = []
-    for m in cat.morphisms:
-        fm, gm = f.mat(m.name), g.mat(m.name)
-        dx, dy = f.at(m.dom), f.at(m.cod)
-        ex, ey = g.at(m.dom), g.at(m.cod)
-        # rows for phi_dom @ F(m) - G(m) @ phi_cod = 0, entry (i, j)
-        for i in range(ex):
-            for j in range(dy):
-                row = [k.zero] * total
-                for t in range(dx):
-                    row[offsets[m.dom] + i * dx + t] = k.add(
-                        row[offsets[m.dom] + i * dx + t], fm.entry(t, j))
-                for s in range(ey):
-                    row[offsets[m.cod] + s * dy + j] = k.sub(
-                        row[offsets[m.cod] + s * dy + j], gm.entry(i, s))
-                rows.append(row)
-    a = matrix(k, rows, cols=total)
-    basis = null_space(k, a)
-    out = []
-    for c in range(basis.cols):
-        vecdata = basis.col(c)
-        comp = {}
-        for x in cat.objects:
-            dx, ex = f.at(x), g.at(x)
-            block = vecdata[offsets[x]: offsets[x] + ex * dx]
-            comp[x] = Matrix(ex, dx, tuple(tuple(block[i * dx: (i + 1) * dx])
-                                           for i in range(ex)))
-        out.append(comp)
-    return out
-
-
-def linear_presheaf_isomorphism(f: LinearPresheaf, g: LinearPresheaf,
-                                *, enum_limit: int = 200_000,
-                                attempts: int = 512) -> dict | None:
-    """An invertible natural map f -> g, or None.
-
-    Searches the natural-transformation space for an objectwise invertible
-    element: full enumeration over a prime field when the space is small,
-    otherwise a seeded deterministic sample. A None from the sampled path
-    is only evidence, so callers preferring certainty should hand in
-    canonical candidates instead.
-    """
-    cat, k = f.cat, f.field
-    if any(f.at(x) != g.at(x) for x in cat.objects):
-        return None
-    if all(f.at(x) == 0 for x in cat.objects):
-        return {x: zero_matrix(k, 0, 0) for x in cat.objects}
-    basis = natural_transformation_space(f, g)
-    if not basis:
-        return None
-
-    def combine(coeffs):
-        return {x: mat_combination(k, coeffs, [b[x] for b in basis], g.at(x), f.at(x))
-                for x in cat.objects}
-
-    def invertible(comp):
-        return all(is_invertible(k, comp[x]) for x in cat.objects)
-
-    if k.enumerable and k.char ** len(basis) <= enum_limit:
-        for coeffs in itertools.product(k.elements(), repeat=len(basis)):
-            comp = combine(coeffs)
-            if invertible(comp):
-                return comp
-        return None
-    import random
-    rng = random.Random(20_240_601)
-    for b in basis:
-        if invertible(b):
-            return b
-    for _ in range(attempts):
-        coeffs = [k.rand(rng) for _ in basis]
-        comp = combine(coeffs)
-        if invertible(comp):
-            return comp
-    return None
-
-
 def presheaves_isomorphic(f, g) -> bool:
     if f.flavor != g.flavor:
         return False
     if f.flavor == "set":
         return set_presheaf_isomorphism(f, g) is not None
-    return linear_presheaf_isomorphism(f, g) is not None
+    return invertible_intertwiner(f.rep, g.rep) is not None
+
+
+# -- intertwiners: the linear maps of presheaves, modules and their bundles --
+
+
+class Representation(NamedTuple):
+    """Spaces with structure maps: a dimension per key, and arrows (dom key,
+    cod key, matrix of shape dims[dom] x dims[cod]). A map to another
+    representation with corresponding arrows is an intertwiner: matrices
+    phi[x] of shape (its dims[x]) x dims[x] with phi[dom] S = T phi[cod]
+    for every pair of arrows S, T."""
+
+    field: object
+    dims: dict
+    arrows: tuple
+
+
+# The isomorphism search enumerates the intertwiner space over a prime
+# field up to this many elements; beyond it, it tries each basis element
+# and then ISO_SAMPLES seeded random combinations.
+ISO_ENUM_LIMIT = 200_000
+ISO_SAMPLES = 512
+ISO_SEED = 20_240_601
+
+
+def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
+    """A basis of the intertwiners src -> dst, as component dictionaries.
+
+    The unknowns are the entries of every phi[x], row-major, in key
+    order; the basis is the canonical null space of their equations.
+    """
+    k = src.field
+    offsets = {}
+    total = 0
+    for x, d in src.dims.items():
+        offsets[x] = total
+        total += dst.dims[x] * d
+    rows = []
+    for (x, y, s), (_, _, t) in zip(src.arrows, dst.arrows):
+        dx, dy = src.dims[x], src.dims[y]
+        # rows for phi[x] @ s - t @ phi[y] = 0, entry (i, j)
+        for i in range(dst.dims[x]):
+            for j in range(dy):
+                row = [k.zero] * total
+                for c in range(dx):
+                    row[offsets[x] + i * dx + c] = k.add(
+                        row[offsets[x] + i * dx + c], s.entry(c, j))
+                for c in range(dst.dims[y]):
+                    row[offsets[y] + c * dy + j] = k.sub(
+                        row[offsets[y] + c * dy + j], t.entry(i, c))
+                rows.append(row)
+    basis = null_space(k, matrix(k, rows, cols=total))
+    out = []
+    for c in range(basis.cols):
+        v = basis.col(c)
+        comp = {}
+        for x, d in src.dims.items():
+            lo = offsets[x]
+            comp[x] = Matrix(dst.dims[x], d, tuple(tuple(v[lo + i * d: lo + (i + 1) * d])
+                                                   for i in range(dst.dims[x])))
+        out.append(comp)
+    return out
+
+
+def is_intertwiner(src: Representation, dst: Representation, comps: dict) -> bool:
+    """Every component has the right shape and every square commutes."""
+    k = src.field
+    if any((comps[x].rows, comps[x].cols) != (dst.dims[x], d) for x, d in src.dims.items()):
+        return False
+    return all(mat_mul(k, comps[x], s) == mat_mul(k, t, comps[y])
+               for (x, y, s), (_, _, t) in zip(src.arrows, dst.arrows))
+
+
+def all_invertible(field, comps: dict) -> bool:
+    return all(is_invertible(field, a) for a in comps.values())
+
+
+def invertible_intertwiner(src: Representation, dst: Representation) -> dict | None:
+    """An intertwiner src -> dst with every component invertible, or None.
+
+    Over a prime field the whole intertwiner space is enumerated when it
+    has at most ISO_ENUM_LIMIT elements; otherwise the search is a seeded
+    deterministic sample, so a None is only evidence and callers wanting
+    certainty should hand in canonical candidates instead.
+    """
+    k = src.field
+    if src.dims != dst.dims:
+        return None
+    if not any(src.dims.values()):
+        return {x: zero_matrix(k, 0, 0) for x in src.dims}
+    basis = intertwiner_basis(src, dst)
+    if not basis:
+        return None
+
+    def combine(coeffs):
+        return {x: mat_combination(k, coeffs, [b[x] for b in basis], d, d)
+                for x, d in src.dims.items()}
+
+    if k.enumerable and k.char ** len(basis) <= ISO_ENUM_LIMIT:
+        candidates = map(combine, itertools.product(k.elements(), repeat=len(basis)))
+    else:
+        rng = random.Random(ISO_SEED)
+        candidates = itertools.chain(
+            basis, (combine([k.rand(rng) for _ in basis]) for _ in range(ISO_SAMPLES)))
+    return next((comp for comp in candidates if all_invertible(k, comp)), None)

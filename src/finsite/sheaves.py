@@ -131,11 +131,9 @@ def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
     mats = {}
     for m in cat.morphisms:
         src, dst = values[m.dom], values[m.cod]
-        sel = block_matrix(k, src.total, dst.total,
-                           [(src.offsets[i], dst.offsets[j],
-                             identity_matrix(k, src.block_dims[i]))
-                            for i, j in enumerate(positions(m))])
-        sol = solve_matrix(k, src.basis, mat_mul(k, sel, dst.basis))
+        blocks = [dst.block(j) for j in positions(m)]
+        pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
+        sol = solve_matrix(k, src.basis, pulled)
         if sol is None:
             raise EngineError("pulled family left the family space")
         mats[m.name] = sol

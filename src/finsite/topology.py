@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .category import (FiniteCategory, FullSubcategory, is_karoubian,
+from .category import (FiniteCategory, FullSubcategory, is_karoubian, iso_classes,
                        strictly_full_karoubian_subcategories)
 from .errors import EngineError
 from .sieves import (Sieve, is_sieve, maximal_sieve, pullback_sieve,
@@ -202,8 +202,7 @@ def census_size_bound(cat: FiniteCategory) -> int:
     return bound
 
 
-def enumerate_topologies(cat: FiniteCategory, *, guard: int = CENSUS_GUARD
-                         ) -> list[GrothendieckTopology]:
+def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     """Every Grothendieck topology on the category, deterministically ordered.
 
     On a Karoubian category the topologies are exactly the J^D for the
@@ -214,16 +213,20 @@ def enumerate_topologies(cat: FiniteCategory, *, guard: int = CENSUS_GUARD
     their product. Either way a topology induced by some D carries the
     label of the first such D, and the order is that of the product:
     object by object, family size, then the positions of its sieves.
+
+    CENSUS_GUARD bounds the search of the route taken: the 2^(iso classes)
+    candidate D on a Karoubian category, census_size_bound otherwise.
     """
-    bound = census_size_bound(cat)
-    if bound > guard:
+    karoubian = is_karoubian(cat)
+    bound = 2 ** len(iso_classes(cat)) if karoubian else census_size_bound(cat)
+    if bound > CENSUS_GUARD:
         raise EngineError(
-            f"topology census search space {bound} exceeds the guard {guard}")
+            f"topology census search space {bound} exceeds the guard {CENSUS_GUARD}")
     induced = {}
     for sub in strictly_full_karoubian_subcategories(cat):
         top = subcategory_topology(cat, sub)
         induced.setdefault(top, top)
-    if is_karoubian(cat):
+    if karoubian:
         tops = list(induced.values())
         for top in tops:
             violations = check_topology(cat, top)

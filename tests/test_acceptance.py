@@ -29,9 +29,8 @@ from finsite.modules import (bundle_unbundle_witness,
                              transport_back_roundtrip_witness, transport_module,
                              transport_roundtrip_witness,
                              unbundle_bundle_witness)
-from finsite.presheaves import (SetPresheaf, is_natural_linear_map,
-                                is_natural_set_map,
-                                linear_presheaf_isomorphism,
+from finsite.presheaves import (SetPresheaf, invertible_intertwiner,
+                                is_intertwiner, is_natural_set_map,
                                 set_presheaf_isomorphism)
 from finsite.sampling import (random_algebra_module, random_linear_presheaf,
                               random_module_presheaf, random_set_presheaf,
@@ -185,7 +184,7 @@ def test_criterion_05_sheafification_oracle():
                     assert colimit_dimension_linear(l, top, x) == half.at(x)
                 la = sheafify(l, top)
                 assert is_sheaf(la, top)
-                assert linear_presheaf_isomorphism(sheafify(la, top), la) is not None
+                assert invertible_intertwiner(sheafify(la, top).rep, la.rep) is not None
                 instances += 1
         assert instances >= 100
 
@@ -235,10 +234,10 @@ def test_criterion_06_fixed_point_formula():
                 l = random_linear_presheaf(cat, field, rng)
                 direct = dense_sheafify_fixed_points(l)
                 generic = sheafify(l, den)
-                assert linear_presheaf_isomorphism(direct, generic) is not None
+                assert invertible_intertwiner(direct.rep, generic.rep) is not None
                 half = half_sheafify(l, den)
                 assert is_sheaf(half, den)
-                assert linear_presheaf_isomorphism(half, generic) is not None
+                assert invertible_intertwiner(half.rep, generic.rep) is not None
 
 
 def test_criterion_07_comparison_lemma():
@@ -266,7 +265,7 @@ def test_criterion_07_comparison_lemma():
                     assert is_sheaf(rk, top)
                     _, counit = rk_counit(g, sub)
                     back = rk.restrict(sub)
-                    assert is_natural_linear_map(back, g, counit)
+                    assert is_intertwiner(back.rep, g.rep, counit)
                     assert all(is_invertible(field, counit[w])
                                for w in sub.objects)
                     instances += 1

@@ -320,3 +320,64 @@ def test_top_enumerate_independent_of_hash_seed(gallery):
                              env=env, capture_output=True, text=True, check=True)
         outs.append(run.stdout)
     assert outs[0] == outs[1] and outs[0].startswith("count:")
+
+
+# Each document-reading path of the CLI, with the file it reads under
+# "WRONG" and the kind it expects; the other files are genuine.
+KIND_CASES = [
+    (["cat", "validate", "--category", "WRONG"], "a category"),
+    (["cat", "info", "--category", "WRONG"], "a category"),
+    (["cat", "info", "--gallery", "orbit", "--group-file", "WRONG"], "a group"),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "WRONG", "--dense"],
+     "a presheaf"),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "PRESHEAF",
+      "--topology", "WRONG"], "a topology"),
+    (["sheaf", "kan", "--gallery", "chain3", "--presheaf", "WRONG", "--objects", "x"],
+     "a presheaf"),
+    (["top", "classify", "--gallery", "chain3", "--topology", "WRONG"], "a topology"),
+    (["alg", "skew", "--gallery", "chain3", "--algebra", "WRONG"], "an algebra-presheaf"),
+    (["mod", "theta", "--gallery", "chain3", "--algebra", "ALGEBRA", "--module", "WRONG"],
+     "a module-presheaf"),
+    (["mod", "omega", "--gallery", "chain3", "--algebra", "ALGEBRA",
+      "--algebra-module", "WRONG"], "an algebra-module"),
+    (["mod", "transport", "--gallery", "chain3", "--algebra", "ALGEBRA",
+      "--module", "WRONG", "--objects", "x,y"], "a module-presheaf"),
+    (["mod", "transport", "--gallery", "chain3", "--algebra", "ALGEBRA",
+      "--module", "MODULE", "--topology", "WRONG"], "a topology"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", KIND_CASES)
+def test_wrong_document_kind_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
+                                               argv, expected):
+    import random
+
+    from finsite.algebras import chain_diagonal_algebra_presheaf
+    from finsite.sampling import random_module_presheaf
+    from finsite.serialize import (algebra_presheaf_to_doc, group_to_doc,
+                                   module_presheaf_to_doc)
+
+    r = chain_diagonal_algebra_presheaf(f5)
+    wrong_doc, wrong_kind = group_to_doc(c2), "group"
+    if expected == "a group":
+        wrong_doc, wrong_kind = category_to_doc(chain3), "category"
+    files = {"WRONG": wrong_doc,
+             "PRESHEAF": presheaf_to_doc(representable_presheaf(chain3, "y")),
+             "ALGEBRA": algebra_presheaf_to_doc(r),
+             "MODULE": module_presheaf_to_doc(random_module_presheaf(r, random.Random(3)))}
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(dump_text(doc))
+    code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {paths['WRONG']} holds a {wrong_kind!r}, expected {expected}\n"
+
+
+@pytest.mark.parametrize("argv,obj", [(["--gallery", "group", "--group", "S4"], "'*'"),
+                                      (["--gallery", "orbit", "--group", "S4", "--p", "3"],
+                                       "'S4/1'")])
+def test_s4_census_is_refused_by_the_sieve_guard(capsys, argv, obj):
+    code, out, err = run_cli(capsys, "top", "enumerate", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: sieve enumeration too large at {obj}: 2^24 subsets\n"

@@ -6,9 +6,8 @@ from finsite.category import FullSubcategory, strictly_full_karoubian_subcategor
 from finsite.errors import EngineError
 from finsite.presheaves import (LinearPresheaf, SetPresheaf,
                                 constant_linear_presheaf,
-                                is_natural_linear_map, is_natural_set_map,
-                                linear_presheaf_isomorphism,
-                                set_presheaf_isomorphism)
+                                invertible_intertwiner, is_intertwiner,
+                                is_natural_set_map, set_presheaf_isomorphism)
 from finsite.sampling import random_linear_presheaf, random_set_presheaf
 from finsite.sheaves import (extend_by_default, is_sheaf, rk_counit,
                              right_kan_extension, sheafify)
@@ -42,7 +41,7 @@ def test_rk_whole_category_is_equivalent(chain3, f5):
     rng = random.Random(0)
     g = random_linear_presheaf(chain3, f5, rng)
     rk = right_kan_extension(g, sub)
-    assert linear_presheaf_isomorphism(g, rk) is not None
+    assert invertible_intertwiner(g.rep, rk.rep) is not None
 
 
 def test_rk_from_bottom_object_is_constant(chain3):
@@ -66,7 +65,7 @@ def test_rk_lands_in_sheaves_and_restricts_back(chain3, involution, orbit_c2,
             rk = right_kan_extension(g, sub)
             assert is_sheaf(rk, top)
             back = rk.restrict(sub)
-            iso = linear_presheaf_isomorphism(back, g)
+            iso = invertible_intertwiner(back.rep, g.rep)
             assert iso is not None
         gs = random_set_presheaf(sub.category, rng)
         rks = right_kan_extension(gs, sub)
@@ -95,7 +94,7 @@ def test_rk_counit_is_canonical_isomorphism(chain3, f5):
     g = random_linear_presheaf(sub.category, f5, rng)
     rk, comps = rk_counit(g, sub)
     back = rk.restrict(sub)
-    assert is_natural_linear_map(back, g, comps)
+    assert is_intertwiner(back.rep, g.rep, comps)
     from finsite.fields import is_invertible
     assert all(is_invertible(f5, comps[w]) for w in sub.objects)
 
@@ -130,7 +129,7 @@ def test_extension_sheafifies_to_kan_chain(chain3, f5):
     assert ext.at("y") == 0 and ext.at("z") == 0
     lhs = sheafify(ext, jx)
     rhs = right_kan_extension(g, sub)
-    assert linear_presheaf_isomorphism(lhs, rhs) is not None
+    assert invertible_intertwiner(lhs.rep, rhs.rep) is not None
 
 
 def test_extension_sheafifies_to_kan_involution(involution):
@@ -159,7 +158,7 @@ def test_extension_on_co_ideals_of_orbit(orbit_c2, f5):
     ext = extend_by_default(g, sub)
     lhs = sheafify(ext, top)
     rhs = right_kan_extension(g, sub)
-    assert linear_presheaf_isomorphism(lhs, rhs) is not None
+    assert invertible_intertwiner(lhs.rep, rhs.rep) is not None
 
 
 def _tables(f):

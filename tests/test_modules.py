@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,22 +7,23 @@ from finsite.algebras import (chain_diagonal_algebra_presheaf,
                               constant_algebra_presheaf, field_algebra,
                               group_algebra, involution_group_algebra_presheaf,
                               skew_category_algebra, swap_action_presheaf)
-from finsite.fields import Matrix, identity_matrix, matrix, zero_matrix
+from finsite.category import FullSubcategory
+from finsite.fields import Matrix, identity_matrix, matrix, rank, zero_matrix
 from finsite.modules import (AlgebraModule, ModuleError, ModulePresheaf,
-                             algebra_module_intertwiners,
-                             algebra_module_isomorphism,
-                             bundle_unbundle_witness,
+                             ALGEBRA_MODULE_KEY, bundle_unbundle_witness,
                              direct_sum_module_presheaves,
                              is_algebra_module_isomorphism,
                              is_algebra_module_map,
                              is_module_presheaf_isomorphism,
                              is_module_presheaf_map, to_algebra_module,
                              to_algebra_module_map, to_module_presheaf,
-                             unbundle_bundle_witness,
+                             transport_module, unbundle_bundle_witness,
                              verify_equivalence_roundtrip)
-from finsite.presheaves import LinearPresheaf, zero_presheaf
+from finsite.presheaves import (LinearPresheaf, intertwiner_basis,
+                                invertible_intertwiner, zero_presheaf)
 from finsite.sampling import (random_algebra_module, random_module_presheaf,
-                              regular_module)
+                              random_sheaf_module, regular_module)
+from finsite.topology import subcategory_topology
 
 
 def zero_module_presheaf(r):
@@ -195,11 +197,81 @@ def test_intertwiner_space_detects_isomorphism(f5):
     skew = skew_category_algebra(r.cat, r)
     rng = random.Random(4)
     n = random_algebra_module(skew, rng)
-    basis = algebra_module_intertwiners(n, n)
+    basis = intertwiner_basis(n.rep, n.rep)
     assert basis, "the identity is always an intertwiner"
-    iso = algebra_module_isomorphism(n, n)
+    iso = invertible_intertwiner(n.rep, n.rep)
     assert iso is not None
-    assert is_algebra_module_isomorphism(n, n, iso)
+    assert is_algebra_module_isomorphism(n, n, iso[ALGEBRA_MODULE_KEY])
     m = random_algebra_module(skew, rng)
     if m.dim != n.dim:
-        assert algebra_module_isomorphism(n, m) is None
+        assert invertible_intertwiner(n.rep, m.rep) is None
+
+
+def _independent(field, mats) -> bool:
+    """The matrices, read as vectors, are linearly independent."""
+    rows = [tuple(x for row in a.data for x in row) for a in mats]
+    return not rows or rank(field, matrix(field, rows)) == len(rows)
+
+
+@pytest.mark.parametrize("make_r", [chain_diagonal_algebra_presheaf,
+                                    involution_group_algebra_presheaf])
+def test_bundling_is_fully_faithful(f5, make_r):
+    """The equivalence on morphisms: bundling into a module over the skew
+    category algebra keeps dim Hom(M1, M2), and it carries a basis of the
+    module-presheaf maps to linearly independent module maps."""
+    r = make_r(f5)
+    skew = skew_category_algebra(r.cat, r)
+    rng = random.Random(21)
+    ms = [random_module_presheaf(r, rng, skew=skew) for _ in range(3)]
+    dims = []
+    for m1 in ms:
+        for m2 in ms:
+            basis = intertwiner_basis(m1.rep, m2.rep)
+            n1, n2 = to_algebra_module(m1, skew), to_algebra_module(m2, skew)
+            assert len(intertwiner_basis(n1.rep, n2.rep)) == len(basis)
+            images = [to_algebra_module_map(m1, m2, comps) for comps in basis]
+            assert all(is_algebra_module_map(n1, n2, t) for t in images)
+            assert _independent(f5, images)
+            dims.append(len(basis))
+    assert max(dims) > 1, "the instances should carry more maps than scalars"
+
+
+def test_transport_is_fully_faithful_on_sheaf_modules(chain3, f5):
+    """Under J^{x,y}, dim Hom between sheaf modules equals dim Hom between
+    their transports to modules over the skew algebra of {x, y}."""
+    r = chain_diagonal_algebra_presheaf(f5)
+    sub = FullSubcategory(chain3, ("x", "y"))
+    top = subcategory_topology(chain3, sub)
+    rng = random.Random(22)
+    ms = [random_sheaf_module(r, sub, top, rng) for _ in range(3)]
+    ns = [transport_module(m, sub, top) for m in ms]
+    for m1, n1 in zip(ms, ns):
+        for m2, n2 in zip(ms, ns):
+            assert (len(intertwiner_basis(m1.rep, m2.rep))
+                    == len(intertwiner_basis(n1.rep, n2.rep)))
+
+
+def test_intertwiner_basis_counts_every_intertwiner(chain3, f2):
+    """Over F2 the span of the basis holds exactly the component tuples
+    that the checker accepts, found here by trying every tuple."""
+    r = chain_diagonal_algebra_presheaf(f2)
+    rng = random.Random(23)
+    ms = [random_module_presheaf(r, rng) for _ in range(4)]
+    tried = 0
+    for m1 in ms:
+        for m2 in ms:
+            shapes = [(m2.dim(x), m1.dim(x)) for x in chain3.objects]
+            unknowns = sum(a * b for a, b in shapes)
+            if unknowns > 12:
+                continue
+            accepted = 0
+            for bits in itertools.product((0, 1), repeat=unknowns):
+                comps, pos = {}, 0
+                for x, (a, b) in zip(chain3.objects, shapes):
+                    comps[x] = Matrix(a, b, tuple(tuple(bits[pos + i * b: pos + (i + 1) * b])
+                                                  for i in range(a)))
+                    pos += a * b
+                accepted += is_module_presheaf_map(m1, m2, comps)
+            assert accepted == 2 ** len(intertwiner_basis(m1.rep, m2.rep))
+            tried += 1
+    assert tried >= 4

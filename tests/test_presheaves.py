@@ -5,9 +5,8 @@ import pytest
 from finsite.fields import identity_matrix, matrix
 from finsite.presheaves import (LinearPresheaf, PresheafError, SetPresheaf,
                                 constant_linear_presheaf, constant_set_presheaf,
-                                is_natural_linear_map, is_natural_set_map,
-                                linear_presheaf_isomorphism,
-                                natural_transformation_space,
+                                intertwiner_basis, invertible_intertwiner,
+                                is_intertwiner, is_natural_set_map,
                                 presheaves_isomorphic, representable_presheaf,
                                 set_presheaf_isomorphism, singleton_presheaf,
                                 zero_presheaf)
@@ -83,18 +82,18 @@ def test_linear_isomorphism_checker(chain3, f5):
                             mat_mul(f5, f.mat(m.name), inverse(f5, twists[m.cod])))
             for m in chain3.morphisms}
     g = LinearPresheaf(chain3, f5, dict(f.dims), mats)
-    iso = linear_presheaf_isomorphism(f, g)
+    iso = invertible_intertwiner(f.rep, g.rep)
     assert iso is not None
-    assert is_natural_linear_map(f, g, iso)
+    assert is_intertwiner(f.rep, g.rep, iso)
     assert presheaves_isomorphic(f, g)
     bigger = constant_linear_presheaf(chain3, f5, 1 + max(f.dims.values()))
-    assert linear_presheaf_isomorphism(f, bigger) is None
+    assert invertible_intertwiner(f.rep, bigger.rep) is None
 
 
 def test_natural_transformation_space_of_representable(chain3, f5):
     # maps out of the free rank-one presheaf match the value at the corner
     one = constant_linear_presheaf(chain3, f5, 1)
-    basis = natural_transformation_space(one, one)
+    basis = intertwiner_basis(one.rep, one.rep)
     assert len(basis) == 1
 
 

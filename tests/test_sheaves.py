@@ -6,8 +6,7 @@ from finsite.category import iso_class_poset
 from finsite.errors import EngineError
 from finsite.presheaves import (SetPresheaf,
                                 constant_linear_presheaf, constant_set_presheaf,
-                                linear_presheaf_isomorphism,
-                                representable_presheaf,
+                                invertible_intertwiner, representable_presheaf,
                                 set_presheaf_isomorphism, singleton_presheaf)
 from finsite.sampling import random_linear_presheaf, random_set_presheaf
 from finsite.sheaves import (dense_components, dense_sheafify_fixed_points,
@@ -99,7 +98,7 @@ def test_half_sheafify_fixes_sheaves(chain3, f5):
         f = random_linear_presheaf(chain3, f5, rng)
         half = half_sheafify(f, jxy)
         if is_sheaf(f, jxy):
-            assert linear_presheaf_isomorphism(f, half) is not None
+            assert invertible_intertwiner(f.rep, half.rep) is not None
 
 
 def test_sheafify_makes_sheaves_linear(chain3, f2, f5):
@@ -112,7 +111,7 @@ def test_sheafify_makes_sheaves_linear(chain3, f2, f5):
             assert is_sheaf(fa, top)
             # idempotent up to isomorphism, with an explicit witness
             again = sheafify(fa, top)
-            assert linear_presheaf_isomorphism(fa, again) is not None
+            assert invertible_intertwiner(fa.rep, again.rep) is not None
 
 
 def test_sheafify_makes_sheaves_set(chain3, involution):
@@ -249,8 +248,8 @@ def test_fixed_point_route_matches_generic_on_random(chain3, involution,
             assert set_presheaf_isomorphism(
                 dense_sheafify_fixed_points(s), sheafify(s, den)) is not None
             l = random_linear_presheaf(cat, f5, rng)
-            assert linear_presheaf_isomorphism(
-                dense_sheafify_fixed_points(l), sheafify(l, den)) is not None
+            assert invertible_intertwiner(
+                dense_sheafify_fixed_points(l).rep, sheafify(l, den).rep) is not None
             # one half pass already lands on a sheaf over a dense EI site
             assert is_sheaf(half_sheafify(l, den), den)
             assert is_sheaf(half_sheafify(s, den), den)
@@ -262,7 +261,7 @@ def test_sheafification_over_the_rationals(chain3, rationals):
     f = random_linear_presheaf(chain3, rationals, rng)
     fa = sheafify(f, jxy)
     assert is_sheaf(fa, jxy)
-    assert linear_presheaf_isomorphism(sheafify(fa, jxy), fa) is not None
+    assert invertible_intertwiner(sheafify(fa, jxy).rep, fa.rep) is not None
 
 
 def test_minimal_only_fast_path_agrees(chain3, involution, group_c2, orbit_c2, f5):

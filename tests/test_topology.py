@@ -1,5 +1,6 @@
 import pytest
 
+import finsite.topology as topology
 from finsite.category import strictly_full_karoubian_subcategories
 from finsite.errors import EngineError
 from finsite.gallery import (chain_poset, idempotent_pair_category,
@@ -247,10 +248,20 @@ def test_order_reversal(chain3, involution, orbit_c2):
                     assert subcategory_topology(cat, b).le(subcategory_topology(cat, a))
 
 
-def test_census_guard():
-    with pytest.raises(EngineError):
-        enumerate_topologies(chain_poset(8))
+def test_census_guard(monkeypatch):
+    """CENSUS_GUARD bounds the route that runs: 2^(iso classes) candidate D
+    on a Karoubian category, the product of sieve families otherwise."""
+    assert len(enumerate_topologies(chain_poset(8))) == 2 ** 8
+    with pytest.raises(EngineError, match=r"^topology census search space 8589934592 "
+                                          r"exceeds the guard 4294967296$"):
+        enumerate_topologies(chain_poset(33))
     assert census_size_bound(chain_poset(3)) == 2 ** 9
+    idem = idempotent_pair_category()
+    bound = census_size_bound(idem)
+    monkeypatch.setattr(topology, "CENSUS_GUARD", bound - 1)
+    with pytest.raises(EngineError, match=f"^topology census search space {bound} "
+                                          f"exceeds the guard {bound - 1}$"):
+        enumerate_topologies(idem)
 
 
 def test_finest_topology_for_terminal(chain3):

@@ -9,8 +9,7 @@ from finsite.algebras import (chain_diagonal_algebra_presheaf,
 from finsite.category import FullSubcategory, iso_class_poset
 from finsite.gallery import (cyclic_group, group_category, involution_category,
                              reduced_p_orbit_category, symmetric_group)
-from finsite.modules import (ModuleError, algebra_module_isomorphism,
-                             dense_block_decomposition,
+from finsite.modules import (ModuleError, dense_block_decomposition,
                              is_algebra_module_isomorphism,
                              is_module_presheaf_isomorphism,
                              module_block_components, to_algebra_module,
