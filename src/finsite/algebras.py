@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 from .category import FiniteCategory
 from .errors import EngineError
-from .fields import (Matrix, identity_matrix, mat_mul, mat_vec, matrix,
-                     unit_vec, vec, vec_add, vec_scale, zero_vec)
+from .fields import (Matrix, block_offsets, identity_matrix, mat_vec, matrix,
+                     unit_vec, vec, zero_vec)
 from .gallery import group_category
 from .groups import FiniteGroup
-from .presheaves import LinearPresheaf
+from .presheaves import LinearPresheaf, _as_subcategory
 
 
 class AlgebraError(EngineError):
@@ -165,27 +165,27 @@ def group_algebra(field, group: FiniteGroup) -> FiniteDimAlgebra:
 
 class AlgebraPresheaf:
     """Contravariant functor to unital algebras: an algebra per object and
-    a unital algebra homomorphism matrix per morphism."""
+    a unital algebra homomorphism matrix per morphism. The matrices form
+    the underlying linear presheaf ``space``, which is validated as such."""
 
     def __init__(self, cat: FiniteCategory, at: dict, maps: dict, *, name=None):
         self.cat = cat
         self.at = {x: at[x] for x in cat.objects}
-        self.maps = {m.name: maps[m.name] for m in cat.morphisms}
         self.name = name
-        self._check()
+        if len({a.field for a in self.at.values()}) > 1:
+            raise AlgebraError("mixed coefficient fields")
         self.field = (self.at[cat.objects[0]].field if cat.objects else None)
+        self.space = LinearPresheaf(cat, self.field, {x: a.dim for x, a in self.at.items()},
+                                    maps)
+        self._check()
 
     def _check(self):
-        fields = {a.field for a in self.at.values()}
-        if len(fields) > 1:
-            raise AlgebraError("mixed coefficient fields")
+        """Each map preserves the unit and the products of basis elements."""
+        k = self.field
         for m in self.cat.morphisms:
             src = self.at[m.cod]
             dst = self.at[m.dom]
-            k = src.field
-            mat = self.maps[m.name]
-            if (mat.rows, mat.cols) != (dst.dim, src.dim):
-                raise AlgebraError(f"map of {m.name!r} has the wrong shape")
+            mat = self.mat(m.name)
             if mat_vec(k, mat, src.unit) != dst.unit:
                 raise AlgebraError(f"map of {m.name!r} does not preserve the unit")
             for i in range(src.dim):
@@ -196,35 +196,19 @@ class AlgebraPresheaf:
                         raise AlgebraError(
                             f"map of {m.name!r} is not multiplicative on basis "
                             f"({src.labels[i]!r},{src.labels[j]!r})")
-        for x in self.cat.objects:
-            if self.maps[self.cat.id_of(x)] != identity_matrix(self.at[x].field,
-                                                               self.at[x].dim):
-                raise AlgebraError(f"identity at {x!r} is not the identity map")
-        for g in self.cat.morphisms:
-            k = self.at[g.cod].field
-            for f in self.cat.into(g.dom):
-                gf = self.cat.compose(g.name, f)
-                if mat_mul(k, self.maps[f], self.maps[g.name]) != self.maps[gf]:
-                    raise AlgebraError(f"functoriality fails on ({g.name!r},{f!r})")
 
     def algebra(self, x: str) -> FiniteDimAlgebra:
         return self.at[x]
 
     def mat(self, f: str) -> Matrix:
-        return self.maps[f]
+        return self.space.mat(f)
 
     def restrict(self, sub) -> AlgebraPresheaf:
-        from .presheaves import _as_subcategory
         sub = _as_subcategory(self.cat, sub)
         d = sub.category
         return AlgebraPresheaf(d, {x: self.at[x] for x in d.objects},
-                               {m.name: self.maps[m.name] for m in d.morphisms},
+                               {m.name: self.mat(m.name) for m in d.morphisms},
                                name=self.name)
-
-    def underlying_linear(self) -> LinearPresheaf:
-        """Forget the products; used for the sheaf-of-algebras condition."""
-        dims = {x: self.at[x].dim for x in self.cat.objects}
-        return LinearPresheaf(self.cat, self.field, dims, self.maps)
 
     def __repr__(self):
         dims = ",".join(str(self.at[x].dim) for x in self.cat.objects)
@@ -363,6 +347,13 @@ class GrothendieckConstruction:
 # -- skew category algebra -----------------------------------------------
 
 
+def _basis_offsets(cat: FiniteCategory, r: AlgebraPresheaf) -> tuple[dict, int]:
+    """Where the block of each morphism f, of size dim R(dom f), starts in
+    the skew algebra's basis, and the basis size."""
+    starts, dim = block_offsets(r.algebra(m.dom).dim for m in cat.morphisms)
+    return {m.name: start for m, start in zip(cat.morphisms, starts)}, dim
+
+
 class SkewCategoryAlgebra(FiniteDimAlgebra):
     """Skew category algebra with basis labelled by (morphism, coefficient
     basis element of R(dom))."""
@@ -373,14 +364,7 @@ class SkewCategoryAlgebra(FiniteDimAlgebra):
         self.cat = cat
         self.r = r
         self.null_ring = self.dim == 0
-        self.basis_offset = {}
-        offset = 0
-        for m in cat.morphisms:
-            self.basis_offset[m.name] = offset
-            offset += r.algebra(m.dom).dim
-
-    def basis_index(self, f: str, j: int) -> int:
-        return self.basis_offset[f] + j
+        self.basis_offset = _basis_offsets(cat, r)[0]
 
     def element(self, f: str, coeff) -> tuple:
         """The element "coeff f" as a coefficient vector."""
@@ -412,12 +396,7 @@ def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCatego
         alg = r.algebra(m.dom)
         for j in range(alg.dim):
             labels.append((m.name, alg.labels[j]))
-    dim = len(labels)
-    offsets = {}
-    off = 0
-    for m in cat.morphisms:
-        offsets[m.name] = off
-        off += r.algebra(m.dom).dim
+    offsets, dim = _basis_offsets(cat, r)
 
     zero_cell = [k.zero] * dim
     table = [[list(zero_cell) for _ in range(dim)] for _ in range(dim)]

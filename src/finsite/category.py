@@ -39,6 +39,8 @@ class EIRequiredError(EngineError):
 
 
 _RAW_KEYS = {"objects", "morphisms", "identities", "compose", "name"}
+_RAW_TYPES = {"objects": (list, "a list"), "morphisms": (list, "a list"),
+              "identities": (dict, "a mapping"), "compose": (list, "a list")}
 
 
 def category_problems(data: dict) -> list[str]:
@@ -51,6 +53,11 @@ def category_problems(data: dict) -> list[str]:
     for key in ("objects", "morphisms", "identities", "compose"):
         if key not in data:
             problems.append(f"missing field: {key}")
+    if problems:
+        return problems
+    for key, (kind, article) in _RAW_TYPES.items():
+        if not isinstance(data[key], kind):
+            problems.append(f"field {key} must be {article}")
     if problems:
         return problems
     try:
@@ -185,8 +192,6 @@ class FiniteCategory:
         self._by_name = {m.name: m for m in self.morphisms}
         self._into = {x: tuple(m.name for m in self.morphisms if m.cod == x)
                       for x in self.objects}
-        self._out = {x: tuple(m.name for m in self.morphisms if m.dom == x)
-                     for x in self.objects}
         self._hom = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), []).append(m.name)
@@ -221,9 +226,6 @@ class FiniteCategory:
 
     def into(self, x: str) -> tuple[str, ...]:
         return self._into[x]
-
-    def out_of(self, x: str) -> tuple[str, ...]:
-        return self._out[x]
 
     def endos(self, x: str) -> tuple[str, ...]:
         return self.hom(x, x)
@@ -418,13 +420,7 @@ class IsoClassPoset:
         self.cat = cat
         self.classes = tuple(tuple(c) for c in classes)
         self.leq = frozenset(leq)  # pairs of class indices, reflexive
-        self._class_of = {}
-        for i, c in enumerate(self.classes):
-            for x in c:
-                self._class_of[x] = i
-
-    def class_of(self, x: str) -> int:
-        return self._class_of[x]
+        self._class_of = {x: i for i, c in enumerate(self.classes) for x in c}
 
     def le(self, i: int, j: int) -> bool:
         return (i, j) in self.leq
@@ -440,9 +436,6 @@ class IsoClassPoset:
     def below(self, x: str) -> tuple[str, ...]:
         """Objects y with Hom(y, x) non-empty, i.e. the object set of C_<=x."""
         return tuple(y for y in self.cat.objects if self.cat.hom(y, x))
-
-    def down_subcategory(self, x: str) -> FullSubcategory:
-        return FullSubcategory(self.cat, self.below(x))
 
     def minimal_below(self, x: str) -> tuple[str, ...]:
         """Minimal objects of the full subcategory on everything mapping into x."""

@@ -10,7 +10,6 @@ human-readable summary. Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import gallery
@@ -367,10 +366,9 @@ def _add_source(parser):
 
 
 def _add_field(parser):
-    default = os.environ.get("FINSITE_FIELD", "Q")
-    parser.add_argument("--constant-field", default=default,
+    parser.add_argument("--constant-field", default="Q",
                         help="field token (Q, or a prime like 5) for constant "
-                             "coefficients; default from FINSITE_FIELD")
+                             "coefficients")
     parser.add_argument("--algebra", help="algebra-presheaf document file")
 
 

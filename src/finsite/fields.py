@@ -230,15 +230,8 @@ def vec(field, seq) -> tuple:
     return tuple(field.of(x) for x in seq)
 
 
-def vec_add(field, a, b) -> tuple:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
 def vec_sub(field, a, b) -> tuple:
     return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field, c, a) -> tuple:
-    return tuple(field.mul(c, x) for x in a)
 
 
 def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
@@ -327,6 +320,21 @@ def block_matrix(field, rows: int, cols: int, blocks) -> Matrix:
         for i, row in enumerate(b.data):
             cells[r0 + i][c0:c0 + b.cols] = row
     return Matrix(rows, cols, tuple(tuple(r) for r in cells))
+
+
+def block_offsets(sizes) -> tuple[tuple, int]:
+    """The starting index of each of the blocks of the given sizes, laid
+    end to end, and their total size."""
+    ends = tuple(itertools.accumulate(sizes, initial=0))
+    return ends[:-1], ends[-1]
+
+
+def block_diagonal(field, mats) -> Matrix:
+    """The matrices of mats laid along the diagonal, zero elsewhere."""
+    mats = tuple(mats)
+    rows, total_rows = block_offsets(m.rows for m in mats)
+    cols, total_cols = block_offsets(m.cols for m in mats)
+    return block_matrix(field, total_rows, total_cols, zip(rows, cols, mats))
 
 
 def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:

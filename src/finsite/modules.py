@@ -13,9 +13,9 @@ from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
                        SkewCategoryAlgebra, skew_category_algebra)
 from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei
 from .errors import EngineError
-from .fields import (Matrix, block_matrix, col_space, hstack, identity_matrix,
-                     is_invertible, mat_combination, mat_mul, solve_matrix,
-                     unit_vec, vstack, zero_matrix)
+from .fields import (Matrix, block_diagonal, block_matrix, block_offsets, col_space,
+                     hstack, identity_matrix, is_invertible, mat_combination, mat_mul,
+                     solve_matrix, unit_vec, vstack, zero_matrix)
 from .presheaves import (LinearPresheaf, Representation, _as_subcategory,
                          all_invertible, is_intertwiner)
 from .sheaves import kan_extension, sheaf_defect
@@ -66,24 +66,7 @@ class ModulePresheaf:
     def _check(self):
         k = self.field
         for x in self.cat.objects:
-            alg = self.r.algebra(x)
-            d = self.dim(x)
-            acts = self.actions[x]
-            if len(acts) != alg.dim:
-                raise ModuleError(f"need one action matrix per basis element at {x!r}")
-            for a in acts:
-                if (a.rows, a.cols) != (d, d):
-                    raise ModuleError(f"action matrix at {x!r} has the wrong shape")
-            if self.act(x, alg.unit) != identity_matrix(k, d):
-                raise ModuleError(f"unit does not act as identity at {x!r}")
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    lhs = self.act(x, alg.mul_basis(i, j))
-                    rhs = mat_mul(k, acts[j], acts[i])
-                    if lhs != rhs:
-                        raise ModuleError(
-                            f"action not multiplicative at {x!r} on basis "
-                            f"({alg.labels[i]!r},{alg.labels[j]!r})")
+            check_action(self.r.algebra(x), self.dim(x), self.actions[x], f" at {x!r}")
         for m in self.cat.morphisms:
             x, y = m.dom, m.cod
             mf = self.space.mat(m.name)
@@ -111,6 +94,27 @@ class ModulePresheaf:
         return f"<ModulePresheaf dims [{dims}]>"
 
 
+def check_action(algebra: FiniteDimAlgebra, dim: int, actions, where: str = ""):
+    """Raise unless actions holds one dim x dim matrix per basis element of
+    the algebra, the unit acts as the identity, and b_i b_j acts as the
+    action of b_i followed by that of b_j. where ends each message."""
+    k = algebra.field
+    if len(actions) != algebra.dim:
+        raise ModuleError(f"need one action matrix per basis element{where}")
+    for a in actions:
+        if (a.rows, a.cols) != (dim, dim):
+            raise ModuleError(f"action matrix{where} has the wrong shape")
+    if mat_combination(k, algebra.unit, actions, dim, dim) != identity_matrix(k, dim):
+        raise ModuleError(f"unit does not act as identity{where}")
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            lhs = mat_combination(k, algebra.mul_basis(i, j), actions, dim, dim)
+            if lhs != mat_mul(k, actions[j], actions[i]):
+                raise ModuleError(
+                    f"action not multiplicative{where} on basis "
+                    f"({algebra.labels[i]!r},{algebra.labels[j]!r})")
+
+
 ALGEBRA_MODULE_KEY = "*"  # the key of the only space of an algebra module's rep
 
 
@@ -122,13 +126,8 @@ class AlgebraModule:
         self.algebra = algebra
         self.dim = int(dim)
         self.actions = tuple(actions)
-        if len(self.actions) != algebra.dim:
-            raise ModuleError("need one action matrix per algebra basis element")
-        for a in self.actions:
-            if (a.rows, a.cols) != (self.dim, self.dim):
-                raise ModuleError("action matrix has the wrong shape")
         if check:
-            self._check()
+            check_action(algebra, self.dim, self.actions)
 
     @property
     def field(self):
@@ -143,20 +142,6 @@ class AlgebraModule:
         key = ALGEBRA_MODULE_KEY
         return Representation(self.field, {key: self.dim},
                               tuple((key, key, a) for a in self.actions))
-
-    def _check(self):
-        k = self.field
-        alg = self.algebra
-        if self.act(alg.unit) != identity_matrix(k, self.dim):
-            raise ModuleError("unit does not act as identity")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.act(alg.mul_basis(i, j))
-                rhs = mat_mul(k, self.actions[j], self.actions[i])
-                if lhs != rhs:
-                    raise ModuleError(
-                        f"action not multiplicative on basis "
-                        f"({alg.labels[i]!r},{alg.labels[j]!r})")
 
     def __repr__(self):
         return f"<AlgebraModule dim {self.dim} over {self.algebra!r}>"
@@ -174,11 +159,8 @@ def to_algebra_module(m: ModulePresheaf, skew: SkewCategoryAlgebra | None = None
     if skew is None:
         skew = skew_category_algebra(cat, m.r)
     k = m.field
-    offsets = {}
-    total = 0
-    for x in cat.objects:
-        offsets[x] = total
-        total += m.dim(x)
+    starts, total = block_offsets(m.dim(x) for x in cat.objects)
+    offsets = dict(zip(cat.objects, starts))
     actions = []
     for idx, (fname, _blabel) in enumerate(skew.labels):
         j = idx - skew.basis_offset[fname]
@@ -192,16 +174,7 @@ def to_algebra_module_map(m1: ModulePresheaf, m2: ModulePresheaf,
                           comps: dict) -> Matrix:
     """Bundle a componentwise module map into one matrix between the
     bundled modules (the block diagonal of its components)."""
-    k = m1.field
-    cat = m1.cat
-    blocks = []
-    roff = 0
-    coff = 0
-    for x in cat.objects:
-        blocks.append((roff, coff, comps[x]))
-        roff += m2.dim(x)
-        coff += m1.dim(x)
-    return block_matrix(k, roff, coff, blocks)
+    return block_diagonal(m1.field, [comps[x] for x in m1.cat.objects])
 
 
 def direct_sum_module_presheaves(m1: ModulePresheaf, m2: ModulePresheaf) -> ModulePresheaf:
@@ -211,17 +184,11 @@ def direct_sum_module_presheaves(m1: ModulePresheaf, m2: ModulePresheaf) -> Modu
         raise ModuleError("direct sum needs a common coefficient presheaf")
     k = m1.field
     cat = m1.cat
-
-    def block_diag(a: Matrix, b: Matrix) -> Matrix:
-        return block_matrix(k, a.rows + b.rows, a.cols + b.cols,
-                            [(0, 0, a), (a.rows, a.cols, b)])
-
     dims = {x: m1.dim(x) + m2.dim(x) for x in cat.objects}
-    mats = {mor.name: block_diag(m1.space.mat(mor.name), m2.space.mat(mor.name))
+    mats = {mor.name: block_diagonal(k, (m1.space.mat(mor.name), m2.space.mat(mor.name)))
             for mor in cat.morphisms}
     space = LinearPresheaf(cat, k, dims, mats)
-    actions = {x: tuple(block_diag(a, b)
-                        for a, b in zip(m1.actions[x], m2.actions[x]))
+    actions = {x: tuple(block_diagonal(k, pair) for pair in zip(m1.actions[x], m2.actions[x]))
                for x in cat.objects}
     return ModulePresheaf(m1.r, space, actions, check=False)
 
@@ -308,15 +275,11 @@ def unbundle_bundle_witness(m: ModulePresheaf, skew: SkewCategoryAlgebra | None 
         skew = skew_category_algebra(cat, m.r)
     n = to_algebra_module(m, skew, check=False)
     data = _unbundle(n, check=False)
-    offsets = {}
-    total = 0
-    for x in cat.objects:
-        offsets[x] = total
-        total += m.dim(x)
+    starts, total = block_offsets(m.dim(x) for x in cat.objects)
     comps = {}
-    for x in cat.objects:
+    for x, start in zip(cat.objects, starts):
         d = m.dim(x)
-        inc = block_matrix(k, total, d, [(offsets[x], 0, identity_matrix(k, d))])
+        inc = block_matrix(k, total, d, [(start, 0, identity_matrix(k, d))])
         sol = solve_matrix(k, data.value_bases[x], inc)
         if sol is None:
             raise ModuleError("value basis does not span the object block")
@@ -336,11 +299,7 @@ def bundle_unbundle_witness(n: AlgebraModule):
     data = _unbundle(n, check=False)
     n2 = to_algebra_module(data.presheaf, skew, check=False)
     blocks = [data.value_bases[x] for x in skew.cat.objects]
-    if blocks:
-        t = hstack(k, blocks) if n2.dim else zero_matrix(k, n.dim, 0)
-    else:
-        t = zero_matrix(k, n.dim, 0)
-    return n2, t
+    return n2, hstack(k, blocks) if blocks else zero_matrix(k, n.dim, 0)
 
 
 class RoundtripReport(NamedTuple):
@@ -412,7 +371,7 @@ def transport_module(m: ModulePresheaf, sub: FullSubcategory,
         top = subcategory_topology(cat, sub)
     elif top != subcategory_topology(cat, sub):
         raise ModuleError("the topology is not the one induced by the subcategory")
-    defect = sheaf_defect(m.r.underlying_linear(), top)
+    defect = sheaf_defect(m.r.space, top)
     if defect is not None:
         raise ModuleError(
             f"coefficient presheaf is not a sheaf of algebras: descent fails "
@@ -447,10 +406,8 @@ def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub, top):
         fams = kan[x]
         acts = []
         for bidx in range(r.algebra(x).dim):
-            big = block_matrix(k, fams.total, fams.total,
-                               [(fams.offsets[i], fams.offsets[i],
-                                 m_d.act(cat.dom(t), r.mat(t).col(bidx)))
-                                for i, t in enumerate(fams.members)])
+            big = block_diagonal(k, [m_d.act(cat.dom(t), r.mat(t).col(bidx))
+                                     for t in fams.members])
             sol = solve_matrix(k, fams.basis, mat_mul(k, big, fams.basis))
             if sol is None:
                 raise ModuleError("componentwise action left the family space")

@@ -15,8 +15,8 @@ from typing import Iterable, NamedTuple
 
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, identity_matrix, is_invertible, mat_combination,
-                     mat_mul, matrix, null_space, zero_matrix)
+from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
+                     mat_combination, mat_mul, matrix, null_space, zero_matrix)
 
 
 class PresheafError(EngineError):
@@ -191,6 +191,13 @@ def constant_linear_presheaf(cat: FiniteCategory, field, dim: int) -> LinearPres
 # -- natural maps and isomorphism checks --------------------------------
 
 
+def _set_squares_commute(f: SetPresheaf, g: SetPresheaf, components: dict,
+                         morphisms) -> bool:
+    """The naturality square of every morphism given commutes."""
+    return all(components[m.dom][f.apply(m.name, a)] == g.apply(m.name, components[m.cod][a])
+               for m in morphisms for a in f.at(m.cod))
+
+
 def is_natural_set_map(f: SetPresheaf, g: SetPresheaf, components: dict) -> bool:
     """components[x] maps f.at(x) -> g.at(x); checks the naturality squares."""
     cat = f.cat
@@ -198,11 +205,7 @@ def is_natural_set_map(f: SetPresheaf, g: SetPresheaf, components: dict) -> bool
         table = components[x]
         if set(table) != set(f.at(x)) or not set(table.values()) <= set(g.at(x)):
             return False
-    for m in cat.morphisms:
-        for a in f.at(m.cod):
-            if components[m.dom][f.apply(m.name, a)] != g.apply(m.name, components[m.cod][a]):
-                return False
-    return True
+    return _set_squares_commute(f, g, components, cat.morphisms)
 
 
 def set_presheaf_isomorphism(f: SetPresheaf, g: SetPresheaf) -> dict | None:
@@ -212,21 +215,14 @@ def set_presheaf_isomorphism(f: SetPresheaf, g: SetPresheaf) -> dict | None:
         return None
     order = list(cat.objects)
 
-    def consistent(assign):
-        for m in cat.morphisms:
-            if m.dom in assign and m.cod in assign:
-                for a in f.at(m.cod):
-                    if assign[m.dom][f.apply(m.name, a)] != g.apply(m.name, assign[m.cod][a]):
-                        return False
-        return True
-
     def search(i, assign):
         if i == len(order):
             return dict(assign)
         x = order[i]
         for image in itertools.permutations(g.at(x)):
             assign[x] = dict(zip(f.at(x), image))
-            if consistent(assign):
+            if _set_squares_commute(f, g, assign, [m for m in cat.morphisms
+                                                   if m.dom in assign and m.cod in assign]):
                 found = search(i + 1, assign)
                 if found:
                     return found
@@ -274,11 +270,8 @@ def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
     order; the basis is the canonical null space of their equations.
     """
     k = src.field
-    offsets = {}
-    total = 0
-    for x, d in src.dims.items():
-        offsets[x] = total
-        total += dst.dims[x] * d
+    starts, total = block_offsets(dst.dims[x] * d for x, d in src.dims.items())
+    offsets = dict(zip(src.dims, starts))
     rows = []
     for (x, y, s), (_, _, t) in zip(src.arrows, dst.arrows):
         dx, dy = src.dims[x], src.dims[y]

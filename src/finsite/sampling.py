@@ -17,13 +17,21 @@ from .algebras import AlgebraPresheaf, FiniteDimAlgebra, constant_algebra_preshe
     field_algebra, skew_category_algebra
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, block_matrix, col_space, hstack, inverse, is_invertible,
+from .fields import (Matrix, block_diagonal, col_space, hstack, inverse, is_invertible,
                      mat_mul, matrix, matrix_from_cols, solve_matrix,
                      unit_vec, zero_matrix)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
     transport_module_back
 from .presheaves import LinearPresheaf, SetPresheaf
 from .topology import GrothendieckTopology
+
+# Random modules are cut from free modules of rank 1..MAX_RANK; random set
+# presheaves quotient 1..MAX_GENERATORS representables and 0..MAX_CONSTANTS
+# constant points by 0..MAX_RELATIONS generating identifications.
+MAX_RANK = 1
+MAX_GENERATORS = 2
+MAX_CONSTANTS = 1
+MAX_RELATIONS = 2
 
 
 def random_invertible_matrix(field, n: int, rng: random.Random) -> Matrix:
@@ -45,13 +53,9 @@ def regular_module(algebra: FiniteDimAlgebra) -> AlgebraModule:
 
 
 def free_module(algebra: FiniteDimAlgebra, rank: int) -> AlgebraModule:
-    k = algebra.field
     reg = regular_module(algebra)
-    n = algebra.dim * rank
-    acts = [block_matrix(k, n, n, [(b * algebra.dim, b * algebra.dim, a)
-                                   for b in range(rank)])
-            for a in reg.actions]
-    return AlgebraModule(algebra, n, acts, check=False)
+    acts = [block_diagonal(algebra.field, [a] * rank) for a in reg.actions]
+    return AlgebraModule(algebra, algebra.dim * rank, acts, check=False)
 
 
 def _span_closure(n: AlgebraModule, vectors) -> Matrix:
@@ -116,10 +120,9 @@ def twist_algebra_module(n: AlgebraModule, p: Matrix) -> AlgebraModule:
     return AlgebraModule(n.algebra, n.dim, acts, check=False)
 
 
-def random_algebra_module(algebra: FiniteDimAlgebra, rng: random.Random,
-                          *, max_rank: int = 1) -> AlgebraModule:
+def random_algebra_module(algebra: FiniteDimAlgebra, rng: random.Random) -> AlgebraModule:
     k = algebra.field
-    rank = rng.randint(1, max_rank)
+    rank = rng.randint(1, MAX_RANK)
     free = free_module(algebra, rank)
     if free.dim == 0:
         return free
@@ -162,11 +165,10 @@ def twist_module_presheaf(m: ModulePresheaf, twists: dict) -> ModulePresheaf:
 
 
 def random_module_presheaf(r: AlgebraPresheaf, rng: random.Random,
-                           *, max_rank: int = 1,
-                           skew=None) -> ModulePresheaf:
+                           *, skew=None) -> ModulePresheaf:
     if skew is None:
         skew = skew_category_algebra(r.cat, r)
-    n = random_algebra_module(skew, rng, max_rank=max_rank)
+    n = random_algebra_module(skew, rng)
     m = to_module_presheaf(n, check=False)
     twists = {x: random_invertible_matrix(r.field, m.dim(x), rng)
               for x in r.cat.objects}
@@ -174,36 +176,32 @@ def random_module_presheaf(r: AlgebraPresheaf, rng: random.Random,
 
 
 def random_sheaf_module(r: AlgebraPresheaf, sub: FullSubcategory,
-                        top: GrothendieckTopology, rng: random.Random,
-                        *, max_rank: int = 1) -> ModulePresheaf:
+                        top: GrothendieckTopology, rng: random.Random) -> ModulePresheaf:
     """A random sheaf of modules for a subcategory topology, produced by
     inverse transport from a random module over the subcategory."""
     skew_d = skew_category_algebra(sub.category, r.restrict(sub))
-    n = random_algebra_module(skew_d, rng, max_rank=max_rank)
+    n = random_algebra_module(skew_d, rng)
     m = transport_module_back(n, r, sub, top)
     twists = {x: random_invertible_matrix(r.field, m.dim(x), rng)
               for x in r.cat.objects}
     return twist_module_presheaf(m, twists)
 
 
-def random_linear_presheaf(cat: FiniteCategory, field, rng: random.Random,
-                           *, max_rank: int = 1) -> LinearPresheaf:
+def random_linear_presheaf(cat: FiniteCategory, field, rng: random.Random) -> LinearPresheaf:
     """Random functorial linear presheaf: the underlying space of a random
     module presheaf over the constant field coefficients."""
     r = constant_algebra_presheaf(cat, field_algebra(field))
-    return random_module_presheaf(r, rng, max_rank=max_rank).space
+    return random_module_presheaf(r, rng).space
 
 
 # -- set presheaves --------------------------------------------------------
 
 
-def random_set_presheaf(cat: FiniteCategory, rng: random.Random,
-                        *, max_generators: int = 2, max_constants: int = 1,
-                        max_relations: int = 2) -> SetPresheaf:
+def random_set_presheaf(cat: FiniteCategory, rng: random.Random) -> SetPresheaf:
     """Quotient of a coproduct of representables and constants by a random
     precomposition-closed congruence; functorial by construction."""
-    gens = [rng.choice(cat.objects) for _ in range(rng.randint(1, max_generators))]
-    constants = rng.randint(0, max_constants)
+    gens = [rng.choice(cat.objects) for _ in range(rng.randint(1, MAX_GENERATORS))]
+    constants = rng.randint(0, MAX_CONSTANTS)
 
     def elements(x):
         out = [("rep", i, u) for i, c in enumerate(gens) for u in cat.hom(x, c)]
@@ -231,7 +229,7 @@ def random_set_presheaf(cat: FiniteCategory, rng: random.Random,
         if ra != rb:
             parent[max(ra, rb, key=repr)] = min(ra, rb, key=repr)
 
-    for _ in range(rng.randint(0, max_relations)):
+    for _ in range(rng.randint(0, MAX_RELATIONS)):
         x = rng.choice(cat.objects)
         pool = elements(x)
         if len(pool) < 2:

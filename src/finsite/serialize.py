@@ -96,6 +96,40 @@ def _matrix_in(field, raw, rows: int, cols: int, where: str) -> Matrix:
                   cols=cols)
 
 
+_KINDS = {dict: "a mapping", list: "a list", int: "an integer"}
+
+
+def _typed(raw, kind: type, what: str):
+    """raw, which must be of kind dict, list or int (not a boolean); what
+    names it in the diagnostic."""
+    if not isinstance(raw, kind) or isinstance(raw, bool):
+        raise DocumentError(f"{what} must be {_KINDS[kind]}")
+    return raw
+
+
+def _dims_in(doc: dict, cat: FiniteCategory, where: str) -> dict:
+    raw = _typed(doc["dims"], dict, f"{where}: field 'dims'")
+    return {x: _typed(raw.get(x, 0), int, f"{where}: field 'dims' at {x!r}")
+            for x in cat.objects}
+
+
+def _maps_out(cat: FiniteCategory, mat) -> dict:
+    """The map table of a linear presheaf, mat(f) being the matrix of f."""
+    return {m.name: _matrix_out(mat(m.name)) for m in cat.morphisms}
+
+
+def _maps_in(doc: dict, cat: FiniteCategory, field, dims: dict, where: str) -> dict:
+    """The matrices of a map table, f of shape dims[dom f] x dims[cod f]."""
+    raw = _typed(doc["maps"], dict, f"{where}: field 'maps'")
+    mats = {}
+    for m in cat.morphisms:
+        if raw.get(m.name) is None:
+            raise DocumentError(f"{where}: missing map for {m.name!r}")
+        mats[m.name] = _matrix_in(field, raw[m.name], dims[m.dom], dims[m.cod],
+                                  f"{where} map {m.name!r}")
+    return mats
+
+
 # -- categories and groups ------------------------------------------------
 
 
@@ -116,8 +150,10 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 def group_from_doc(doc: dict) -> FiniteGroup:
     _expect(doc, {"format", "kind", "elements", "table"}, {"name"}, "group")
-    return FiniteGroup.from_rows(doc["elements"], doc["table"],
-                                 name=doc.get("name", "G"))
+    rows = [_typed(row, list, "group: each row of 'table'")
+            for row in _typed(doc["table"], list, "group: field 'table'")]
+    return FiniteGroup.from_rows(_typed(doc["elements"], list, "group: field 'elements'"),
+                                 rows, name=doc.get("name", "G"))
 
 
 # -- topologies ------------------------------------------------------------
@@ -133,13 +169,14 @@ def topology_to_doc(top: GrothendieckTopology) -> dict:
 
 def topology_from_doc(doc: dict, cat: FiniteCategory) -> GrothendieckTopology:
     _expect(doc, {"format", "kind", "covering"}, {"label"}, "topology")
-    raw = doc["covering"]
+    raw = _typed(doc["covering"], dict, "topology: field 'covering'")
     if set(raw) != set(cat.objects):
         raise DocumentError("topology: covering must list every object exactly once")
     covering = {}
     for x, sieves in raw.items():
         fams = set()
-        for members in sieves:
+        for members in _typed(sieves, list, f"topology: the covering at {x!r}"):
+            _typed(members, list, f"topology: each sieve at {x!r}")
             for m in members:
                 if m not in cat.mor_index:
                     raise DocumentError(f"topology: unknown morphism {m!r} at {x!r}")
@@ -166,7 +203,7 @@ def presheaf_to_doc(f) -> dict:
     return {"format": FORMAT, "kind": "presheaf", "flavor": "linear",
             "field": f.field.label,
             "dims": {x: f.at(x) for x in f.cat.objects},
-            "maps": {m.name: _matrix_out(f.mat(m.name)) for m in f.cat.morphisms}}
+            "maps": _maps_out(f.cat, f.mat)}
 
 
 def presheaf_from_doc(doc: dict, cat: FiniteCategory):
@@ -174,28 +211,23 @@ def presheaf_from_doc(doc: dict, cat: FiniteCategory):
             {"values", "maps", "field", "dims"}, "presheaf")
     if doc["flavor"] == "set":
         _expect(doc, {"format", "kind", "flavor", "values", "maps"}, set(), "presheaf")
-        values = {x: tuple(doc["values"].get(x, ())) for x in cat.objects}
+        raw_values = _typed(doc["values"], dict, "presheaf: field 'values'")
+        raw_maps = _typed(doc["maps"], dict, "presheaf: field 'maps'")
+        values = {x: _typed(raw_values.get(x, []), list, f"presheaf: the value at {x!r}")
+                  for x in cat.objects}
         maps = {}
         for m in cat.morphisms:
-            table = doc["maps"].get(m.name)
-            if table is None:
+            if raw_maps.get(m.name) is None:
                 raise DocumentError(f"presheaf: missing map for {m.name!r}")
-            maps[m.name] = dict(table)
+            maps[m.name] = _typed(raw_maps[m.name], dict, f"presheaf: the map of {m.name!r}")
         return SetPresheaf(cat, values, maps)
     if doc["flavor"] != "linear":
         raise DocumentError(f"presheaf: unknown flavor {doc['flavor']!r}")
     _expect(doc, {"format", "kind", "flavor", "field", "dims", "maps"}, set(),
             "presheaf")
     field = field_by_label(doc["field"])
-    dims = {x: int(doc["dims"].get(x, 0)) for x in cat.objects}
-    mats = {}
-    for m in cat.morphisms:
-        raw = doc["maps"].get(m.name)
-        if raw is None:
-            raise DocumentError(f"presheaf: missing map for {m.name!r}")
-        mats[m.name] = _matrix_in(field, raw, dims[m.dom], dims[m.cod],
-                                  f"presheaf map {m.name!r}")
-    return LinearPresheaf(cat, field, dims, mats)
+    dims = _dims_in(doc, cat, "presheaf")
+    return LinearPresheaf(cat, field, dims, _maps_in(doc, cat, field, dims, "presheaf"))
 
 
 # -- algebra presheaves -------------------------------------------------------
@@ -211,13 +243,17 @@ def _algebra_to_doc(a: FiniteDimAlgebra) -> dict:
 
 def _algebra_from_doc(doc: dict, field, where: str) -> FiniteDimAlgebra:
     _expect(doc, {"dim", "table", "unit"}, {"labels"}, where)
-    dim = int(doc["dim"])
-    raw = doc["table"]
-    if len(raw) != dim or any(len(row) != dim for row in raw):
+    dim = _typed(doc["dim"], int, f"{where}: field 'dim'")
+    raw = _typed(doc["table"], list, f"{where}: field 'table'")
+    if len(raw) != dim or any(not isinstance(row, list) or len(row) != dim
+                              or not all(isinstance(cell, list) for cell in row)
+                              for row in raw):
         raise DocumentError(f"{where}: table must be {dim}x{dim}")
     table = [[[_scalar_in(field, c) for c in cell] for cell in row] for row in raw]
-    unit = [_scalar_in(field, c) for c in doc["unit"]]
+    unit = [_scalar_in(field, c) for c in _typed(doc["unit"], list, f"{where}: field 'unit'")]
     labels = doc.get("labels")
+    if labels is not None:
+        _typed(labels, list, f"{where}: field 'labels'")
     return FiniteDimAlgebra(field, table, unit, labels=labels)
 
 
@@ -225,26 +261,20 @@ def algebra_presheaf_to_doc(r: AlgebraPresheaf) -> dict:
     return {"format": FORMAT, "kind": "algebra-presheaf",
             "field": r.field.label,
             "algebras": {x: _algebra_to_doc(r.algebra(x)) for x in r.cat.objects},
-            "maps": {m.name: _matrix_out(r.mat(m.name)) for m in r.cat.morphisms}}
+            "maps": _maps_out(r.cat, r.mat)}
 
 
 def algebra_presheaf_from_doc(doc: dict, cat: FiniteCategory) -> AlgebraPresheaf:
     _expect(doc, {"format", "kind", "field", "algebras", "maps"}, set(),
             "algebra-presheaf")
     field = field_by_label(doc["field"])
-    if set(doc["algebras"]) != set(cat.objects):
+    algebras = _typed(doc["algebras"], dict, "algebra-presheaf: field 'algebras'")
+    if set(algebras) != set(cat.objects):
         raise DocumentError("algebra-presheaf: algebras must cover every object")
-    at = {x: _algebra_from_doc(doc["algebras"][x], field,
-                               f"algebra-presheaf at {x!r}")
+    at = {x: _algebra_from_doc(algebras[x], field, f"algebra-presheaf at {x!r}")
           for x in cat.objects}
-    maps = {}
-    for m in cat.morphisms:
-        raw = doc["maps"].get(m.name)
-        if raw is None:
-            raise DocumentError(f"algebra-presheaf: missing map for {m.name!r}")
-        maps[m.name] = _matrix_in(field, raw, at[m.dom].dim, at[m.cod].dim,
-                                  f"algebra-presheaf map {m.name!r}")
-    return AlgebraPresheaf(cat, at, maps)
+    dims = {x: a.dim for x, a in at.items()}
+    return AlgebraPresheaf(cat, at, _maps_in(doc, cat, field, dims, "algebra-presheaf"))
 
 
 # -- modules -------------------------------------------------------------------
@@ -254,8 +284,7 @@ def module_presheaf_to_doc(m: ModulePresheaf) -> dict:
     return {"format": FORMAT, "kind": "module-presheaf",
             "field": m.field.label,
             "dims": {x: m.dim(x) for x in m.cat.objects},
-            "maps": {mor.name: _matrix_out(m.space.mat(mor.name))
-                     for mor in m.cat.morphisms},
+            "maps": _maps_out(m.cat, m.space.mat),
             "actions": {x: [_matrix_out(a) for a in m.actions[x]]
                         for x in m.cat.objects}}
 
@@ -267,19 +296,14 @@ def module_presheaf_from_doc(doc: dict, r: AlgebraPresheaf) -> ModulePresheaf:
     field = field_by_label(doc["field"])
     if field != r.field:
         raise DocumentError("module-presheaf: field differs from the coefficients")
-    dims = {x: int(doc["dims"].get(x, 0)) for x in cat.objects}
-    mats = {}
-    for m in cat.morphisms:
-        raw = doc["maps"].get(m.name)
-        if raw is None:
-            raise DocumentError(f"module-presheaf: missing map for {m.name!r}")
-        mats[m.name] = _matrix_in(field, raw, dims[m.dom], dims[m.cod],
-                                  f"module-presheaf map {m.name!r}")
-    space = LinearPresheaf(cat, field, dims, mats)
+    dims = _dims_in(doc, cat, "module-presheaf")
+    space = LinearPresheaf(cat, field, dims,
+                           _maps_in(doc, cat, field, dims, "module-presheaf"))
+    raw_actions = _typed(doc["actions"], dict, "module-presheaf: field 'actions'")
     actions = {}
     for x in cat.objects:
-        raw = doc["actions"].get(x)
-        if raw is None or len(raw) != r.algebra(x).dim:
+        raw = raw_actions.get(x)
+        if not isinstance(raw, list) or len(raw) != r.algebra(x).dim:
             raise DocumentError(f"module-presheaf: need one action matrix per "
                                 f"basis element at {x!r}")
         actions[x] = tuple(_matrix_in(field, a, dims[x], dims[x],
@@ -301,8 +325,8 @@ def algebra_module_from_doc(doc: dict, algebra: FiniteDimAlgebra) -> AlgebraModu
     field = field_by_label(doc["field"])
     if field != algebra.field:
         raise DocumentError("algebra-module: field differs from the algebra")
-    dim = int(doc["dim"])
-    raw = doc["actions"]
+    dim = _typed(doc["dim"], int, "algebra-module: field 'dim'")
+    raw = _typed(doc["actions"], list, "algebra-module: field 'actions'")
     if len(raw) != algebra.dim:
         raise DocumentError("algebra-module: need one action matrix per basis element")
     actions = [_matrix_in(field, a, dim, dim, "algebra-module action") for a in raw]

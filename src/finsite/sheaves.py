@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, block_matrix, identity_matrix, mat_mul, matrix,
-                     null_space, rank, solve_matrix, vstack, zero_matrix)
+from .fields import (Matrix, block_matrix, block_offsets, identity_matrix, mat_mul,
+                     matrix, null_space, rank, solve_matrix, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve, sieve_sort_key
 from .topology import GrothendieckTopology
@@ -78,8 +78,7 @@ def families(f, cat: FiniteCategory, members: tuple):
                      if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
     k = f.field
     dims = tuple(f.at(cat.dom(u)) for u in members)
-    offsets = tuple(itertools.accumulate(dims[:-1], initial=0)) if dims else ()
-    total = sum(dims)
+    offsets, total = block_offsets(dims)
     rows = []
     for i, v, j in links:
         fv = f.mat(v)
@@ -336,16 +335,9 @@ def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPr
     dims = {}
     offsets = {}
     for x in cat.objects:
-        bs = [_fixed_subspace_basis(k, f, comp.rep_object, comp.stabilizer)
-              for comp in components[x]]
-        bases[x] = bs
-        offs = []
-        total = 0
-        for b in bs:
-            offs.append(total)
-            total += b.cols
-        offsets[x] = offs
-        dims[x] = total
+        bases[x] = [_fixed_subspace_basis(k, f, comp.rep_object, comp.stabilizer)
+                    for comp in components[x]]
+        offsets[x], dims[x] = block_offsets(b.cols for b in bases[x])
     mats = {}
     for m in cat.morphisms:
         w, x = m.dom, m.cod

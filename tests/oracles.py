@@ -5,7 +5,8 @@ library: word reduction for the involution presentation, long-form
 colimits for half-sheafification, the sheaf condition on least covering
 sieves only, right Kan extension with its own family solver, sieves by a
 scan of every subset, the topology census by a product search and
-unpruned, with labels found by a scan of every object subset, pointwise
+unpruned, with labels found by a scan of every object subset, the
+classifying subcategory by a scan of the candidates, pointwise
 coset maps for orbit categories, a direct category-algebra table, and a
 searched basis change onto the 2x2 matrix algebra.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from finsite.category import FiniteCategory
+from finsite.category import FiniteCategory, strictly_full_karoubian_subcategories
 from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
                             null_space, rank, solve, solve_matrix, unit_vec,
                             vec_sub, zero_vec)
@@ -23,7 +24,7 @@ from finsite.sheaves import (_sieve_is_descent, linear_matching_families,
                              member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
 from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
-from finsite.topology import GrothendieckTopology, check_topology
+from finsite.topology import GrothendieckTopology, check_topology, subcategory_topology
 
 
 # -- word reduction for the involution presentation ------------------------
@@ -367,6 +368,15 @@ def census_yaml(cat: FiniteCategory) -> str:
         key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
         top.label = labels.get(key, "J?")
     return dump_text({"count": len(tops), "topologies": [topology_to_doc(t) for t in tops]})
+
+
+def scan_classifying_subcategory(cat: FiniteCategory, top: GrothendieckTopology):
+    """The first strictly full Karoubian D, in (size, index-lex) order,
+    with J^D equal to top, or None."""
+    for sub in strictly_full_karoubian_subcategories(cat):
+        if subcategory_topology(cat, sub) == top:
+            return sub
+    return None
 
 
 def unpruned_topologies(cat: FiniteCategory):

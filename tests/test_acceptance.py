@@ -368,7 +368,7 @@ def test_criterion_10_transport():
         sub = FullSubcategory(chain3, ("x", "y"))
         top = subcategory_topology(chain3, sub)
         r = chain_diagonal_algebra_presheaf(F5)
-        assert is_sheaf(r.underlying_linear(), top)
+        assert is_sheaf(r.space, top)
         rng = random.Random(1010)
         for _ in range(25):
             m = random_sheaf_module(r, sub, top, rng)

@@ -13,6 +13,7 @@ from finsite.algebras import (AlgebraError, AlgebraPresheaf, FiniteDimAlgebra,
 from finsite.category import validate_category
 from finsite.fields import identity_matrix, matrix, mat_vec, unit_vec
 from finsite.gallery import symmetric_group
+from finsite.presheaves import PresheafError
 
 from oracles import category_algebra_table, searched_matrix_algebra_isomorphism
 
@@ -53,6 +54,24 @@ def test_algebra_presheaf_validation(f5, chain3):
     AlgebraPresheaf(chain3, {"x": alg2, "y": alg1, "z": alg1},
                     {"1x": identity_matrix(f5, 2), "1y": one, "1z": one,
                      "f": good, "g": one, "gf": good})
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"gf": [[1], [0]]}, "functoriality fails on ('g','f')"),
+    ({"1x": [[0, 1], [1, 0]]}, "identity at 'x' is not the identity matrix"),
+    ({"f": [[1, 1]]}, "map of 'f' has shape 1x2, expected 2x1"),
+], ids=["not functorial", "identity moves", "wrong shape"])
+def test_algebra_presheaf_refuses_a_bad_underlying_presheaf(f5, chain3, change, message):
+    """Shapes, identities and functoriality are checked on the underlying
+    linear presheaf, so each refusal carries its wording."""
+    alg1 = field_algebra(f5)
+    maps = {"1x": identity_matrix(f5, 2), "1y": identity_matrix(f5, 1),
+            "1z": identity_matrix(f5, 1), "f": matrix(f5, [[1], [1]]),
+            "g": identity_matrix(f5, 1), "gf": matrix(f5, [[1], [1]])}
+    maps.update({name: matrix(f5, rows) for name, rows in change.items()})
+    with pytest.raises(PresheafError) as err:
+        AlgebraPresheaf(chain3, {"x": diagonal_algebra(f5, 2), "y": alg1, "z": alg1}, maps)
+    assert str(err.value) == message
 
 
 def test_skew_dimension_rule(chain3, f5):

@@ -381,3 +381,65 @@ def test_s4_census_is_refused_by_the_sieve_guard(capsys, argv, obj):
     code, out, err = run_cli(capsys, "top", "enumerate", *argv)
     assert (code, out) == (1, "")
     assert err == f"error: sieve enumeration too large at {obj}: 2^24 subsets\n"
+
+
+# Each malformed document: the CLI call reading it as "BAD", the kind of
+# genuine document it is cut from, and the field given a wrong type.
+MALFORMED_CASES = [
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "presheaf", "dims", [1, 2]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "presheaf", "maps", [1, 2]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "presheaf", "dims", {"x": "two"}),
+    (["top", "classify", "--gallery", "chain3", "--topology", "BAD"],
+     "topology", "covering", [["x"]]),
+    (["cat", "info", "--category", "BAD"], "category", "identities", ["1x"]),
+    (["cat", "validate", "--category", "BAD"], "category", "identities", ["1x"]),
+    (["cat", "info", "--gallery", "group", "--group-file", "BAD"], "group", "table", 5),
+    (["mod", "theta", "--gallery", "chain3", "--algebra", "ALGEBRA", "--module", "BAD"],
+     "module-presheaf", "actions", [1]),
+    (["mod", "omega", "--gallery", "chain3", "--algebra", "ALGEBRA",
+      "--algebra-module", "BAD"], "algebra-module", "actions", 5),
+    (["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
+     "algebra-presheaf", "algebras", ["x", "y", "z"]),
+]
+
+
+@pytest.mark.parametrize("argv,kind,field,value", MALFORMED_CASES,
+                         ids=[f"{c[0][0]} {c[0][1]} {c[1]} {c[2]}={c[3]!r}"
+                              for c in MALFORMED_CASES])
+def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
+                                           argv, kind, field, value):
+    import random
+
+    from finsite.algebras import chain_diagonal_algebra_presheaf
+    from finsite.modules import to_algebra_module
+    from finsite.presheaves import constant_linear_presheaf
+    from finsite.sampling import random_module_presheaf
+    from finsite.serialize import (algebra_module_to_doc, algebra_presheaf_to_doc,
+                                   group_to_doc, module_presheaf_to_doc)
+
+    r = chain_diagonal_algebra_presheaf(f5)
+    m = random_module_presheaf(r, random.Random(3))
+    genuine = {"presheaf": presheaf_to_doc(constant_linear_presheaf(chain3, f5, 1)),
+               "topology": topology_to_doc(subcategory_topology(chain3, ("x",))),
+               "category": category_to_doc(chain3),
+               "group": group_to_doc(c2),
+               "module-presheaf": module_presheaf_to_doc(m),
+               "algebra-module": algebra_module_to_doc(to_algebra_module(m)),
+               "algebra-presheaf": algebra_presheaf_to_doc(r)}
+    bad = dict(genuine[kind], **{field: value})
+    paths = {"BAD": tmp_path / "bad.yaml", "ALGEBRA": tmp_path / "algebra.yaml"}
+    paths["BAD"].write_text(dump_text(bad))
+    paths["ALGEBRA"].write_text(dump_text(genuine["algebra-presheaf"]))
+    code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert code == 1
+    if argv[:2] == ["cat", "validate"]:
+        assert err == "" and yaml.safe_load(out)["valid"] is False
+        assert field in out
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            [err.splitlines()[0]]
+        assert field in err

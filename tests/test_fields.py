@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from finsite.fields import (FieldError, PrimeField, RationalField,
-                            col_space, field_by_label, hstack, identity_matrix,
+                            block_diagonal, block_offsets, col_space,
+                            field_by_label, hstack, identity_matrix,
                             inverse, mat_mul, mat_vec, matrix, matrix_from_cols,
                             null_space, rank, rref, solve, solve_matrix,
                             transpose, vstack, zero_matrix)
@@ -115,3 +116,20 @@ def test_stacking():
     assert hstack(f2, [matrix_from_cols(f2, [(1, 0)], rows=2),
                        matrix_from_cols(f2, [(0, 1)], rows=2)]) \
         == identity_matrix(f2, 2)
+
+
+def test_block_layout_on_empty_and_zero_size_blocks():
+    f5 = PrimeField(5)
+    assert block_offsets([]) == ((), 0)
+    assert block_offsets(iter([0, 2, 0, 3])) == ((0, 0, 2, 2), 5)
+    assert block_diagonal(f5, []) == zero_matrix(f5, 0, 0)
+    assert block_diagonal(f5, [zero_matrix(f5, 0, 2), zero_matrix(f5, 3, 0)]) \
+        == zero_matrix(f5, 3, 2)
+    a = matrix(f5, [[1, 2]])
+    b = matrix(f5, [[3], [4]])
+    # a 0x2 block moves the columns on, a 1x0 block the rows
+    got = block_diagonal(f5, [a, zero_matrix(f5, 0, 2), zero_matrix(f5, 1, 0), b])
+    assert got == matrix(f5, [[1, 2, 0, 0, 0],
+                              [0, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 3],
+                              [0, 0, 0, 0, 4]])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from finsite.algebras import (chain_diagonal_algebra_presheaf,
-                              constant_algebra_presheaf, field_algebra,
+                              constant_algebra_presheaf, diagonal_algebra, field_algebra,
                               group_algebra, involution_group_algebra_presheaf,
                               skew_category_algebra, swap_action_presheaf)
 from finsite.category import FullSubcategory
@@ -19,8 +19,9 @@ from finsite.modules import (AlgebraModule, ModuleError, ModulePresheaf,
                              to_algebra_module_map, to_module_presheaf,
                              transport_module, unbundle_bundle_witness,
                              verify_equivalence_roundtrip)
-from finsite.presheaves import (LinearPresheaf, intertwiner_basis,
-                                invertible_intertwiner, zero_presheaf)
+from finsite.presheaves import (LinearPresheaf, constant_linear_presheaf,
+                                intertwiner_basis, invertible_intertwiner,
+                                zero_presheaf)
 from finsite.sampling import (random_algebra_module, random_module_presheaf,
                               random_sheaf_module, regular_module)
 from finsite.topology import subcategory_topology
@@ -96,6 +97,22 @@ def test_module_validation_catches_incompatibility(chain3, f5):
     bad_actions = {"x": (one,), "y": (two,), "z": (one,)}
     with pytest.raises(ModuleError):
         ModulePresheaf(r, space, bad_actions)
+
+
+def test_non_multiplicative_action_is_refused_by_name(chain3, f5):
+    """e0 acting by 2 and e1 by 4 on F5: the unit acts as 2 + 4 = 1, but
+    e0 e0 = e0 would need 2 * 2 = 2."""
+    alg = diagonal_algebra(f5, 2)
+    bad = (matrix(f5, [[2]]), matrix(f5, [[4]]))
+    with pytest.raises(ModuleError) as err:
+        AlgebraModule(alg, 1, bad)
+    assert str(err.value) == "action not multiplicative on basis ('e0','e0')"
+    good = (matrix(f5, [[1]]), matrix(f5, [[0]]))
+    with pytest.raises(ModuleError) as err:
+        ModulePresheaf(constant_algebra_presheaf(chain3, alg),
+                       constant_linear_presheaf(chain3, f5, 1),
+                       {"x": good, "y": bad, "z": good})
+    assert str(err.value) == "action not multiplicative at 'y' on basis ('e0','e0')"
 
 
 def test_unbundle_bundle_roundtrip_random(chain3, involution, f2, f5):

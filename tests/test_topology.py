@@ -15,7 +15,7 @@ from finsite.topology import (ClassificationError,
                               is_topology, maximal_topology, minimal_topology,
                               subcategory_topology, topology_from_minimal_covers)
 
-from oracles import census_yaml, unpruned_topologies
+from oracles import census_yaml, scan_classifying_subcategory, unpruned_topologies
 
 # The census members of the benchmark ladder that the guards let through.
 CENSUS_MEMBERS = [("chain3",), ("chain4",), ("chain5",), ("chain6",),
@@ -146,6 +146,22 @@ def test_top_enumerate_matches_product_search_oracle(member, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == census_yaml(category_by_name(member[0], group=group, p=p))
+
+
+@pytest.mark.parametrize("member", CENSUS_MEMBERS, ids=lambda m: " ".join(map(str, m)))
+def test_classification_matches_the_scan(member):
+    """classify_topology reads D off the least covers; the scan tries every
+    candidate D. They agree on every census topology, refusals included."""
+    from finsite.gallery import category_by_name
+    cat = category_by_name(member[0], group=member[1] if len(member) > 1 else None,
+                           p=member[2] if len(member) > 2 else None)
+    for top in enumerate_topologies(cat):
+        expected = scan_classifying_subcategory(cat, top)
+        if expected is None:
+            with pytest.raises(ClassificationError):
+                classify_topology(cat, top)
+        else:
+            assert classify_topology(cat, top).objects == expected.objects
 
 
 def test_idempotent_category_census_is_unclassifiable():
