@@ -68,6 +68,14 @@ def category_problems(data: dict) -> list[str]:
         pairs = [((c["g"], c["f"]), c["gf"]) for c in data["compose"]]
     except (TypeError, KeyError):
         return ["compose entries must be {g, f, gf} records"]
+    named = ([("objects", x) for x in data["objects"]]
+             + [("identities", i) for i in data["identities"].values()]
+             + [("morphisms", v) for m in morphisms for v in m]
+             + [("compose", v) for (g, f), gf in pairs for v in (g, f, gf)])
+    problems = [f"field {key}: {v!r} is not a name" for key, v in named
+                if isinstance(v, (list, dict))]
+    if problems:
+        return problems
     compose = {}
     for key, value in pairs:
         if key in compose and compose[key] != value:
@@ -357,27 +365,12 @@ def karoubian_report(cat: FiniteCategory) -> SplittingReport:
     A splitting of e: x -> x is a pair r: x -> y, s: y -> x with
     compose(s, r) = e and compose(r, s) = id_y.
     """
-    splittings = {}
-    unsplit = []
-    for e in cat.idempotents():
-        x = cat.dom(e)
-        found = None
-        for y in cat.objects:
-            for r in cat.hom(x, y):
-                for s in cat.hom(y, x):
-                    if (cat.compose(s, r) == e
-                            and cat.compose(r, s) == cat.id_of(y)):
-                        found = (r, s)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            splittings[e] = found
-        else:
-            unsplit.append(e)
-    return SplittingReport(not unsplit, splittings, tuple(unsplit))
+    found = {e: next(((r, s) for y in cat.objects for r in cat.hom(cat.dom(e), y)
+                      for s in cat.hom(y, cat.dom(e))
+                      if cat.compose(s, r) == e and cat.compose(r, s) == cat.id_of(y)), None)
+             for e in cat.idempotents()}
+    unsplit = tuple(e for e, rs in found.items() if rs is None)
+    return SplittingReport(not unsplit, {e: rs for e, rs in found.items() if rs}, unsplit)
 
 
 def is_karoubian(cat: FiniteCategory) -> bool:
@@ -396,21 +389,54 @@ def iso_classes(cat: FiniteCategory) -> tuple[tuple[str, ...], ...]:
     return tuple(classes)
 
 
+class KaroubiClass(NamedTuple):
+    idempotents: tuple[str, ...]  # in morphism order
+    objects: tuple[str, ...]      # the x with 1_x among them: an iso class, or none
+    retracts: frozenset           # indices of the classes that are its retracts, itself too
+
+
+def karoubi_classes(cat: FiniteCategory) -> tuple[KaroubiClass, ...]:
+    """The objects of the Karoubi envelope up to isomorphism, in morphism order.
+
+    The idempotent e on x stands for (x, e). (y, a) is a retract of (z, b)
+    when some f: y -> z and g: z -> y satisfy f = b·f·a, g = a·g·b and
+    g·f = a. Hom-sets are finite, so mutual retracts are isomorphic.
+    """
+    def retract(a, b):
+        y, z = cat.dom(a), cat.dom(b)
+        return any(cat.compose(g, f) == a and cat.compose(a, cat.compose(g, b)) == g
+                   for f in cat.hom(y, z) if cat.compose(b, cat.compose(f, a)) == f
+                   for g in cat.hom(z, y))
+
+    groups = []
+    for e in cat.idempotents():
+        for group in groups:
+            if retract(e, group[0]) and retract(group[0], e):
+                group.append(e)
+                break
+        else:
+            groups.append([e])
+    return tuple(KaroubiClass(tuple(g), tuple(cat.dom(e) for e in g if cat.is_identity(e)),
+                              frozenset(j for j, h in enumerate(groups) if retract(h[0], g[0])))
+                 for g in groups)
+
+
+def retract_closed_sets(classes) -> list[tuple[int, ...]]:
+    """Every set of class indices that holds the retracts of its members, by size."""
+    return [t for r in range(len(classes) + 1)
+            for t in itertools.combinations(range(len(classes)), r)
+            if set().union(*(classes[i].retracts for i in t)) <= set(t)]
+
+
 def strictly_full_karoubian_subcategories(cat: FiniteCategory) -> list[FullSubcategory]:
     """Every iso-closed object subset whose full subcategory splits its idempotents,
-    in (size, index-lex) order.
-
-    The iso-closed subsets are the unions of isomorphism classes. On an EI
-    category every idempotent is an identity, so each of them qualifies.
-    """
-    classes = iso_classes(cat)
-    subs = [FullSubcategory(cat, tuple(x for cls in chosen for x in cls))
-            for r in range(len(classes) + 1)
-            for chosen in itertools.combinations(classes, r)]
+    in (size, index-lex) order: the objects of the retract-closed sets of
+    Karoubi classes that each hold an identity."""
+    classes = karoubi_classes(cat)
+    subs = [FullSubcategory(cat, sum((classes[i].objects for i in t), ()))
+            for t in retract_closed_sets(classes) if all(classes[i].objects for i in t)]
     subs.sort(key=lambda sub: (len(sub.objects), [cat.obj_index[x] for x in sub.objects]))
-    if is_ei(cat):
-        return subs
-    return [sub for sub in subs if is_karoubian(sub.category)]
+    return subs
 
 
 class IsoClassPoset:

@@ -23,7 +23,7 @@ from .groups import FiniteGroup
 from .modules import AlgebraModule, ModulePresheaf
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
-from .topology import GrothendieckTopology
+from .topology import GrothendieckTopology, check_topology
 
 FORMAT = "finsite/1"
 
@@ -107,6 +107,14 @@ def _typed(raw, kind: type, what: str):
     return raw
 
 
+def _names(raw, what: str):
+    """raw, a list or mapping none of whose entries is a list or mapping."""
+    for a in raw.values() if isinstance(raw, dict) else raw:
+        if isinstance(a, (list, dict)):
+            raise DocumentError(f"{what}: {a!r} is not a name")
+    return raw
+
+
 def _dims_in(doc: dict, cat: FiniteCategory, where: str) -> dict:
     raw = _typed(doc["dims"], dict, f"{where}: field 'dims'")
     return {x: _typed(raw.get(x, 0), int, f"{where}: field 'dims' at {x!r}")
@@ -182,6 +190,9 @@ def topology_from_doc(doc: dict, cat: FiniteCategory) -> GrothendieckTopology:
                     raise DocumentError(f"topology: unknown morphism {m!r} at {x!r}")
             fams.add(Sieve(x, frozenset(members)))
         covering[x] = fams
+    violations = check_topology(cat, covering)
+    if violations:
+        raise DocumentError(f"topology: not a Grothendieck topology: {violations[0]}")
     return GrothendieckTopology(cat, covering, label=doc.get("label"))
 
 
@@ -213,13 +224,16 @@ def presheaf_from_doc(doc: dict, cat: FiniteCategory):
         _expect(doc, {"format", "kind", "flavor", "values", "maps"}, set(), "presheaf")
         raw_values = _typed(doc["values"], dict, "presheaf: field 'values'")
         raw_maps = _typed(doc["maps"], dict, "presheaf: field 'maps'")
-        values = {x: _typed(raw_values.get(x, []), list, f"presheaf: the value at {x!r}")
+        values = {x: _names(_typed(raw_values.get(x, []), list, f"presheaf: the value at {x!r}"),
+                            f"presheaf: field 'values' at {x!r}")
                   for x in cat.objects}
         maps = {}
         for m in cat.morphisms:
             if raw_maps.get(m.name) is None:
                 raise DocumentError(f"presheaf: missing map for {m.name!r}")
-            maps[m.name] = _typed(raw_maps[m.name], dict, f"presheaf: the map of {m.name!r}")
+            maps[m.name] = _names(_typed(raw_maps[m.name], dict,
+                                         f"presheaf: the map of {m.name!r}"),
+                                  f"presheaf: field 'maps' at {m.name!r}")
         return SetPresheaf(cat, values, maps)
     if doc["flavor"] != "linear":
         raise DocumentError(f"presheaf: unknown flavor {doc['flavor']!r}")

@@ -4,11 +4,10 @@ topologies by strictly full Karoubian subcategories."""
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .category import (FiniteCategory, FullSubcategory, is_karoubian, iso_classes,
-                       strictly_full_karoubian_subcategories)
+from .category import (FiniteCategory, FullSubcategory, is_karoubian, karoubi_classes,
+                       retract_closed_sets)
 from .errors import EngineError
 from .sieves import (Sieve, is_sieve, maximal_sieve, pullback_sieve,
                      sieve_sort_key, sieves_on)
@@ -139,9 +138,16 @@ def minimal_topology(cat: FiniteCategory) -> GrothendieckTopology:
         cat, {x: {maximal_sieve(cat, x)} for x in cat.objects}, label="J_min")
 
 
+def _sieves_containing(cat: FiniteCategory, required: dict,
+                       label: str | None = None) -> GrothendieckTopology:
+    """The covering sieves on x are the sieves containing required[x]."""
+    covering = {x: {s for s in sieves_on(cat, x) if required[x] <= s.members}
+                for x in cat.objects}
+    return GrothendieckTopology(cat, covering, label=label)
+
+
 def maximal_topology(cat: FiniteCategory) -> GrothendieckTopology:
-    return GrothendieckTopology(
-        cat, {x: set(sieves_on(cat, x)) for x in cat.objects}, label="J_max")
+    return _sieves_containing(cat, {x: frozenset() for x in cat.objects}, "J_max")
 
 
 def dense_topology(cat: FiniteCategory) -> GrothendieckTopology:
@@ -177,64 +183,52 @@ def subcategory_topology(cat: FiniteCategory, sub) -> GrothendieckTopology:
         raise EngineError(
             f"object set {list(sub.objects)} is not closed under isomorphism")
     keep = set(sub.objects)
-    covering = {}
-    for x in cat.objects:
-        required = frozenset(t for t in cat.into(x) if cat.dom(t) in keep)
-        covering[x] = {s for s in sieves_on(cat, x) if required <= s.members}
-    label = "J^{" + ",".join(sub.objects) + "}"
-    return GrothendieckTopology(cat, covering, label=label)
+    return _sieves_containing(
+        cat, {x: frozenset(t for t in cat.into(x) if cat.dom(t) in keep) for x in cat.objects},
+        "J^{" + ",".join(sub.objects) + "}")
 
 
 def topology_from_minimal_covers(cat: FiniteCategory, minimal: dict) -> GrothendieckTopology:
     """Upward closure of one chosen sieve per object (sieves above stay covering)."""
-    covering = {}
-    for x in cat.objects:
-        base = minimal[x]
-        base_members = base.members if isinstance(base, Sieve) else frozenset(base)
-        covering[x] = {s for s in sieves_on(cat, x) if base_members <= s.members}
-    return GrothendieckTopology(cat, covering)
-
-
-def census_size_bound(cat: FiniteCategory) -> int:
-    bound = 1
-    for x in cat.objects:
-        bound *= 2 ** len(sieves_on(cat, x))
-    return bound
+    return _sieves_containing(cat, {x: minimal[x].members if isinstance(minimal[x], Sieve)
+                                    else frozenset(minimal[x]) for x in cat.objects})
 
 
 def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     """Every Grothendieck topology on the category, deterministically ordered.
 
-    On a Karoubian category the topologies are exactly the J^D for the
-    strictly full Karoubian subcategories D (the classification), so the
-    census is the set of distinct J^D, each still run through the axiom
-    checker. Otherwise the candidates per object are the upward-closed
-    sieve families containing the maximal sieve, and the checker filters
-    their product. Either way a topology induced by some D carries the
-    label of the first such D, and the order is that of the product:
-    object by object, family size, then the positions of its sieves.
+    By the classification of topologies on a finite category, they are
+    the J^T for the retract-closed sets T of Karoubi classes: a sieve on x
+    covers when it holds every f into x with f·e = f for some idempotent e
+    of T at dom f. Each J^T is still run through the axiom checker. When
+    every class of T holds an identity, J^T is J^D for the strictly full
+    Karoubian D on the objects of those identities, and is labelled so.
+    The order is that of a product search: object by object, family size,
+    then the positions of its sieves.
 
-    CENSUS_GUARD bounds the search of the route taken: the 2^(iso classes)
-    candidate D on a Karoubian category, census_size_bound otherwise.
+    CENSUS_GUARD bounds the 2^(classes) candidate T; on a Karoubian
+    category the classes are the isomorphism classes of objects.
     """
-    karoubian = is_karoubian(cat)
-    bound = 2 ** len(iso_classes(cat)) if karoubian else census_size_bound(cat)
-    if bound > CENSUS_GUARD:
-        raise EngineError(
-            f"topology census search space {bound} exceeds the guard {CENSUS_GUARD}")
-    induced = {}
-    for sub in strictly_full_karoubian_subcategories(cat):
-        top = subcategory_topology(cat, sub)
-        induced.setdefault(top, top)
-    if karoubian:
-        tops = list(induced.values())
-        for top in tops:
-            violations = check_topology(cat, top)
-            if violations:
-                raise ClassificationError(
-                    f"{top.label} fails the axioms on a Karoubian category: {violations[0]}")
-    else:
-        tops = [induced.get(top, top) for top in _product_search(cat)]
+    classes = karoubi_classes(cat)
+    if 2 ** len(classes) > CENSUS_GUARD:
+        raise EngineError(f"topology census search space {2 ** len(classes)} "
+                          f"exceeds the guard {CENSUS_GUARD}")
+    fixed = [frozenset(f for e in c.idempotents for y in cat.objects
+                       for f in cat.hom(cat.dom(e), y) if cat.compose(f, e) == f)
+             for c in classes]
+    tops = []
+    for t in retract_closed_sets(classes):
+        union = frozenset().union(*(fixed[i] for i in t))
+        objects = set().union(*(classes[i].objects for i in t))
+        label = ("J^{" + ",".join(x for x in cat.objects if x in objects) + "}"
+                 if all(classes[i].objects for i in t) else None)
+        top = _sieves_containing(cat, {x: union.intersection(cat.into(x))
+                                       for x in cat.objects}, label)
+        violations = check_topology(cat, top)
+        if violations:
+            raise ClassificationError(f"{label or 'J^T'} fails the axioms, against the "
+                                      f"classification: {violations[0]}")
+        tops.append(top)
     position = {x: {s: i for i, s in enumerate(sieves_on(cat, x))} for x in cat.objects}
 
     def product_order(top):
@@ -242,33 +236,6 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
                      for x in cat.objects)
 
     return sorted(tops, key=product_order)
-
-
-def _product_search(cat: FiniteCategory) -> list[GrothendieckTopology]:
-    """The axiom-checked product of the up-closed sieve families per object."""
-    per_object = []
-    for x in cat.objects:
-        sieves = sieves_on(cat, x)
-        top_sieve = maximal_sieve(cat, x)
-        candidates = []
-        for r in range(len(sieves) + 1):
-            for subset in itertools.combinations(sieves, r):
-                family = set(subset)
-                if top_sieve not in family:
-                    continue
-                up_closed = all(t in family
-                                for s in family for t in sieves
-                                if s.members <= t.members)
-                if up_closed:
-                    candidates.append(family)
-        per_object.append(candidates)
-    out = []
-    for combo in itertools.product(*per_object):
-        covering = {x: fam for x, fam in zip(cat.objects, combo)}
-        candidate = GrothendieckTopology(cat, covering)
-        if not check_topology(cat, candidate):
-            out.append(candidate)
-    return out
 
 
 def classify_topology(cat: FiniteCategory, top: GrothendieckTopology) -> FullSubcategory:

@@ -6,7 +6,9 @@ colimits for half-sheafification, the sheaf condition on least covering
 sieves only, right Kan extension with its own family solver, sieves by a
 scan of every subset, the topology census by a product search and
 unpruned, with labels found by a scan of every object subset, the
-classifying subcategory by a scan of the candidates, pointwise
+classifying subcategory by a scan of the candidates, the strictly full
+Karoubian subcategories by a Karoubi test of every union of isomorphism
+classes, pointwise
 coset maps for orbit categories, a direct category-algebra table, and a
 searched basis change onto the 2x2 matrix algebra.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from finsite.category import FiniteCategory, strictly_full_karoubian_subcategories
+from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
+                              iso_classes, strictly_full_karoubian_subcategories)
 from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
                             null_space, rank, solve, solve_matrix, unit_vec,
                             vec_sub, zero_vec)
@@ -377,6 +380,20 @@ def scan_classifying_subcategory(cat: FiniteCategory, top: GrothendieckTopology)
         if subcategory_topology(cat, sub) == top:
             return sub
     return None
+
+
+def iso_union_karoubian_subcategories(cat: FiniteCategory) -> list:
+    """Every union of isomorphism classes whose full subcategory is
+    Karoubian, in (size, index-lex) order. On an EI category every
+    idempotent is an identity, so each union qualifies."""
+    classes = iso_classes(cat)
+    subs = [FullSubcategory(cat, tuple(x for cls in chosen for x in cls))
+            for r in range(len(classes) + 1)
+            for chosen in itertools.combinations(classes, r)]
+    subs.sort(key=lambda sub: (len(sub.objects), [cat.obj_index[x] for x in sub.objects]))
+    if is_ei(cat):
+        return subs
+    return [sub for sub in subs if is_karoubian(sub.category)]
 
 
 def unpruned_topologies(cat: FiniteCategory):

@@ -403,6 +403,17 @@ MALFORMED_CASES = [
       "--algebra-module", "BAD"], "algebra-module", "actions", 5),
     (["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
      "algebra-presheaf", "algebras", ["x", "y", "z"]),
+    (["cat", "info", "--category", "BAD"], "category", "objects", [["x"]]),
+    (["cat", "validate", "--category", "BAD"], "category", "objects", [["x"]]),
+    (["cat", "info", "--category", "BAD"], "category", "morphisms",
+     [{"id": ["1x"], "dom": "x", "cod": "x"}]),
+    (["cat", "validate", "--category", "BAD"], "category", "morphisms",
+     [{"id": ["1x"], "dom": "x", "cod": "x"}]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "set-presheaf", "values", {"x": [["a"]], "y": [], "z": []}),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "set-presheaf", "maps", {"1x": {"*": "*"}, "f": {"*": ["*"]}, "gf": {"*": "*"},
+                              "1y": {"*": "*"}, "g": {"*": "*"}, "1z": {"*": "*"}}),
 ]
 
 
@@ -423,6 +434,7 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
     r = chain_diagonal_algebra_presheaf(f5)
     m = random_module_presheaf(r, random.Random(3))
     genuine = {"presheaf": presheaf_to_doc(constant_linear_presheaf(chain3, f5, 1)),
+               "set-presheaf": presheaf_to_doc(singleton_presheaf(chain3)),
                "topology": topology_to_doc(subcategory_topology(chain3, ("x",))),
                "category": category_to_doc(chain3),
                "group": group_to_doc(c2),
@@ -443,3 +455,46 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
         assert [line for line in err.splitlines() if line.startswith("error:")] == \
             [err.splitlines()[0]]
         assert field in err
+
+
+# Topology documents on chain3 that are no topology: a covering "sieve"
+# that is not closed under precomposition, and a covering at y without
+# the maximal sieve.
+NOT_TOPOLOGIES = {"non-sieve": ({"z": [["g"], ["gf", "g", "1z"]]},
+                                "sieve fails at 'z' for sieve ['g']"),
+                  "no maximal sieve": ({"y": [["f"]]},
+                                       "maximal-sieve fails at 'y' for sieve ['1y', 'f']")}
+TOPOLOGY_READERS = [
+    ["sheaf", "check", "--gallery", "chain3", "--presheaf", "PRESHEAF", "--topology", "TOP"],
+    ["sheaf", "sheafify", "--gallery", "chain3", "--presheaf", "PRESHEAF", "--topology", "TOP"],
+    ["top", "classify", "--gallery", "chain3", "--topology", "TOP"],
+    ["mod", "transport", "--gallery", "chain3", "--algebra", "ALGEBRA", "--module", "MODULE",
+     "--topology", "TOP"],
+]
+
+
+@pytest.mark.parametrize("argv", TOPOLOGY_READERS, ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("case", NOT_TOPOLOGIES)
+def test_topology_document_must_be_a_topology(tmp_path, capsys, chain3, f5, argv, case):
+    import random
+
+    from finsite.algebras import chain_diagonal_algebra_presheaf
+    from finsite.sampling import random_module_presheaf
+    from finsite.serialize import algebra_presheaf_to_doc, module_presheaf_to_doc
+    from finsite.topology import minimal_topology
+
+    r = chain_diagonal_algebra_presheaf(f5)
+    covering, violation = NOT_TOPOLOGIES[case]
+    top = topology_to_doc(minimal_topology(chain3))
+    del top["label"]
+    files = {"TOP": dict(top, covering=dict(top["covering"], **covering)),
+             "PRESHEAF": presheaf_to_doc(representable_presheaf(chain3, "y")),
+             "ALGEBRA": algebra_presheaf_to_doc(r),
+             "MODULE": module_presheaf_to_doc(random_module_presheaf(r, random.Random(3)))}
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(dump_text(doc))
+    code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: topology: not a Grothendieck topology: {violation}\n"

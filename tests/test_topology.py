@@ -1,21 +1,25 @@
+import itertools
+import random
+
 import pytest
 
 import finsite.topology as topology
-from finsite.category import strictly_full_karoubian_subcategories
+from finsite.category import FiniteCategory, strictly_full_karoubian_subcategories
 from finsite.errors import EngineError
 from finsite.gallery import (chain_poset, idempotent_pair_category,
                              involution_category, orbit_category,
                              symmetric_group)
 from finsite.presheaves import singleton_presheaf
-from finsite.sieves import Sieve, maximal_sieve
-from finsite.topology import (ClassificationError,
-                              census_size_bound, check_topology,
+from finsite.sieves import Sieve, maximal_sieve, sieves_on
+from finsite.topology import (ClassificationError, check_topology,
                               classify_topology, dense_topology,
                               enumerate_topologies, finest_topology_for,
                               is_topology, maximal_topology, minimal_topology,
                               subcategory_topology, topology_from_minimal_covers)
 
-from oracles import census_yaml, scan_classifying_subcategory, unpruned_topologies
+from oracles import (census_yaml, iso_union_karoubian_subcategories,
+                     product_search_topologies, scan_classifying_subcategory,
+                     subset_scan_labels, unpruned_topologies)
 
 # The census members of the benchmark ladder that the guards let through.
 CENSUS_MEMBERS = [("chain3",), ("chain4",), ("chain5",), ("chain6",),
@@ -264,20 +268,97 @@ def test_order_reversal(chain3, involution, orbit_c2):
                     assert subcategory_topology(cat, b).le(subcategory_topology(cat, a))
 
 
+def monoid_categories(max_order: int) -> list:
+    """Every monoid table on {0, ..., n-1} with 0 as its identity, n <= max_order,
+    as a one-object category."""
+    cats = []
+    for n in range(1, max_order + 1):
+        pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
+        for values in itertools.product(range(n), repeat=len(pairs)):
+            table = {(a, 0): a for a in range(n)} | {(0, b): b for b in range(n)}
+            table |= dict(zip(pairs, values))
+            if any(table[table[a, b], c] != table[a, table[b, c]]
+                   for a in range(n) for b in range(n) for c in range(n)):
+                continue
+            cats.append(FiniteCategory(
+                ["*"], [(f"m{a}", "*", "*") for a in range(n)], {"*": "m0"},
+                {(f"m{a}", f"m{b}"): f"m{ab}" for (a, b), ab in table.items()},
+                name=f"monoid{len(cats)}"))
+    return cats
+
+
+def random_concrete_category(rng: random.Random, name: str):
+    """At most three objects, each a set of at most three points, with random
+    functions between them closed under composition; None when more than 12
+    morphisms end at one object."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    # A morphism is (dom, cod, the images of the points of dom).
+    mors = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+        mors.add((i, j, tuple(rng.randrange(sizes[j]) for _ in range(sizes[i]))))
+    grown = None
+    while grown != mors:
+        grown = set(mors)
+        mors |= {(f[0], g[1], tuple(g[2][p] for p in f[2]))
+                 for f in grown for g in grown if f[1] == g[0]}
+        if any(sum(m[1] == j for m in mors) > 12 for j in range(len(sizes))):
+            return None
+    label = {m: f"{m[0]}{m[1]}:" + "".join(map(str, m[2])) for m in mors}
+    return FiniteCategory(
+        [f"o{i}" for i in range(len(sizes))],
+        [(label[m], f"o{m[0]}", f"o{m[1]}") for m in sorted(mors)],
+        {f"o{i}": label[i, i, tuple(range(n))] for i, n in enumerate(sizes)},
+        {(label[g], label[f]): label[f[0], g[1], tuple(g[2][p] for p in f[2])]
+         for f in mors for g in mors if f[1] == g[0]}, name=name)
+
+
+def random_concrete_categories(count: int, seed: int = 7) -> list:
+    """Seeded random concrete categories, skipping those with more than 12
+    sieves on an object: the product-search oracle runs through every set
+    of sieves on each object."""
+    rng = random.Random(seed)
+    cats = []
+    while len(cats) < count:
+        cat = random_concrete_category(rng, f"concrete{len(cats)}")
+        if cat is not None and all(len(sieves_on(cat, x)) <= 12 for x in cat.objects):
+            cats.append(cat)
+    return cats
+
+
+ORACLE_FAMILY = monoid_categories(3) + random_concrete_categories(300)
+
+
+def test_census_matches_product_search_on_small_categories():
+    """The census through the Karoubi classes is every topology, once, with
+    the label of the strictly full Karoubian subcategory inducing it."""
+    for cat in ORACLE_FAMILY:
+        census = enumerate_topologies(cat)
+        assert len(census) == len(set(census))
+        assert set(census) == set(product_search_topologies(cat)), cat.name
+        labels = subset_scan_labels(cat)
+        for top in census:
+            key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
+            assert top.label == labels.get(key), cat.name
+
+
+def test_karoubian_subcategories_match_the_union_scan():
+    for cat in ORACLE_FAMILY:
+        assert [sub.objects for sub in strictly_full_karoubian_subcategories(cat)] == \
+            [sub.objects for sub in iso_union_karoubian_subcategories(cat)]
+
+
 def test_census_guard(monkeypatch):
-    """CENSUS_GUARD bounds the route that runs: 2^(iso classes) candidate D
-    on a Karoubian category, the product of sieve families otherwise."""
+    """CENSUS_GUARD bounds the 2^(Karoubi classes) candidate sets; on a
+    Karoubian category the classes are the isomorphism classes."""
     assert len(enumerate_topologies(chain_poset(8))) == 2 ** 8
     with pytest.raises(EngineError, match=r"^topology census search space 8589934592 "
                                           r"exceeds the guard 4294967296$"):
         enumerate_topologies(chain_poset(33))
-    assert census_size_bound(chain_poset(3)) == 2 ** 9
-    idem = idempotent_pair_category()
-    bound = census_size_bound(idem)
-    monkeypatch.setattr(topology, "CENSUS_GUARD", bound - 1)
-    with pytest.raises(EngineError, match=f"^topology census search space {bound} "
-                                          f"exceeds the guard {bound - 1}$"):
-        enumerate_topologies(idem)
+    monkeypatch.setattr(topology, "CENSUS_GUARD", 3)
+    with pytest.raises(EngineError, match="^topology census search space 4 "
+                                          "exceeds the guard 3$"):
+        enumerate_topologies(idempotent_pair_category())
 
 
 def test_finest_topology_for_terminal(chain3):
