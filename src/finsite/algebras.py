@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .category import FiniteCategory
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, mat_vec, matrix,
-                     unit_vec, vec, zero_vec)
+                     unit_vec, vec)
 from .gallery import group_category
 from .groups import FiniteGroup
 from .presheaves import LinearPresheaf, _as_subcategory
@@ -35,7 +35,8 @@ class FiniteDimAlgebra:
     """Unital associative algebra with a distinguished basis.
 
     ``table[i][j]`` holds the coefficient vector of the product
-    ``b_i * b_j``; ``unit`` is the coefficient vector of 1.
+    ``b_i * b_j``; ``unit`` is the coefficient vector of 1. ``support[i][j]``
+    holds the nonzero entries of that vector as (index, coefficient) pairs.
     """
 
     def __init__(self, field, table, unit, *, labels=None, name=None, check=True):
@@ -50,6 +51,9 @@ class FiniteDimAlgebra:
         for row in self.table:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
                 raise AlgebraError("structure constant table is not dim x dim x dim")
+        zero = field.zero
+        self.support = tuple(tuple(tuple((t, c) for t, c in enumerate(cell) if c != zero)
+                                   for cell in row) for row in self.table)
         if check:
             problems = self.verify()
             if problems:
@@ -61,26 +65,30 @@ class FiniteDimAlgebra:
 
     def mul(self, u, v) -> tuple:
         k = self.field
-        out = list(zero_vec(k, self.dim))
-        for i, a in enumerate(u):
-            if a == k.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == k.zero:
-                    continue
-                coef = k.mul(a, b)
-                for t, c in enumerate(self.table[i][j]):
-                    if c != k.zero:
-                        out[t] = k.add(out[t], k.mul(coef, c))
-        return tuple(out)
+        v_support = [(j, b) for j, b in enumerate(v) if b != k.zero]
+        return tuple(self._combination((k.mul(a, b), self.support[i][j])
+                                       for i, a in enumerate(u) if a != k.zero
+                                       for j, b in v_support))
+
+    def _combination(self, terms) -> list:
+        """The coefficient vector of the sum of c * cell over the
+        (c, support cell) pairs of terms."""
+        k = self.field
+        out = [k.zero] * self.dim
+        for a, cell in terms:
+            for t, c in cell:
+                out[t] = k.add(out[t], k.mul(a, c))
+        return out
 
     def verify(self) -> list[str]:
-        """Exhaustive associativity over basis triples plus the unit laws."""
+        """Associativity on every basis triple, (b_i b_j) b_t = b_i (b_j b_t)
+        compared through the support, plus the unit laws."""
         k = self.field
+        sup = self.support
         problems = []
         for i, j, t in itertools.product(range(self.dim), repeat=3):
-            left = self.mul(self.mul_basis(i, j), unit_vec(k, self.dim, t))
-            right = self.mul(unit_vec(k, self.dim, i), self.mul_basis(j, t))
+            left = self._combination((c, sup[s][t]) for s, c in sup[i][j])
+            right = self._combination((c, sup[i][s]) for s, c in sup[j][t])
             if left != right:
                 problems.append(
                     f"associativity failure on basis triple "

@@ -302,6 +302,8 @@ def _cmd_mod_omega(args):
 
 
 def _cmd_mod_roundtrip(args):
+    if args.count < 1:
+        raise EngineError(f"--count must be at least 1, got {args.count}")
     cat = _load_category(args)
     r = _load_algebra_presheaf(args, cat)
     report = verify_equivalence_roundtrip(r, seed=args.seed, count=args.count)

@@ -8,11 +8,16 @@ Matrices are immutable ``Matrix(rows, cols, data)`` records so that
 zero-dimensional spaces keep their shape information.  All eliminations
 are plain Gauss-Jordan over the field, with pivots chosen in column
 order, so reduced forms and the bases derived from them are canonical.
+
+The matrix kernels work on whole rows through three primitives of each
+field: ``dot``, ``axpy`` and ``scale``.  Over F_p a dot product is
+reduced once, over Q a zero entry is never multiplied.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,6 +44,11 @@ class PrimeField:
 
     __slots__ = ("p",)
 
+    enumerable = True
+    zero = 0
+    one = 1
+    row_sum_ratio = 4  # see mat_mul
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
@@ -52,17 +62,9 @@ class PrimeField:
     def label(self) -> str:
         return f"F{self.p}"
 
-    enumerable = True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def of(self, n):
+        if isinstance(n, float):
+            raise FieldError(f"{n!r} is a float, not an element of F{self.p}")
         if isinstance(n, Fraction):
             if n.denominator % self.p == 0:
                 raise FieldError(f"{n} has no image in F{self.p}")
@@ -88,6 +90,18 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def dot(self, a, b):
+        return sum(map(operator.mul, a, b)) % self.p
+
+    def axpy(self, c, x, y) -> list:
+        """y + c x, entrywise."""
+        p = self.p
+        return [(b + c * a) % p for a, b in zip(x, y)]
+
+    def scale(self, c, x) -> list:
+        p = self.p
+        return [c * a % p for a in x]
 
     def elements(self):
         return range(self.p)
@@ -115,8 +129,11 @@ class RationalField:
     enumerable = False
     zero = Fraction(0)
     one = Fraction(1)
+    row_sum_ratio = 1  # see mat_mul
 
     def of(self, n):
+        if isinstance(n, float):
+            raise FieldError(f"{n!r} is a float, not an exact rational")
         return Fraction(n)
 
     def add(self, a, b):
@@ -138,6 +155,17 @@ class RationalField:
 
     def div(self, a, b):
         return Fraction(a) / Fraction(b)
+
+    def dot(self, a, b):
+        return sum((x * y for x, y in zip(a, b) if x and y), self.zero)
+
+    def axpy(self, c, x, y) -> list:
+        """y + c x, entrywise."""
+        return [b + c * a if a else b for a, b in zip(x, y)]
+
+    def scale(self, c, x) -> list:
+        zero = self.zero
+        return [c * a if a else zero for a in x]
 
     def elements(self):
         raise FieldError("the rationals are not enumerable")
@@ -237,32 +265,37 @@ def vec_sub(field, a, b) -> tuple:
 def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
     if a.cols != len(v):
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {len(v)}")
-    out = []
-    for row in a.data:
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    return tuple(field.dot(row, v) for row in a.data)
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
+    """A B. Where at most 1/row_sum_ratio of the entries of a row of A
+    are nonzero and face a nonzero row of B, that row of the product adds
+    up those rows of B; otherwise it takes one dot product per column.
+    Over F_p the ratio is 4: on the products of the bundle and sheafify
+    benchmark workloads, rows alone or dot products alone take 15-50% more
+    time, and any ratio from 2 to 8 is as fast as 4. Over Q it is 1: both
+    ways multiply the same nonzero Fractions, and adding up rows tests
+    fewer entries for zero. The zero of either field is its only falsy
+    element."""
     if a.cols != b.rows:
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = tuple(zip(*b.data)) if b.data else ()
     zero = field.zero
+    live = [j for j, r in enumerate(b.data) if any(r)]
+    bt = None
     out = []
     for row in a.data:
-        out_row = []
-        for j in range(b.cols):
-            col = bt[j] if bt else ()
-            acc = zero
-            for x, y in zip(row, col):
-                if x != zero and y != zero:
-                    acc = field.add(acc, field.mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
+        support = list(itertools.compress(live, map(row.__getitem__, live)))
+        if not support:
+            out.append((zero,) * b.cols)
+        elif field.row_sum_ratio * len(support) <= a.cols:
+            acc = field.scale(row[support[0]], b.data[support[0]])
+            for j in support[1:]:
+                acc = field.axpy(row[j], b.data[j], acc)
+            out.append(tuple(acc))
+        else:
+            bt = bt or tuple(zip(*b.data))
+            out.append(tuple(map(field.dot, itertools.repeat(row), bt)))
     return Matrix(a.rows, b.cols, tuple(out))
 
 
@@ -281,7 +314,7 @@ def mat_sub(field, a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(field, c, a: Matrix) -> Matrix:
-    return Matrix(a.rows, a.cols, tuple(tuple(field.mul(c, x) for x in r) for r in a.data))
+    return Matrix(a.rows, a.cols, tuple(tuple(field.scale(c, r)) for r in a.data))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -341,13 +374,11 @@ def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """The sum of c * a over the pairs (c, a) of coeffs and mats, all of
     shape rows x cols."""
     zero = field.zero
-    acc = zero_matrix(field, rows, cols)
+    acc = zero_matrix(field, rows, cols).data
     for c, a in zip(coeffs, mats):
         if c != zero:
-            acc = Matrix(rows, cols, tuple(tuple(field.add(e, field.mul(c, ae))
-                                                 for e, ae in zip(er, ar))
-                                           for er, ar in zip(acc.data, a.data)))
-    return acc
+            acc = [field.axpy(c, ar, er) for er, ar in zip(acc, a.data)]
+    return Matrix(rows, cols, tuple(map(tuple, acc)))
 
 
 def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -365,12 +396,10 @@ def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        pivot = rows[r] = field.scale(field.inv(rows[r][c]), rows[r])
         for i in range(a.rows):
             if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = field.axpy(field.neg(rows[i][c]), pivot, rows[i])
         pivots.append(c)
         r += 1
         if r == a.rows:

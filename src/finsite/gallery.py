@@ -9,6 +9,7 @@ import warnings
 
 from .category import FiniteCategory, Morphism
 from .errors import EngineError
+from .fields import _is_prime
 from .groups import FiniteGroup
 
 _CHAIN_OBJECTS = ("x", "y", "z", "w", "v", "u")
@@ -182,8 +183,17 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
     return cat
 
 
+def _require_prime(group: FiniteGroup, p: int) -> None:
+    """Refuse p below 2, or composite and at most the group order. Above the
+    order only the trivial subgroup is a p-group, whatever p is, so a large
+    p is taken without trial division up to its square root."""
+    if p < 2 or (p <= len(group.elements) and not _is_prime(p)):
+        raise EngineError(f"p-orbit categories need a prime p, and {p} is not prime")
+
+
 def p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
     """Orbit category on all p-subgroups (the trivial subgroup included)."""
+    _require_prime(group, p)
     cat = orbit_category(group, lambda h: group.is_p_group(h, p))
     cat.name = f"O_{p}({group.name})"
     return cat
@@ -191,6 +201,7 @@ def p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
 
 def reduced_p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
     """Orbit category on the non-identity p-subgroups."""
+    _require_prime(group, p)
     cat = orbit_category(group, lambda h: len(h) > 1 and group.is_p_group(h, p))
     cat.name = f"O_{p}*({group.name})"
     return cat

@@ -9,8 +9,10 @@ unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
 Karoubian subcategories by a Karoubi test of every union of isomorphism
 classes, pointwise
-coset maps for orbit categories, a direct category-algebra table, and a
-searched basis change onto the 2x2 matrix algebra.
+coset maps for orbit categories, a direct category-algebra table, a
+searched basis change onto the 2x2 matrix algebra, and the scalar-loop
+matrix kernels and dense associativity check that the row primitives of
+the fields replaced.
 """
 
 from __future__ import annotations
@@ -552,3 +554,87 @@ def searched_matrix_algebra_isomorphism(skew, target):
             if rank(k, change) == 4:
                 return change
     return None
+
+
+# -- scalar-loop matrix kernels and the dense associativity check -----------------
+
+
+def _scalar_dot(field, x, y):
+    acc = field.zero
+    for a, b in zip(x, y):
+        if a != field.zero and b != field.zero:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def scalar_mat_vec(field, a: Matrix, v) -> tuple:
+    """A v, one field operation per product of nonzero scalars."""
+    assert a.cols == len(v)
+    return tuple(_scalar_dot(field, row, v) for row in a.data)
+
+
+def scalar_mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
+    """A B, one scalar-loop dot product per entry."""
+    assert a.cols == b.rows
+    cols = [tuple(r[j] for r in b.data) for j in range(b.cols)]
+    return Matrix(a.rows, b.cols,
+                  tuple(tuple(_scalar_dot(field, row, col) for col in cols) for row in a.data))
+
+
+def scalar_rref(field, a: Matrix):
+    """Gauss-Jordan with pivots in column order, entry by entry."""
+    rows = [list(r) for r in a.data]
+    zero = field.zero
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if rows[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(a.rows):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
+
+
+def dense_mul(alg, u, v) -> tuple:
+    """u v by the dense structure-constant table."""
+    k = alg.field
+    out = list(zero_vec(k, alg.dim))
+    v_nonzero = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in v_nonzero:
+            coef = k.mul(a, b)
+            for t, c in enumerate(alg.table[i][j]):
+                if c:
+                    out[t] = k.add(out[t], k.mul(coef, c))
+    return tuple(out)
+
+
+def dense_verify(alg) -> list:
+    """Associativity over every basis triple through dense vectors, then
+    the unit laws, with the problem texts of FiniteDimAlgebra.verify."""
+    k = alg.field
+    units = [unit_vec(k, alg.dim, i) for i in range(alg.dim)]
+    problems = []
+    for i, j, t in itertools.product(range(alg.dim), repeat=3):
+        left = dense_mul(alg, alg.table[i][j], units[t])
+        right = dense_mul(alg, units[i], alg.table[j][t])
+        if left != right:
+            problems.append(
+                f"associativity failure on basis triple "
+                f"({alg.labels[i]!r},{alg.labels[j]!r},{alg.labels[t]!r})")
+    for i, e in enumerate(units):
+        if dense_mul(alg, alg.unit, e) != e or dense_mul(alg, e, alg.unit) != e:
+            problems.append(f"unit fails on basis element {alg.labels[i]!r}")
+    return problems

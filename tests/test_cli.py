@@ -322,6 +322,48 @@ def test_top_enumerate_independent_of_hash_seed(gallery):
     assert outs[0] == outs[1] and outs[0].startswith("count:")
 
 
+@pytest.mark.parametrize("argv", [["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
+                                  ["gallery", "show", "orbit-p", "--group", "S3"]],
+                         ids=["orbit", "orbit-p"])
+@pytest.mark.parametrize("p", ["1", "0", "-2", "4"])
+def test_non_prime_p_is_one_error_line(argv, p):
+    # in a process of its own with a timeout, since p = 1 used to loop for ever
+    run = run_cli_process(*argv, "--p", p)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"error: p-orbit categories need a prime p, and {p} is not prime\n"
+
+
+def test_large_prime_p_answers_at_once():
+    # above the group order only the trivial subgroup is a p-group, and p is
+    # not tried by trial division up to its square root
+    argv = ("top", "enumerate", "--gallery", "orbit", "--group", "S3", "--p")
+    large = run_cli_process(*argv, "1000000000000000003")
+    assert (large.returncode, large.stderr) == (0, "")
+    assert large.stdout == run_cli_process(*argv, "7").stdout
+
+
+def run_cli_process(*argv):
+    """The finsite CLI in a process of its own, stopped after 60 s."""
+    import os
+    import subprocess
+    import sys
+
+    import finsite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finsite.__file__)))
+    path = [src] + [extra for extra in [os.environ.get("PYTHONPATH")] if extra]
+    return subprocess.run([sys.executable, "-m", "finsite.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_roundtrip_count_below_one_is_one_error_line(capsys, count):
+    code, out, err = run_cli(capsys, "mod", "roundtrip", "--gallery", "chain3",
+                             "--constant-field", "5", "--count", count)
+    assert (code, out) == (1, "")
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
 # Each document-reading path of the CLI, with the file it reads under
 # "WRONG" and the kind it expects; the other files are genuine.
 KIND_CASES = [

@@ -33,6 +33,18 @@ def test_field_labels():
         field_by_label("F6")
 
 
+def test_fields_refuse_floats():
+    with pytest.raises(FieldError, match="2.5"):
+        PrimeField(5).of(2.5)
+    with pytest.raises(FieldError, match="0.1"):
+        RationalField().of(0.1)
+    with pytest.raises(FieldError):
+        matrix(PrimeField(5), [[1.0]])
+    with pytest.raises(FieldError):
+        RationalField().of(float("nan"))
+    assert PrimeField(5).of(Fraction(6, 2)) == 3 and RationalField().of(3) == 3
+
+
 def test_rationals_exact():
     q = RationalField()
     assert q.div(1, 3) * 3 == 1

@@ -1,0 +1,151 @@
+"""The row-primitive matrix kernels and the sparse structure constants
+against the scalar-loop and dense oracles, on seeded random inputs."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from finsite.algebras import (FiniteDimAlgebra, chain_diagonal_algebra_presheaf,
+                              constant_algebra_presheaf, field_algebra,
+                              involution_group_algebra_presheaf,
+                              skew_category_algebra, swap_action_presheaf)
+from finsite.fields import (Matrix, PrimeField, RationalField,
+                            identity_matrix, inverse, mat_combination, mat_mul,
+                            mat_vec, matrix, null_space, rref)
+from finsite.gallery import (chain_poset, cyclic_group, group_category,
+                             involution_category, orbit_category, symmetric_group)
+
+from oracles import (dense_mul, dense_verify, scalar_mat_mul, scalar_mat_vec,
+                     scalar_rref)
+
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), RationalField()]
+
+
+def _random_matrix(field, rng, rows, cols, density):
+    """Entries nonzero with the given probability; one in three matrices of
+    two rows or more has its last row a combination of the first two."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        value = field.rand(rng)
+        return value if value != field.zero else 1
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 1 / 3:
+        c = field.rand(rng)
+        data[-1] = [field.add(field.mul(c, x), y) for x, y in
+                    zip(map(field.of, data[0]), map(field.of, data[1]))]
+    return matrix(field, data, cols=cols)
+
+
+def _cases(field, seed, count):
+    rng = random.Random(seed)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    for _ in range(count):
+        shapes.append((rng.randint(1, 12), rng.randint(1, 12)))
+    for rows, cols in shapes:
+        for density in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+            yield rng, rows, cols, density
+
+
+def _oracle_null_space(field, a):
+    r, pivots = scalar_rref(field, a)
+    cols = []
+    for j in (j for j in range(a.cols) if j not in pivots):
+        v = [field.zero] * a.cols
+        v[j] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = field.neg(r.entry(i, j))
+        cols.append(v)
+    return cols
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.label)
+def test_kernels_equal_the_scalar_loops(field):
+    paths = set()
+    for rng, rows, cols, density in _cases(field, 11, 14):
+        a = _random_matrix(field, rng, rows, cols, density)
+        inner = rng.randint(0, 7)
+        b = _random_matrix(field, rng, cols, inner, rng.choice((0.1, 0.5, 1.0)))
+        live = [any(r) for r in b.data]
+        for row in a.data:
+            terms = sum(1 for x, y in zip(row, live) if x and y)
+            paths.add(min(terms, 2) if field.row_sum_ratio * terms <= cols else "dots")
+        assert mat_mul(field, a, b) == scalar_mat_mul(field, a, b)
+        v = tuple(field.of(x) for x in _random_matrix(field, rng, 1, cols, density).data[0]) \
+            if cols else ()
+        assert mat_vec(field, a, v) == scalar_mat_vec(field, a, v)
+        assert rref(field, a) == scalar_rref(field, a)
+        kernel = null_space(field, a)
+        assert [kernel.col(j) for j in range(kernel.cols)] == \
+            [tuple(c) for c in _oracle_null_space(field, a)]
+        coeffs = Matrix(1, 4, ((field.rand(rng), field.rand(rng), field.one, field.zero),))
+        mats = [_random_matrix(field, rng, rows, cols, density) for _ in range(4)]
+        expected = Matrix(rows, cols, tuple(
+            tuple(scalar_mat_vec(field, coeffs, tuple(m.entry(i, j) for m in mats))[0]
+                  for j in range(cols)) for i in range(rows)))
+        assert mat_combination(field, coeffs.data[0], mats, rows, cols) == expected
+    assert paths == ({0, 1, 2, "dots"} if field.row_sum_ratio > 1 else {0, 1, 2})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.label)
+def test_inverse_equals_the_oracle(field):
+    rng = random.Random(12)
+    for n in range(0, 7):
+        for density in (0.3, 0.8):
+            a = _random_matrix(field, rng, n, n, density)
+            got = inverse(field, a)
+            reduced, pivots = scalar_rref(field, Matrix(n, 2 * n, tuple(
+                row + identity_matrix(field, n).data[i] for i, row in enumerate(a.data))))
+            if pivots != tuple(range(n)):
+                assert got is None
+            else:
+                assert got == Matrix(n, n, tuple(row[n:] for row in reduced.data))
+                assert scalar_mat_mul(field, a, got) == identity_matrix(field, n)
+
+
+def test_rational_kernels_keep_fractions():
+    q = RationalField()
+    a = matrix(q, [[0, Fraction(1, 2)], [3, 0]])
+    for x in mat_mul(q, a, a).data[0] + mat_vec(q, a, (0, 0)) + rref(q, a)[0].data[1]:
+        assert type(x) is Fraction
+
+
+def _skew_algebras(field):
+    cats = [chain_poset(3), involution_category(), group_category(cyclic_group(2)),
+            orbit_category(cyclic_group(2)), orbit_category(symmetric_group(3))]
+    for cat in cats:
+        yield skew_category_algebra(cat, constant_algebra_presheaf(cat, field_algebra(field)))
+    for r in (chain_diagonal_algebra_presheaf(field), swap_action_presheaf(field),
+              involution_group_algebra_presheaf(field)):
+        yield skew_category_algebra(r.cat, r)
+
+
+def _copy(alg, table=None, unit=None):
+    return FiniteDimAlgebra(alg.field, table or alg.table, unit or alg.unit,
+                            labels=alg.labels, check=False)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=lambda k: k.label)
+def test_sparse_verify_and_mul_equal_the_dense_oracle(field):
+    rng = random.Random(13)
+    found = []
+    for alg in _skew_algebras(field):
+        assert alg.verify() == dense_verify(alg) == []
+        for _ in range(5):
+            u = tuple(field.rand(rng) if rng.random() < 0.3 else field.zero
+                      for _ in range(alg.dim))
+            v = tuple(field.rand(rng) for _ in range(alg.dim))
+            assert alg.mul(u, v) == dense_mul(alg, u, v)
+        i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+        t = rng.randrange(alg.dim)
+        table = [[list(cell) for cell in row] for row in alg.table]
+        table[i][j][t] = field.add(table[i][j][t], field.one)
+        unit = list(alg.unit)
+        unit[t] = field.add(unit[t], field.one)
+        changed_table, changed_unit = _copy(alg, table=table), _copy(alg, unit=unit)
+        found.append(changed_table.verify())
+        assert found[-1] == dense_verify(changed_table)
+        assert changed_unit.verify() == dense_verify(changed_unit) != []
+    # r r = 2e over F5 is still associative, the other changes are not
+    assert sum(1 for problems in found if problems) >= len(found) - 1
