@@ -186,7 +186,7 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
 def _require_prime(group: FiniteGroup, p: int) -> None:
     """Refuse p below 2, or composite and at most the group order. Above the
     order only the trivial subgroup is a p-group, whatever p is, so a large
-    p is taken without trial division up to its square root."""
+    p is taken without a primality test."""
     if p < 2 or (p <= len(group.elements) and not _is_prime(p)):
         raise EngineError(f"p-orbit categories need a prime p, and {p} is not prime")
 

@@ -158,9 +158,10 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 def group_from_doc(doc: dict) -> FiniteGroup:
     _expect(doc, {"format", "kind", "elements", "table"}, {"name"}, "group")
-    rows = [_typed(row, list, "group: each row of 'table'")
+    rows = [_names(_typed(row, list, "group: each row of 'table'"), "group: field 'table'")
             for row in _typed(doc["table"], list, "group: field 'table'")]
-    return FiniteGroup.from_rows(_typed(doc["elements"], list, "group: field 'elements'"),
+    elements = _typed(doc["elements"], list, "group: field 'elements'")
+    return FiniteGroup.from_rows(_names(elements, "group: field 'elements'"),
                                  rows, name=doc.get("name", "G"))
 
 

@@ -12,7 +12,7 @@ classes, pointwise
 coset maps for orbit categories, a direct category-algebra table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
-the fields replaced.
+the fields replaced, and primality by trial division.
 """
 
 from __future__ import annotations
@@ -638,3 +638,15 @@ def dense_verify(alg) -> list:
         if dense_mul(alg, alg.unit, e) != e or dense_mul(alg, e, alg.unit) != e:
             problems.append(f"unit fails on basis element {alg.labels[i]!r}")
     return problems
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

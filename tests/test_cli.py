@@ -15,12 +15,45 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_top_enumerate_summary(capsys):
-    code, out, _ = run_cli(capsys, "--format", "summary",
-                           "top", "enumerate", "--gallery", "chain3")
-    assert code == 0
-    assert out.startswith("8 topologies")
-    assert "J^{x}" in out and "{gf}" in out
+# Every command with a summary form, and one without (alg gr), which
+# prints its YAML document under --format summary as well.
+SUMMARIES = {
+    "cat info": (["cat", "info", "--gallery", "involution"],
+                 "objects: ['x', 'y']\nmorphisms: 5\nei: True\nkaroubian: True\n"),
+    "top enumerate": (["top", "enumerate", "--gallery", "chain3"],
+                      "8 topologies\n"
+                      "topology   x    y    z\n"
+                      "---------  ---  ---  ------\n"
+                      "J^{x,y,z}  max  max  max\n"
+                      "J^{x,y}    max  max  {gf,g}\n"
+                      "J^{x,z}    max  {f}  max\n"
+                      "J^{x}      max  {f}  {gf}\n"
+                      "J^{y,z}    {}   max  max\n"
+                      "J^{y}      {}   max  {gf,g}\n"
+                      "J^{z}      {}   {}   max\n"
+                      "J^{}       {}   {}   {}\n"),
+    "top subcat": (["top", "subcat", "--gallery", "chain3", "--objects", "x,y"],
+                   "topology  x    y    z\n"
+                   "--------  ---  ---  ------\n"
+                   "J^{x,y}   max  max  {gf,g}\n"),
+    "top dense": (["top", "dense", "--gallery", "involution"],
+                  "topology  x    y\n"
+                  "--------  ---  -----\n"
+                  "J_den     max  {f,g}\n"),
+    "mod blocks": (["mod", "blocks", "--gallery", "orbit-p", "--group", "S3", "--p", "3",
+                    "--constant-field", "5"],
+                   "1 block(s), total dim 2\n"
+                   "  [S3/{e,(123),(132)}] rep S3/{e,(123),(132)}: "
+                   "skew group algebra of dim 2\n"),
+    "alg gr": (["alg", "gr", "--gallery", "involution", "--constant-field", "2"],
+               "hom_sizes: {x->x: 4, x->y: 4, y->x: 0, y->y: 2}\n"),
+}
+
+
+@pytest.mark.parametrize("command", SUMMARIES)
+def test_top_enumerate_summary(capsys, command):
+    argv, expected = SUMMARIES[command]
+    assert run_cli(capsys, "--format", "summary", *argv) == (0, expected, "")
 
 
 def test_top_enumerate_structured_deterministic(capsys):
@@ -342,6 +375,31 @@ def test_large_prime_p_answers_at_once():
     assert large.stdout == run_cli_process(*argv, "7").stdout
 
 
+def test_large_characteristic_answers_at_once(tmp_path, chain3):
+    # the characteristic is tested by Miller-Rabin, not by trial division
+    from finsite.fields import PrimeField
+    from finsite.presheaves import constant_linear_presheaf
+    big = "1000000000000000003"
+    run = run_cli_process("mod", "roundtrip", "--gallery", "chain3",
+                          "--constant-field", big, "--count", "1")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert yaml.safe_load(run.stdout)["ok"] is True
+    ps_file = tmp_path / "ps.yaml"
+    ps_file.write_text(dump_text(presheaf_to_doc(
+        constant_linear_presheaf(chain3, PrimeField(int(big)), 1))))
+    run = run_cli_process("sheaf", "check", "--gallery", "chain3",
+                          "--presheaf", str(ps_file), "--dense")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert yaml.safe_load(run.stdout) == {"sheaf": True}
+
+
+def test_characteristic_from_two_to_the_64_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "mod", "roundtrip", "--gallery", "chain3",
+                             "--constant-field", "18446744073709551629")
+    assert (code, out) == (1, "")
+    assert err == "error: characteristic 18446744073709551629 is not below the limit 2^64\n"
+
+
 def run_cli_process(*argv):
     """The finsite CLI in a process of its own, stopped after 60 s."""
     import os
@@ -456,6 +514,10 @@ MALFORMED_CASES = [
     (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
      "set-presheaf", "maps", {"1x": {"*": "*"}, "f": {"*": ["*"]}, "gf": {"*": "*"},
                               "1y": {"*": "*"}, "g": {"*": "*"}, "1z": {"*": "*"}}),
+    (["top", "enumerate", "--gallery", "group", "--group-file", "BAD"],
+     "group", "elements", ["e", ["r"]]),
+    (["top", "enumerate", "--gallery", "group", "--group-file", "BAD"],
+     "group", "table", [["e", "r"], ["r", ["e"]]]),
 ]
 
 

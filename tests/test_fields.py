@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from finsite.fields import (FieldError, PrimeField, RationalField,
+from finsite.fields import (FieldError, PrimeField, RationalField, _is_prime,
                             block_diagonal, block_offsets, col_space,
                             field_by_label, hstack, identity_matrix,
                             inverse, mat_mul, mat_vec, matrix, matrix_from_cols,
                             null_space, rank, rref, solve, solve_matrix,
                             transpose, vstack, zero_matrix)
+from oracles import trial_division_is_prime
 
 
 def test_prime_field_arithmetic():
@@ -22,6 +23,17 @@ def test_prime_field_arithmetic():
         f5.inv(0)
     with pytest.raises(FieldError):
         PrimeField(6)
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(-2, 20_000) if _is_prime(n) != trial_division_is_prime(n)] == []
+    assert not any(_is_prime(n) for n in (561, 1105, 41041))  # Carmichael numbers
+
+
+def test_large_characteristics():
+    assert PrimeField(2 ** 61 - 1).inv(2) == 2 ** 60
+    with pytest.raises(FieldError, match="is not prime"):
+        PrimeField((2 ** 31 - 1) ** 2)
 
 
 def test_field_labels():
