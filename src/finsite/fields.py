@@ -9,14 +9,17 @@ zero-dimensional spaces keep their shape information.  All eliminations
 are plain Gauss-Jordan over the field, with pivots chosen in column
 order, so reduced forms and the bases derived from them are canonical.
 
-The matrix kernels work on whole rows through three primitives of each
-field: ``dot``, ``axpy`` and ``scale``.  Over F_p a dot product is
-reduced once, over Q a zero entry is never multiplied.
+Over F_p the matrix kernels work on whole rows through three primitives
+of the field: ``dot``, ``axpy`` and ``scale``, and a dot product is
+reduced once.  Over Q, ``mat_mul`` and ``rref`` clear the denominators of
+each row once, compute on Python ints, and build one ``Fraction`` per
+output entry at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -147,7 +150,6 @@ class RationalField:
     enumerable = False
     zero = Fraction(0)
     one = Fraction(1)
-    row_sum_ratio = 1  # see mat_mul
 
     def of(self, n):
         if isinstance(n, float):
@@ -287,17 +289,17 @@ def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
-    """A B. Where at most 1/row_sum_ratio of the entries of a row of A
-    are nonzero and face a nonzero row of B, that row of the product adds
-    up those rows of B; otherwise it takes one dot product per column.
-    Over F_p the ratio is 4: on the products of the bundle and sheafify
-    benchmark workloads, rows alone or dot products alone take 15-50% more
-    time, and any ratio from 2 to 8 is as fast as 4. Over Q it is 1: both
-    ways multiply the same nonzero Fractions, and adding up rows tests
-    fewer entries for zero. The zero of either field is its only falsy
-    element."""
+    """A B. Over Q see _rational_mat_mul. Over F_p, where at most
+    1/row_sum_ratio of the entries of a row of A are nonzero and face a
+    nonzero row of B, that row of the product adds up those rows of B;
+    otherwise it takes one dot product per column. The ratio is 4: on the
+    products of the bundle and sheafify benchmark workloads, rows alone or
+    dot products alone take 15-50% more time, and any ratio from 2 to 8 is
+    as fast as 4. The zero of the field is its only falsy element."""
     if a.cols != b.rows:
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    if isinstance(field, RationalField):
+        return _rational_mat_mul(a, b)
     zero = field.zero
     live = [j for j, r in enumerate(b.data) if any(r)]
     bt = None
@@ -314,6 +316,45 @@ def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
         else:
             bt = bt or tuple(zip(*b.data))
             out.append(tuple(map(field.dot, itertools.repeat(row), bt)))
+    return Matrix(a.rows, b.cols, tuple(out))
+
+
+def _integer_row(row) -> tuple[int, list]:
+    """The lcm d of the denominators of a row of rationals, and d times
+    the row, as ints."""
+    if not row:
+        return 1, []
+    nums, dens = zip(*[x.as_integer_ratio() for x in row])
+    d = math.lcm(*dens)
+    if d == 1:
+        return 1, list(nums)
+    return d, [n * (d // q) for n, q in zip(nums, dens)]
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _rational_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """A B over Q on integer rows of A and integer columns of B: each entry
+    is one integer dot product over the nonzero entries of its row of A,
+    divided once by the two denominators."""
+    zero = RationalField.zero
+    if not (a.cols and b.cols):
+        return Matrix(a.rows, b.cols, ((zero,) * b.cols,) * a.rows)
+    cols = [_integer_row(c) for c in zip(*b.data)]
+    out = []
+    for row in a.data:
+        da, ia = _integer_row(row)
+        vals = [x for x in ia if x]
+        if not vals:
+            out.append((zero,) * b.cols)
+            continue
+        entries = []
+        for db, ib in cols:
+            n = sum(map(operator.mul, vals, itertools.compress(ib, ia)))
+            entries.append(_fraction(n, da * db) if n else zero)
+        out.append(tuple(entries))
     return Matrix(a.rows, b.cols, tuple(out))
 
 
@@ -401,6 +442,8 @@ def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
 
 def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with the pivot columns, fully canonical."""
+    if isinstance(field, RationalField):
+        return _rational_rref(a)
     rows = [list(r) for r in a.data]
     zero = field.zero
     pivots = []
@@ -423,6 +466,42 @@ def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == a.rows:
             break
     return Matrix(a.rows, a.cols, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
+
+
+def _rational_rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss-Jordan over Q, fraction-free: each row is scaled to integers
+    once; clearing column c in a row with entry f against the pivot p is
+    row = (p/g) row - (f/g) pivot row, g = gcd(p, f), and the row is then
+    divided by the gcd of its entries. Only the rows with a nonzero entry
+    in column c change, unlike one-step Bareiss, which rescales every row
+    at every pivot. Each pivot row is divided by its pivot at the end."""
+    zero = RationalField.zero
+    rows = [_integer_row(r)[1] for r in a.data]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        p = pivot[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(row, pivot)]
+                content = math.gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    out = [tuple(_fraction(x, row[c]) if x else zero for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [(zero,) * a.cols] * (a.rows - r)
+    return Matrix(a.rows, a.cols, tuple(out)), tuple(pivots)
 
 
 def rank(field, a: Matrix) -> int:

@@ -183,17 +183,18 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
     return cat
 
 
-def _require_prime(group: FiniteGroup, p: int) -> None:
-    """Refuse p below 2, or composite and at most the group order. Above the
-    order only the trivial subgroup is a p-group, whatever p is, so a large
-    p is taken without a primality test."""
-    if p < 2 or (p <= len(group.elements) and not _is_prime(p)):
+def _require_prime(p: int) -> None:
+    """Refuse p unless it is a prime below 2^64, the limit of PrimeField;
+    the Miller-Rabin test of _is_prime is exact far beyond it."""
+    if p >= 2 ** 64:
+        raise EngineError(f"p-orbit categories need p below the limit 2^64, and {p} is not")
+    if not _is_prime(p):
         raise EngineError(f"p-orbit categories need a prime p, and {p} is not prime")
 
 
 def p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
     """Orbit category on all p-subgroups (the trivial subgroup included)."""
-    _require_prime(group, p)
+    _require_prime(p)
     cat = orbit_category(group, lambda h: group.is_p_group(h, p))
     cat.name = f"O_{p}({group.name})"
     return cat
@@ -201,7 +202,7 @@ def p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
 
 def reduced_p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
     """Orbit category on the non-identity p-subgroups."""
-    _require_prime(group, p)
+    _require_prime(p)
     cat = orbit_category(group, lambda h: len(h) > 1 and group.is_p_group(h, p))
     cat.name = f"O_{p}*({group.name})"
     return cat

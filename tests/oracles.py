@@ -12,7 +12,7 @@ classes, pointwise
 coset maps for orbit categories, a direct category-algebra table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
-the fields replaced, and primality by trial division.
+the fields replaced, with the null space and inverse read off them, and primality by trial division.
 """
 
 from __future__ import annotations
@@ -604,6 +604,30 @@ def scalar_rref(field, a: Matrix):
             break
     return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
 
+
+
+def scalar_null_space(field, a: Matrix) -> list:
+    """The kernel basis from scalar_rref, one column tuple per free variable."""
+    r, pivots = scalar_rref(field, a)
+    cols = []
+    for j in (j for j in range(a.cols) if j not in pivots):
+        v = [field.zero] * a.cols
+        v[j] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = field.neg(r.entry(i, j))
+        cols.append(tuple(v))
+    return cols
+
+
+def scalar_inverse(field, a: Matrix) -> Matrix | None:
+    """The right half of the scalar_rref of [A | I], or None when A is singular."""
+    n = a.rows
+    ident = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+    reduced, pivots = scalar_rref(field, Matrix(n, 2 * n, tuple(
+        row + ident[i] for i, row in enumerate(a.data))))
+    if pivots != tuple(range(n)):
+        return None
+    return Matrix(n, n, tuple(row[n:] for row in reduced.data))
 
 def dense_mul(alg, u, v) -> tuple:
     """u v by the dense structure-constant table."""

@@ -358,7 +358,7 @@ def test_top_enumerate_independent_of_hash_seed(gallery):
 @pytest.mark.parametrize("argv", [["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
                                   ["gallery", "show", "orbit-p", "--group", "S3"]],
                          ids=["orbit", "orbit-p"])
-@pytest.mark.parametrize("p", ["1", "0", "-2", "4"])
+@pytest.mark.parametrize("p", ["1", "0", "-2", "4", "1000"])
 def test_non_prime_p_is_one_error_line(argv, p):
     # in a process of its own with a timeout, since p = 1 used to loop for ever
     run = run_cli_process(*argv, "--p", p)
@@ -367,12 +367,22 @@ def test_non_prime_p_is_one_error_line(argv, p):
 
 
 def test_large_prime_p_answers_at_once():
-    # above the group order only the trivial subgroup is a p-group, and p is
-    # not tried by trial division up to its square root
+    # p is tested by Miller-Rabin, not by trial division up to its square
+    # root; above the group order only the trivial subgroup is a p-group
     argv = ("top", "enumerate", "--gallery", "orbit", "--group", "S3", "--p")
     large = run_cli_process(*argv, "1000000000000000003")
     assert (large.returncode, large.stderr) == (0, "")
     assert large.stdout == run_cli_process(*argv, "7").stdout
+
+
+@pytest.mark.parametrize("argv", [["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
+                                  ["gallery", "show", "orbit-p", "--group", "S3"]],
+                         ids=["orbit", "orbit-p"])
+def test_p_from_2_to_the_64_is_one_error_line(argv):
+    p = "18446744073709551629"  # 2^64 + 13
+    run = run_cli_process(*argv, "--p", p)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"error: p-orbit categories need p below the limit 2^64, and {p} is not\n"
 
 
 def test_large_characteristic_answers_at_once(tmp_path, chain3):
