@@ -40,7 +40,7 @@ def _read(path: str, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = load_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EngineError(f"cannot read {path}: {exc}") from None
     if doc["kind"] != kind:
         article = "an" if kind[0] in "aeiou" else "a"

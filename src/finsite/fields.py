@@ -431,7 +431,16 @@ def block_diagonal(field, mats) -> Matrix:
 
 def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """The sum of c * a over the pairs (c, a) of coeffs and mats, all of
-    shape rows x cols."""
+    shape rows x cols. Over Q it is the product of the row of coefficients
+    with the matrices laid out as rows, on integer rows."""
+    if isinstance(field, RationalField):
+        pairs = [(c, a) for c, a in zip(coeffs, mats) if c]
+        flat = _rational_mat_mul(
+            Matrix(1, len(pairs), (tuple(c for c, _ in pairs),)),
+            Matrix(len(pairs), rows * cols,
+                   tuple(tuple(itertools.chain.from_iterable(a.data)) for _, a in pairs)),
+        ).data[0]
+        return Matrix(rows, cols, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
     zero = field.zero
     acc = zero_matrix(field, rows, cols).data
     for c, a in zip(coeffs, mats):
@@ -520,14 +529,13 @@ def null_space(field, a: Matrix) -> Matrix:
         for i, c in enumerate(pivots):
             v[c] = field.neg(r.entry(i, j))
         cols.append(tuple(v))
-    return matrix_from_cols(field, cols, rows=a.cols)
+    return transpose(Matrix(len(cols), a.cols, tuple(cols)))
 
 
 def col_space(field, a: Matrix) -> Matrix:
     """Canonical basis of the column space (rref rows of the transpose)."""
     r, pivots = rref(field, transpose(a))
-    cols = [r.row(i) for i in range(len(pivots))]
-    return matrix_from_cols(field, cols, rows=a.rows)
+    return transpose(Matrix(len(pivots), a.rows, r.data[:len(pivots)]))
 
 
 def solve_matrix(field, a: Matrix, b: Matrix) -> Matrix | None:

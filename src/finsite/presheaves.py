@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
-                     mat_combination, mat_mul, matrix, null_space, zero_matrix)
+                     mat_combination, mat_mul, null_space, zero_matrix)
 
 
 class PresheafError(EngineError):
@@ -286,7 +286,7 @@ def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
                     row[offsets[y] + c * dy + j] = k.sub(
                         row[offsets[y] + c * dy + j], t.entry(i, c))
                 rows.append(row)
-    basis = null_space(k, matrix(k, rows, cols=total))
+    basis = null_space(k, Matrix(len(rows), total, tuple(map(tuple, rows))))
     out = []
     for c in range(basis.cols):
         v = basis.col(c)

@@ -7,6 +7,15 @@ construction order, never alphabetical, so golden files are byte-stable.
 
 Field elements are written as integers when possible and as "n/d"
 strings for non-integral rationals.
+
+Documents are read and written by libyaml when PyYAML was built with it,
+and by PyYAML's pure-Python classes otherwise. The bytes written are the
+same, since a document holding a string on which the two emitters differ
+is written by the pure one, and so are the data read back from them.
+Diagnostics are the pure loader's wording. A document nesting collections
+deeper than MAX_DEPTH is refused before it is composed: libyaml's composer
+recurses without limit and crashes the process at 30,000 levels, and the
+pure one raises RecursionError at about 500.
 """
 
 from __future__ import annotations
@@ -26,6 +35,43 @@ from .sieves import Sieve
 from .topology import GrothendieckTopology, check_topology
 
 FORMAT = "finsite/1"
+# Documents nesting collections deeper than this are refused when read.
+MAX_DEPTH = 100
+# Besides YAMLError, the constructors raise these on a malformed tagged or
+# implicit scalar: a date 2001-13-45, !!int "0x", !!int "", !!bool x,
+# !!timestamp x.
+_NOT_YAML = (yaml.YAMLError, ValueError, LookupError, AttributeError)
+_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
+_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+
+
+class _NotPlain(Exception):
+    """A string that libyaml's emitter may write otherwise than PyYAML's."""
+
+
+class _LibyamlDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """libyaml's emitter, on documents where it writes PyYAML's bytes: every
+    string printable ASCII, and no key empty or 123 to 128 characters long.
+    PyYAML writes such keys in the explicit "? key" form and libyaml does
+    not, and the two fold long escaped text differently."""
+
+    def represent_str(self, data):
+        if not (data.isascii() and data.isprintable()):
+            raise _NotPlain
+        return super().represent_str(data)
+
+    def represent_dict(self, data):
+        for key in data:
+            n = len(key if isinstance(key, str) else str(key))
+            if n == 0 or 123 <= n <= 128:
+                raise _NotPlain
+        return super().represent_dict(data)
+
+
+_LibyamlDumper.add_representer(str, _LibyamlDumper.represent_str)
+_LibyamlDumper.add_representer(dict, _LibyamlDumper.represent_dict)
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_DUMPER = _LibyamlDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 class DocumentError(EngineError):
@@ -43,10 +89,32 @@ def _expect(doc: dict, required: set, optional: set, where: str):
         raise DocumentError(f"{where}: missing field {sorted(missing)[0]!r}")
 
 
+def _load(text: str, loader):
+    """The data of text, read by loader once the parser's event stream has
+    shown that no collection nests deeper than MAX_DEPTH."""
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, _OPEN):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise DocumentError(f"document nests collections deeper than "
+                                    f"the limit of {MAX_DEPTH} levels")
+        elif isinstance(event, _CLOSE):
+            depth -= 1
+    return yaml.load(text, Loader=loader)
+
+
 def load_text(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        try:
+            doc = _load(text, _LOADER)
+        except _NOT_YAML:
+            if _LOADER is yaml.SafeLoader:
+                raise
+            # The pure loader words the diagnostic, so that it does not
+            # depend on the backend.
+            doc = _load(text, yaml.SafeLoader)
+    except _NOT_YAML as exc:
         raise DocumentError(f"not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document is not a mapping")
@@ -59,7 +127,11 @@ def load_text(text: str) -> dict:
 
 
 def dump_text(doc: dict) -> str:
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
+    style = {"sort_keys": False, "default_flow_style": None, "width": 100}
+    try:
+        return yaml.dump(doc, Dumper=_DUMPER, **style)
+    except _NotPlain:
+        return yaml.dump(doc, Dumper=yaml.SafeDumper, **style)
 
 
 def _scalar_out(value):

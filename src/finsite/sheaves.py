@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
 from .fields import (Matrix, block_matrix, block_offsets, identity_matrix, mat_mul,
-                     matrix, null_space, rank, solve_matrix, vstack, zero_matrix)
+                     null_space, rank, solve_matrix, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve, sieve_sort_key
 from .topology import GrothendieckTopology
@@ -81,14 +81,14 @@ def families(f, cat: FiniteCategory, members: tuple):
     offsets, total = block_offsets(dims)
     rows = []
     for i, v, j in links:
-        fv = f.mat(v)
-        for r in range(fv.rows):
+        lo = offsets[i]
+        for at, entries in enumerate(f.mat(v).data, offsets[j]):
             row = [k.zero] * total
-            row[offsets[i]:offsets[i] + fv.cols] = fv.row(r)
-            row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
-            rows.append(row)
-    return FamilySpace(members, dims, offsets,
-                       null_space(k, matrix(k, rows, cols=total)))
+            row[lo:lo + len(entries)] = entries
+            row[at] = k.sub(row[at], k.one)
+            rows.append(tuple(row))
+    system = Matrix(len(rows), total, tuple(rows))
+    return FamilySpace(members, dims, offsets, null_space(k, system))
 
 
 def set_matching_families(f: SetPresheaf, s: Sieve) -> tuple[tuple, ...]:
@@ -325,8 +325,8 @@ def _fixed_subspace_basis(k, f: LinearPresheaf, obj: str, stabilizer) -> Matrix:
             continue
         fh = f.mat(h)
         for r in range(d):
-            rows.append([k.sub(fh.entry(r, c), ident.entry(r, c)) for c in range(d)])
-    return null_space(k, matrix(k, rows, cols=d))
+            rows.append(tuple(k.sub(fh.entry(r, c), ident.entry(r, c)) for c in range(d)))
+    return null_space(k, Matrix(len(rows), d, tuple(rows)))
 
 
 def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPresheaf:

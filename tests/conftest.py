@@ -6,6 +6,8 @@ from finsite.gallery import (chain_poset, cyclic_group, group_category,
                              orbit_category, reduced_p_orbit_category,
                              split_idempotent_category, symmetric_group)
 
+from oracles import pure_yaml
+
 
 @pytest.fixture(scope="session")
 def chain3():
@@ -55,3 +57,10 @@ def f5():
 @pytest.fixture(scope="session")
 def rationals():
     return RationalField()
+
+
+@pytest.fixture
+def pure_yaml_backend():
+    """finsite.serialize on PyYAML's pure-Python classes for one test."""
+    with pure_yaml():
+        yield

@@ -13,11 +13,19 @@ coset maps for orbit categories, a direct category-algebra table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
 the fields replaced, with the null space and inverse read off them, and primality by trial division.
+PyYAML's pure-Python classes are the reference of the libyaml backend of
+finsite.serialize.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+
+import pytest
+import yaml
+
+from finsite import serialize
 
 from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
                               iso_classes, strictly_full_karoubian_subcategories)
@@ -629,6 +637,15 @@ def scalar_inverse(field, a: Matrix) -> Matrix | None:
         return None
     return Matrix(n, n, tuple(row[n:] for row in reduced.data))
 
+
+def scalar_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
+    """The sum of c a over the pairs of coeffs and mats, entry by entry."""
+    c = Matrix(1, len(coeffs), (tuple(coeffs),))
+    return Matrix(rows, cols, tuple(
+        tuple(scalar_mat_vec(field, c, tuple(m.entry(i, j) for m in mats))[0]
+              for j in range(cols)) for i in range(rows)))
+
+
 def dense_mul(alg, u, v) -> tuple:
     """u v by the dense structure-constant table."""
     k = alg.field
@@ -674,3 +691,15 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+# -- the pure-Python YAML classes ----------------------------------------------
+
+
+@contextlib.contextmanager
+def pure_yaml():
+    """finsite.serialize on PyYAML's pure-Python loader and dumper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_LOADER", yaml.SafeLoader)
+        patch.setattr(serialize, "_DUMPER", yaml.SafeDumper)
+        yield

@@ -8,6 +8,8 @@ from finsite.serialize import (category_to_doc, dump_text, presheaf_to_doc,
 from finsite.presheaves import representable_presheaf, singleton_presheaf
 from finsite.topology import subcategory_topology
 
+from oracles import pure_yaml
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -612,3 +614,48 @@ def test_topology_document_must_be_a_topology(tmp_path, capsys, chain3, f5, argv
     code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
     assert (code, out) == (1, "")
     assert err == f"error: topology: not a Grothendieck topology: {violation}\n"
+
+
+# Documents that are no YAML, or that PyYAML's constructors or composer
+# cannot take; each must end in one diagnostic and exit 1 on both backends.
+HOSTILE_DOCUMENTS = {
+    "unclosed list": ("format: finsite/1\nkind: category\nobjects: [x\n", None),
+    "month 13": ("name: 2001-13-45\n", "error: not valid YAML: month must be in 1..12\n"),
+    "!!int 0x": ('name: !!int "0x"\n',
+                 "error: not valid YAML: invalid literal for int() with base 16: ''\n"),
+    "3,000 levels": ("[" * 3000 + "\n", "error: document nests collections deeper than "
+                                          "the limit of 100 levels\n"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_DOCUMENTS)
+def test_hostile_document_is_one_error_on_both_backends(tmp_path, capsys, case):
+    text, expected = HOSTILE_DOCUMENTS[case]
+    path = tmp_path / "hostile.yaml"
+    path.write_text(text)
+    argv = ["cat", "validate", "--category", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    with pure_yaml():
+        assert run_cli(capsys, *argv) == (code, out, err)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    if expected is not None:
+        assert err == expected
+
+
+def test_undecodable_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("objects: [\xe9]\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "cat", "validate", "--category", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+
+
+def test_document_100000_levels_deep_exits_1_in_a_subprocess(tmp_path):
+    """libyaml's composer would overflow the C stack here (exit 139)."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 100_000 + "\n")
+    done = run_cli_process("cat", "validate", "--category", str(path))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: document nests collections deeper than the limit of 100 levels\n"

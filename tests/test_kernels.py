@@ -10,14 +10,19 @@ from finsite.algebras import (FiniteDimAlgebra, chain_diagonal_algebra_presheaf,
                               constant_algebra_presheaf, field_algebra,
                               involution_group_algebra_presheaf,
                               skew_category_algebra, swap_action_presheaf)
-from finsite.fields import (Matrix, PrimeField, RationalField,
+from finsite.fields import (Matrix, PrimeField, RationalField, col_space,
                             identity_matrix, inverse, mat_combination, mat_mul,
                             mat_vec, matrix, null_space, rank, rref)
 from finsite.gallery import (chain_poset, cyclic_group, group_category,
-                             involution_category, orbit_category, symmetric_group)
+                             involution_category, orbit_category,
+                             reduced_p_orbit_category, symmetric_group)
+from finsite.presheaves import intertwiner_basis
+from finsite.sampling import random_linear_presheaf
+from finsite.sheaves import dense_sheafify_fixed_points, families, member_order
+from finsite.topology import dense_topology
 
-from oracles import (dense_mul, dense_verify, scalar_inverse, scalar_mat_mul,
-                     scalar_mat_vec, scalar_null_space, scalar_rref)
+from oracles import (dense_mul, dense_verify, scalar_combination, scalar_inverse,
+                     scalar_mat_mul, scalar_mat_vec, scalar_null_space, scalar_rref)
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), RationalField()]
 
@@ -76,10 +81,8 @@ def test_kernels_equal_the_scalar_loops(field):
             scalar_null_space(field, a)
         coeffs = Matrix(1, 4, ((field.rand(rng), field.rand(rng), field.one, field.zero),))
         mats = [_random_matrix(field, rng, rows, cols, density) for _ in range(4)]
-        expected = Matrix(rows, cols, tuple(
-            tuple(scalar_mat_vec(field, coeffs, tuple(m.entry(i, j) for m in mats))[0]
-                  for j in range(cols)) for i in range(rows)))
-        assert mat_combination(field, coeffs.data[0], mats, rows, cols) == expected
+        assert mat_combination(field, coeffs.data[0], mats, rows, cols) == \
+            scalar_combination(field, coeffs.data[0], mats, rows, cols)
     if field.char:
         assert paths == {0, 1, 2, "dots"}
     else:
@@ -143,3 +146,31 @@ def test_sparse_verify_and_mul_equal_the_dense_oracle(field):
         assert changed_unit.verify() == dense_verify(changed_unit) != []
     # r r = 2e over F5 is still associative, the other changes are not
     assert sum(1 for problems in found if problems) >= len(found) - 1
+
+
+S3_MEMBERS = {"BS3": lambda: group_category(symmetric_group(3)),
+              "O(S3)": lambda: orbit_category(symmetric_group(3)),
+              "O_3*(S3)": lambda: reduced_p_orbit_category(symmetric_group(3), 3)}
+
+
+@pytest.mark.parametrize("member", S3_MEMBERS)
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=lambda k: k.label)
+def test_matrices_built_without_coercion_hold_canonical_entries(field, member):
+    """The family systems, kernels, column spaces and intertwiner bases are
+    built as Matrix records without field.of; each entry must still be the
+    field's own element: an int in 0..p-1 over F_p, a Fraction over Q."""
+    cat = S3_MEMBERS[member]()
+    kind = int if field.char else Fraction
+    f, g = (random_linear_presheaf(cat, field, random.Random(seed)) for seed in (3, 4))
+    built = [families(f, cat, tuple(cat.into(x))).basis for x in cat.objects]
+    built += [families(f, cat, member_order(cat, dense_topology(cat).minimal_cover(x))).basis
+              for x in cat.objects]
+    for m in cat.morphisms:
+        built += [null_space(field, f.mat(m.name)), col_space(field, f.mat(m.name))]
+    built += [c for comps in intertwiner_basis(f.rep, g.rep) for c in comps.values()]
+    built += list(dense_sheafify_fixed_points(f).mats.values())
+    assert any(b.rows and b.cols for b in built)
+    for b in built:
+        assert len(b.data) == b.rows and all(len(row) == b.cols for row in b.data)
+        for x in (x for row in b.data for x in row):
+            assert type(x) is kind and field.of(x) == x

@@ -10,13 +10,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finsite.algebras import involution_group_algebra_presheaf, skew_category_algebra
-from finsite.fields import (Matrix, RationalField, inverse, mat_mul, matrix,
-                            null_space, rref)
+from finsite.fields import (Matrix, RationalField, inverse, mat_combination, mat_mul,
+                            matrix, null_space, rref)
 from finsite.modules import ALGEBRA_MODULE_KEY
 from finsite.presheaves import intertwiner_basis
 from finsite.sampling import random_algebra_module
 
-from oracles import scalar_inverse, scalar_mat_mul, scalar_null_space, scalar_rref
+from oracles import (scalar_combination, scalar_inverse, scalar_mat_mul,
+                     scalar_null_space, scalar_rref)
 
 Q = RationalField()
 
@@ -103,6 +104,28 @@ def test_inverse_equals_the_oracle(a):
     assert got == scalar_inverse(Q, a)
     if got is not None:
         assert _all_fractions(got.data)
+
+
+@st.composite
+def combinations(draw):
+    """Coefficients, mostly zero or not, and as many matrices of one shape."""
+    rows, cols, n = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    coeffs = draw(st.lists(st.one_of(ENTRIES, SPARSE), min_size=n, max_size=n))
+    entries = draw(st.sampled_from((ENTRIES, SPARSE)))
+    mats = [draw(matrices(st.just(rows), st.just(cols), entries)) for _ in range(n)]
+    return coeffs, mats, rows, cols
+
+
+@PROPERTIES
+@given(combinations())
+@example(([0, 0], [matrix(Q, [[1, 2]]), matrix(Q, [[3, 4]])], 1, 2))
+@example(([Fraction(1, 2)], [EMPTY[2]], 3, 0))
+def test_mat_combination_equals_the_oracle(case):
+    coeffs, mats, rows, cols = case
+    got = mat_combination(Q, coeffs, mats, rows, cols)
+    assert got == scalar_combination(Q, coeffs, mats, rows, cols)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert _all_fractions(got.data)
 
 
 def _equations(src, dst) -> Matrix:
