@@ -26,7 +26,6 @@ import pytest
 import yaml
 
 from finsite import serialize
-
 from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
                               iso_classes, strictly_full_karoubian_subcategories)
 from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,

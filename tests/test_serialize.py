@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finsite import serialize
-
 from finsite.algebras import (chain_diagonal_algebra_presheaf,
                               constant_algebra_presheaf, field_algebra,
                               skew_category_algebra)
