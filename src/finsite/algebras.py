@@ -16,6 +16,7 @@ algebra, for a one-object category it is a skew group algebra.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import NamedTuple
 
 from .category import FiniteCategory
@@ -35,8 +36,10 @@ class FiniteDimAlgebra:
     """Unital associative algebra with a distinguished basis.
 
     ``table[i][j]`` holds the coefficient vector of the product
-    ``b_i * b_j``; ``unit`` is the coefficient vector of 1. ``support[i][j]``
-    holds the nonzero entries of that vector as (index, coefficient) pairs.
+    ``b_i * b_j``; ``unit`` is the coefficient vector of 1. ``products[i]``
+    maps each j with ``b_i * b_j`` nonzero to the nonzero entries of that
+    vector, as (index, coefficient) pairs; ``mul``, ``verify`` and
+    ``right_multiplication_matrix`` walk only these.
     """
 
     def __init__(self, field, table, unit, *, labels=None, name=None, check=True):
@@ -52,8 +55,11 @@ class FiniteDimAlgebra:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
                 raise AlgebraError("structure constant table is not dim x dim x dim")
         zero = field.zero
-        self.support = tuple(tuple(tuple((t, c) for t, c in enumerate(cell) if c != zero)
-                                   for cell in row) for row in self.table)
+        self.products = tuple(
+            {j: cell for j, cell in enumerate(
+                tuple((t, c) for t, c in enumerate(cell) if c != zero) for cell in row)
+             if cell}
+            for row in self.table)
         if check:
             problems = self.verify()
             if problems:
@@ -65,30 +71,45 @@ class FiniteDimAlgebra:
 
     def mul(self, u, v) -> tuple:
         k = self.field
-        v_support = [(j, b) for j, b in enumerate(v) if b != k.zero]
-        return tuple(self._combination((k.mul(a, b), self.support[i][j])
-                                       for i, a in enumerate(u) if a != k.zero
-                                       for j, b in v_support))
+        zero = k.zero
+        out = [zero] * self.dim
+        for i, a in enumerate(u):
+            if a == zero:
+                continue
+            for j, cell in self.products[i].items():
+                b = v[j]
+                if b != zero:
+                    ab = k.mul(a, b)
+                    for t, c in cell:
+                        out[t] = k.add(out[t], k.mul(ab, c))
+        return tuple(out)
 
-    def _combination(self, terms) -> list:
-        """The coefficient vector of the sum of c * cell over the
-        (c, support cell) pairs of terms."""
+    def _sum(self, terms) -> dict:
+        """The sum of c * cell over the (c, cell) pairs of terms, as its
+        nonzero entries {index: coefficient}."""
         k = self.field
-        out = [k.zero] * self.dim
+        zero = k.zero
+        out = {}
         for a, cell in terms:
             for t, c in cell:
-                out[t] = k.add(out[t], k.mul(a, c))
-        return out
+                out[t] = k.add(out.get(t, zero), k.mul(a, c))
+        return {t: c for t, c in out.items() if c != zero}
+
+    def _triples(self):
+        """The basis triples (i, j, t) on which associativity is checked,
+        in lexicographic order: every triple."""
+        return itertools.product(range(self.dim), repeat=3)
 
     def verify(self) -> list[str]:
-        """Associativity on every basis triple, (b_i b_j) b_t = b_i (b_j b_t)
-        compared through the support, plus the unit laws."""
+        """Associativity on the basis triples of ``_triples``,
+        (b_i b_j) b_t = b_i (b_j b_t) compared through the stored products,
+        plus the unit laws on every basis element."""
         k = self.field
-        sup = self.support
+        prods = self.products
         problems = []
-        for i, j, t in itertools.product(range(self.dim), repeat=3):
-            left = self._combination((c, sup[s][t]) for s, c in sup[i][j])
-            right = self._combination((c, sup[i][s]) for s, c in sup[j][t])
+        for i, j, t in self._triples():
+            left = self._sum((c, prods[s].get(t, ())) for s, c in prods[i].get(j, ()))
+            right = self._sum((c, prods[i].get(s, ())) for s, c in prods[j].get(t, ()))
             if left != right:
                 problems.append(
                     f"associativity failure on basis triple "
@@ -100,12 +121,16 @@ class FiniteDimAlgebra:
         return problems
 
     def right_multiplication_matrix(self, v) -> Matrix:
-        """Matrix of u -> u * v on coefficient columns."""
+        """Matrix of u -> u * v on coefficient columns: column j is b_j v."""
         k = self.field
-        cols = [self.mul(unit_vec(k, self.dim, j), v) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim,
-                      tuple(tuple(cols[j][i] for j in range(self.dim))
-                            for i in range(self.dim)))
+        zero = k.zero
+        v_support = [(s, b) for s, b in enumerate(v) if b != zero]
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for j, prods in enumerate(self.products):
+            for s, b in v_support:
+                for t, c in prods.get(s, ()):
+                    rows[t][j] = k.add(rows[t][j], k.mul(b, c))
+        return Matrix(self.dim, self.dim, tuple(map(tuple, rows)))
 
     def __repr__(self):
         label = self.name or "algebra"
@@ -304,15 +329,6 @@ class GrothendieckConstruction:
         return sum(k.char ** self.r.algebra(self.cat.dom(f)).dim
                    for f in self.cat.hom(x, y))
 
-    def hom_elements(self, x: str, y: str):
-        k = self.r.field
-        if not k.enumerable:
-            raise AlgebraError("hom sets are infinite over this field")
-        for f in self.cat.hom(x, y):
-            d = self.r.algebra(x).dim
-            for coeffs in itertools.product(k.elements(), repeat=d):
-                yield GrMorphism(f, coeffs)
-
     def identity(self, x: str) -> GrMorphism:
         return GrMorphism(self.cat.id_of(x), self.r.algebra(x).unit)
 
@@ -325,54 +341,59 @@ class GrothendieckConstruction:
         moved = mat_vec(k, self.r.mat(f.f), g.coeff)
         return GrMorphism(cat.compose(g.f, f.f), self.r.algebra(x).mul(moved, f.coeff))
 
-    def component_base(self, f: str) -> GrMorphism:
-        """(f, 1): the free generator of the component at f as a right
-        module over the endomorphism algebra of its source."""
-        return GrMorphism(f, self.r.algebra(self.cat.dom(f)).unit)
-
-    def aut_algebra(self, x: str) -> FiniteDimAlgebra:
-        """The endomorphism algebra at (x, 1_x), rebuilt from composition.
-
-        Comes out isomorphic (indeed equal as a table) to R(x); the
-        construction goes through composition of pairs so the comparison
-        is a real consistency check.
-        """
-        k = self.r.field
-        alg = self.r.algebra(x)
-        one = self.cat.id_of(x)
-        table = []
-        for i in range(alg.dim):
-            row = []
-            for j in range(alg.dim):
-                left = GrMorphism(one, unit_vec(k, alg.dim, i))
-                right = GrMorphism(one, unit_vec(k, alg.dim, j))
-                row.append(self.compose(left, right).coeff)
-            table.append(row)
-        return FiniteDimAlgebra(k, table, alg.unit, labels=alg.labels,
-                                name=f"Aut({x})")
-
 
 # -- skew category algebra -----------------------------------------------
 
 
-def _basis_offsets(cat: FiniteCategory, r: AlgebraPresheaf) -> tuple[dict, int]:
-    """Where the block of each morphism f, of size dim R(dom f), starts in
-    the skew algebra's basis, and the basis size."""
-    starts, dim = block_offsets(r.algebra(m.dom).dim for m in cat.morphisms)
-    return {m.name: start for m, start in zip(cat.morphisms, starts)}, dim
-
-
 class SkewCategoryAlgebra(FiniteDimAlgebra):
     """Skew category algebra with basis labelled by (morphism, coefficient
-    basis element of R(dom))."""
+    basis element of R(dom)).
 
-    def __init__(self, cat: FiniteCategory, r: AlgebraPresheaf, field,
-                 table, unit, labels, *, name=None):
-        super().__init__(field, table, unit, labels=labels, name=name, check=False)
+    The product of a basis element at g with one at f is zero unless
+    dom g = cod f, and otherwise lies in the block of gf, so ``products``
+    holds one entry per composable pair and coefficient pair. The dense
+    ``table`` is built on first use and then kept.
+    """
+
+    def __init__(self, cat: FiniteCategory, r: AlgebraPresheaf, field, basis_offset: dict,
+                 products, unit, labels, *, name=None):
         self.cat = cat
         self.r = r
-        self.null_ring = self.dim == 0
-        self.basis_offset = _basis_offsets(cat, r)[0]
+        self.field = field
+        self.basis_offset = basis_offset
+        self.products = tuple(products)
+        self.dim = len(self.products)
+        self.unit = tuple(unit)
+        self.labels = tuple(labels)
+        self.name = name
+
+    def mul_basis(self, i: int, j: int) -> tuple:
+        out = [self.field.zero] * self.dim
+        for t, c in self.products[i].get(j, ()):
+            out[t] = c
+        return tuple(out)
+
+    @cached_property
+    def table(self) -> tuple:
+        return tuple(tuple(self.mul_basis(i, j) for j in range(self.dim))
+                     for i in range(self.dim))
+
+    def _triples(self):
+        """The composable triples only: unless the morphisms h, g, f of
+        b_i, b_j, b_t compose as h o g o f, both sides of associativity are
+        zero. Walked through the morphisms into each domain, which keeps
+        the lexicographic order."""
+        cat = self.cat
+        blocks = {m.name: range(self.basis_offset[m.name],
+                                self.basis_offset[m.name] + self.r.algebra(m.dom).dim)
+                  for m in cat.morphisms}
+        for h in cat.morphisms:
+            for i in blocks[h.name]:
+                for g in cat.into(h.dom):
+                    for j in blocks[g]:
+                        for f in cat.into(cat.dom(g)):
+                            for t in blocks[f]:
+                                yield i, j, t
 
     def element(self, f: str, coeff) -> tuple:
         """The element "coeff f" as a coefficient vector."""
@@ -390,7 +411,9 @@ class SkewCategoryAlgebra(FiniteDimAlgebra):
 
 
 def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCategoryAlgebra:
-    """Build the full structure-constant table of the skew category algebra.
+    """Build the skew category algebra from its nonzero products: for each
+    composable pair (g, f) and coefficient basis pair (j, i), the support
+    of R(f)(b_j) b_i inside the block of gf.
 
     Basis order is lexicographic in (morphism index, coefficient basis
     index). The empty category yields the null ring.
@@ -399,30 +422,25 @@ def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCatego
     if k is None:
         from .fields import RationalField
         k = RationalField()
-    labels = []
-    for m in cat.morphisms:
-        alg = r.algebra(m.dom)
-        for j in range(alg.dim):
-            labels.append((m.name, alg.labels[j]))
-    offsets, dim = _basis_offsets(cat, r)
+    labels = [(m.name, label) for m in cat.morphisms for label in r.algebra(m.dom).labels]
+    starts, dim = block_offsets(r.algebra(m.dom).dim for m in cat.morphisms)
+    offsets = {m.name: start for m, start in zip(cat.morphisms, starts)}
 
-    zero_cell = [k.zero] * dim
-    table = [[list(zero_cell) for _ in range(dim)] for _ in range(dim)]
+    products = [{} for _ in range(dim)]
     for g in cat.morphisms:
-        dg = r.algebra(g.dom).dim
         for f in cat.into(g.dom):
             target = r.algebra(cat.dom(f))
             df = target.dim
-            gf = cat.compose(g.name, f)
+            base = offsets[cat.compose(g.name, f)]
             restr = r.mat(f)  # R(f): R(cod f) -> R(dom f)
-            for j in range(dg):
+            for j in range(r.algebra(g.dom).dim):
                 moved = restr.col(j)
+                row = products[offsets[g.name] + j]
                 for i in range(df):
                     prod = target.mul(moved, unit_vec(k, df, i))
-                    cell = table[offsets[g.name] + j][offsets[f] + i]
-                    base = offsets[gf]
-                    for t, c in enumerate(prod):
-                        cell[base + t] = c
+                    cell = tuple((base + t, c) for t, c in enumerate(prod) if c != k.zero)
+                    if cell:
+                        row[offsets[f] + i] = cell
     unit = [k.zero] * dim
     for x in cat.objects:
         alg = r.algebra(x)
@@ -431,4 +449,4 @@ def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCatego
             unit[base + t] = k.add(unit[base + t], c)
 
     name = f"skew[{cat.name or 'C'}]"
-    return SkewCategoryAlgebra(cat, r, k, table, unit, labels, name=name)
+    return SkewCategoryAlgebra(cat, r, k, offsets, products, unit, labels, name=name)

@@ -270,10 +270,18 @@ def _cmd_sheaf_kan(args):
     return presheaf_to_doc(right_kan_extension(g, sub))
 
 
+# An alg skew document spells out the dense table: dim^3 cells.
+MAX_SKEW_TABLE_CELLS = 2 ** 22
+
+
 @_command("alg", "skew", *SOURCE, *FIELD)
 def _cmd_alg_skew(args):
     cat = _load_category(args)
     r = _load_algebra_presheaf(args, cat)
+    dim = sum(r.algebra(m.dom).dim for m in cat.morphisms)
+    if dim ** 3 > MAX_SKEW_TABLE_CELLS:
+        raise EngineError(f"skew algebra document too large: dim {dim} gives "
+                          f"{dim ** 3:,} table cells, limit {MAX_SKEW_TABLE_CELLS:,}")
     return skew_algebra_to_doc(skew_category_algebra(cat, r))
 
 

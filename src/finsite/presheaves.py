@@ -71,9 +71,6 @@ class SetPresheaf:
         return SetPresheaf(d, {x: self.values[x] for x in d.objects},
                            {m.name: self.maps[m.name] for m in d.morphisms})
 
-    def total_size(self) -> int:
-        return sum(len(v) for v in self.values.values())
-
     def __repr__(self):
         sizes = ",".join(str(len(self.values[x])) for x in self.cat.objects)
         return f"<SetPresheaf sizes [{sizes}]>"

@@ -9,10 +9,14 @@ unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
 Karoubian subcategories by a Karoubi test of every union of isomorphism
 classes, pointwise
-coset maps for orbit categories, a direct category-algebra table, a
+coset maps for orbit categories, a direct category-algebra table, the
+skew category algebra with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
 the fields replaced, with the null space and inverse read off them, and primality by trial division.
+Helpers the library has no use for (the elements, component generators
+and endomorphism algebras of the Grothendieck construction, the size of
+a set presheaf) live here too.
 PyYAML's pure-Python classes are the reference of the libyaml backend of
 finsite.serialize.
 """
@@ -26,6 +30,7 @@ import pytest
 import yaml
 
 from finsite import serialize
+from finsite.algebras import FiniteDimAlgebra, GrMorphism, GrothendieckConstruction
 from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
                               iso_classes, strictly_full_karoubian_subcategories)
 from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
@@ -470,6 +475,78 @@ def category_algebra_table(cat: FiniteCategory, field):
     for x in cat.objects:
         unit[idx[cat.id_of(x)]] = k.one
     return tuple(table), tuple(unit)
+
+
+# -- the dense skew category algebra --------------------------------------------
+
+
+def dense_skew_category_algebra(cat: FiniteCategory, r):
+    """The skew category algebra with its full dim x dim table of
+    dim-long cells, every product written out, zeros included."""
+    k = r.field
+    labels = [(m.name, r.algebra(m.dom).labels[j])
+              for m in cat.morphisms for j in range(r.algebra(m.dom).dim)]
+    offsets, dim = {}, 0
+    for m in cat.morphisms:
+        offsets[m.name] = dim
+        dim += r.algebra(m.dom).dim
+    table = [[[k.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for g in cat.morphisms:
+        for f in cat.into(g.dom):
+            target = r.algebra(cat.dom(f))
+            gf = cat.compose(g.name, f)
+            for j in range(r.algebra(g.dom).dim):
+                moved = r.mat(f).col(j)
+                for i in range(target.dim):
+                    prod = target.mul(moved, unit_vec(k, target.dim, i))
+                    cell = table[offsets[g.name] + j][offsets[f] + i]
+                    cell[offsets[gf]:offsets[gf] + target.dim] = prod
+    unit = [k.zero] * dim
+    for x in cat.objects:
+        base = offsets[cat.id_of(x)]
+        unit[base:base + r.algebra(x).dim] = r.algebra(x).unit
+    return FiniteDimAlgebra(k, table, unit, labels=labels, check=False)
+
+
+def dense_right_multiplication_matrix(alg, v) -> Matrix:
+    """The matrix of u -> u v, column j being b_j v by the dense table."""
+    k = alg.field
+    return matrix_from_cols(k, [dense_mul(alg, unit_vec(k, alg.dim, j), v)
+                                for j in range(alg.dim)], rows=alg.dim)
+
+
+# -- helpers over the Grothendieck construction and set presheaves ------------
+
+
+def gr_hom_elements(gr: GrothendieckConstruction, x: str, y: str):
+    """Every pair (f, r) from x to y, with r running over R(x) of a finite field."""
+    k = gr.r.field
+    for f in gr.cat.hom(x, y):
+        for coeffs in itertools.product(k.elements(), repeat=gr.r.algebra(x).dim):
+            yield GrMorphism(f, coeffs)
+
+
+def gr_component_base(gr: GrothendieckConstruction, f: str) -> GrMorphism:
+    """(f, 1): the free generator of the component at f as a right module
+    over the endomorphism algebra of its source."""
+    return GrMorphism(f, gr.r.algebra(gr.cat.dom(f)).unit)
+
+
+def gr_aut_algebra(gr: GrothendieckConstruction, x: str) -> FiniteDimAlgebra:
+    """The endomorphism algebra at (x, 1_x), rebuilt from composition of
+    pairs, so that comparing it with R(x) checks the composition."""
+    k = gr.r.field
+    alg = gr.r.algebra(x)
+    one = gr.cat.id_of(x)
+    table = [[gr.compose(GrMorphism(one, unit_vec(k, alg.dim, i)),
+                         GrMorphism(one, unit_vec(k, alg.dim, j))).coeff
+              for j in range(alg.dim)] for i in range(alg.dim)]
+    return FiniteDimAlgebra(k, table, alg.unit, labels=alg.labels, name=f"Aut({x})")
+
+
+def set_total_size(f: SetPresheaf) -> int:
+    """The number of elements of a set presheaf, over all objects."""
+    return sum(len(f.at(x)) for x in f.cat.objects)
 
 
 # -- searched basis change onto the matrix algebra ----------------------------

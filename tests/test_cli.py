@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 import yaml
 
@@ -493,6 +496,31 @@ def test_s4_census_is_refused_by_the_sieve_guard(capsys, argv, obj):
     code, out, err = run_cli(capsys, "top", "enumerate", *argv)
     assert (code, out) == (1, "")
     assert err == f"error: sieve enumeration too large at {obj}: 2^24 subsets\n"
+
+
+def test_skew_document_of_orbit_s4_is_refused_by_name_and_verify_answers(capsys):
+    """The dense table of O(S4) would hold 714^3 cells: alg skew refuses
+    before building the algebra, while alg verify walks the composable
+    triples of the stored products and answers."""
+    source = ["--gallery", "orbit", "--group", "S4", "--constant-field", "5"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "alg", "skew", *source)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == ("error: skew algebra document too large: dim 714 gives "
+                   "363,994,344 table cells, limit 4,194,304\n")
+    code, out, err = run_cli(capsys, "alg", "verify", *source)
+    assert (code, out, err) == (0, "valid: true\nproblems: []\n", "")
+
+
+def test_skew_document_keeps_the_bytes_of_the_dense_builder(capsys):
+    """The document of O_3*(S4), dim 32, read off the products stored per
+    composable pair, has the bytes the dense builder wrote."""
+    code, out, _ = run_cli(capsys, "alg", "skew", "--gallery", "orbit-p", "--group", "S4",
+                           "--p", "3", "--constant-field", "5")
+    assert code == 0 and len(out) == 104736
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9178e8065fb57ff517da4f197ac4cabf71405697c18ab297d270561b75534915"
 
 
 # Each malformed document: the CLI call reading it as "BAD", the kind of
