@@ -11,12 +11,14 @@ element of R(dom f). The product is
 and zero otherwise; the unit is the sum of the object idempotents
 1_{R(x)} 1_x.  For the constant presheaf this is the plain category
 algebra, for a one-object category it is a skew group algebra.
+
+Every algebra is stored by its nonzero structure constants only; a dense
+table exists only in documents.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import NamedTuple
 
 from .category import FiniteCategory
@@ -33,41 +35,52 @@ class AlgebraError(EngineError):
 
 
 class FiniteDimAlgebra:
-    """Unital associative algebra with a distinguished basis.
+    """Unital associative algebra with a distinguished basis, stored by its
+    nonzero structure constants.
 
-    ``table[i][j]`` holds the coefficient vector of the product
-    ``b_i * b_j``; ``unit`` is the coefficient vector of 1. ``products[i]``
-    maps each j with ``b_i * b_j`` nonzero to the nonzero entries of that
-    vector, as (index, coefficient) pairs; ``mul``, ``verify`` and
-    ``right_multiplication_matrix`` walk only these.
+    ``products[i]`` maps each j with ``b_i * b_j`` nonzero to the nonzero
+    entries of that product, as (index, coefficient) pairs; ``unit`` is
+    the coefficient vector of 1. ``mul``, ``verify`` and
+    ``right_multiplication_matrix`` walk only these; a dense table exists
+    only in documents, read by ``from_table``.
     """
 
-    def __init__(self, field, table, unit, *, labels=None, name=None, check=True):
+    def __init__(self, field, products, unit, *, labels=None, name=None, check=True):
         self.field = field
-        self.table = tuple(tuple(vec(field, cell) for cell in row) for row in table)
-        self.dim = len(self.table)
-        self.unit = vec(field, unit)
+        self.products = tuple(products)
+        self.dim = len(self.products)
+        self.unit = tuple(unit)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.dim))
         self.name = name
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
-            raise AlgebraError("basis size mismatch")
-        for row in self.table:
-            if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise AlgebraError("structure constant table is not dim x dim x dim")
-        zero = field.zero
-        self.products = tuple(
-            {j: cell for j, cell in enumerate(
-                tuple((t, c) for t, c in enumerate(cell) if c != zero) for cell in row)
-             if cell}
-            for row in self.table)
+            raise AlgebraError(f"basis size mismatch: dim {self.dim}, {len(self.labels)} "
+                               f"labels, {len(self.unit)} unit coefficients")
         if check:
             problems = self.verify()
             if problems:
                 raise AlgebraError("invalid algebra:\n" +
                                    "\n".join(f"  - {p}" for p in problems))
 
+    @staticmethod
+    def from_table(field, table, unit, **kwargs) -> FiniteDimAlgebra:
+        """The algebra whose product b_i * b_j has the coefficient vector
+        ``table[i][j]``; keyword arguments go to the constructor."""
+        dim = len(table)
+        if any(len(row) != dim or any(len(cell) != dim for cell in row) for row in table):
+            raise AlgebraError("structure constant table is not dim x dim x dim")
+        zero = field.zero
+        products = []
+        for row in table:
+            cells = ((j, tuple((t, c) for t, c in enumerate(vec(field, cell)) if c != zero))
+                     for j, cell in enumerate(row))
+            products.append({j: cell for j, cell in cells if cell})
+        return FiniteDimAlgebra(field, products, vec(field, unit), **kwargs)
+
     def mul_basis(self, i: int, j: int) -> tuple:
-        return self.table[i][j]
+        out = [self.field.zero] * self.dim
+        for t, c in self.products[i].get(j, ()):
+            out[t] = c
+        return tuple(out)
 
     def mul(self, u, v) -> tuple:
         k = self.field
@@ -142,57 +155,37 @@ def verify_algebra(a: FiniteDimAlgebra) -> list[str]:
 
 
 def field_algebra(field) -> FiniteDimAlgebra:
-    return FiniteDimAlgebra(field, [[[field.one]]], [field.one],
+    return FiniteDimAlgebra(field, [{0: ((0, field.one),)}], [field.one],
                             labels=("1",), name=field.label)
 
 
 def diagonal_algebra(field, n: int) -> FiniteDimAlgebra:
     """The split product of n copies of the field, basis the idempotents."""
     k = field
-    table = [[[k.one if (i == j and i == t) else k.zero for t in range(n)]
-              for j in range(n)] for i in range(n)]
-    return FiniteDimAlgebra(k, table, [k.one] * n,
+    return FiniteDimAlgebra(k, [{i: ((i, k.one),)} for i in range(n)], [k.one] * n,
                             labels=tuple(f"e{i}" for i in range(n)),
                             name=f"{k.label}^{n}")
 
 
 def matrix_algebra(field, n: int) -> FiniteDimAlgebra:
-    """Full n x n matrix algebra, basis the matrix units E(r,c)."""
+    """Full n x n matrix algebra, basis the matrix units E(r,c) in
+    row-major order (index r n + c): E(r,c) E(c,s) = E(r,s)."""
     k = field
     units = [(r, c) for r in range(n) for c in range(n)]
-    index = {u: i for i, u in enumerate(units)}
-    dim = n * n
-    table = []
-    for (r1, c1) in units:
-        row = []
-        for (r2, c2) in units:
-            cell = [k.zero] * dim
-            if c1 == r2:
-                cell[index[(r1, c2)]] = k.one
-            row.append(cell)
-        table.append(row)
-    unit = [k.zero] * dim
-    for r in range(n):
-        unit[index[(r, r)]] = k.one
-    return FiniteDimAlgebra(k, table, unit,
+    products = [{c * n + s: ((r * n + s, k.one),) for s in range(n)} for r, c in units]
+    unit = [k.one if r == c else k.zero for r, c in units]
+    return FiniteDimAlgebra(k, products, unit,
                             labels=tuple(f"E{r}{c}" for r, c in units),
                             name=f"M{n}({k.label})")
 
 
 def group_algebra(field, group: FiniteGroup) -> FiniteDimAlgebra:
     k = field
-    n = group.order()
-    table = []
-    for a in group.elements:
-        row = []
-        for b in group.elements:
-            cell = [k.zero] * n
-            cell[group.index[group.mult(a, b)]] = k.one
-            row.append(cell)
-        table.append(row)
-    unit = [k.zero] * n
-    unit[group.index[group.identity]] = k.one
-    return FiniteDimAlgebra(k, table, unit, labels=group.elements,
+    idx = group.index
+    products = [{idx[b]: ((idx[group.mult(a, b)], k.one),) for b in group.elements}
+                for a in group.elements]
+    unit = [k.one if a == group.identity else k.zero for a in group.elements]
+    return FiniteDimAlgebra(k, products, unit, labels=group.elements,
                             name=f"{k.label}[{group.name}]")
 
 
@@ -351,32 +344,15 @@ class SkewCategoryAlgebra(FiniteDimAlgebra):
 
     The product of a basis element at g with one at f is zero unless
     dom g = cod f, and otherwise lies in the block of gf, so ``products``
-    holds one entry per composable pair and coefficient pair. The dense
-    ``table`` is built on first use and then kept.
+    holds one entry per composable pair and coefficient pair.
     """
 
     def __init__(self, cat: FiniteCategory, r: AlgebraPresheaf, field, basis_offset: dict,
                  products, unit, labels, *, name=None):
         self.cat = cat
         self.r = r
-        self.field = field
         self.basis_offset = basis_offset
-        self.products = tuple(products)
-        self.dim = len(self.products)
-        self.unit = tuple(unit)
-        self.labels = tuple(labels)
-        self.name = name
-
-    def mul_basis(self, i: int, j: int) -> tuple:
-        out = [self.field.zero] * self.dim
-        for t, c in self.products[i].get(j, ()):
-            out[t] = c
-        return tuple(out)
-
-    @cached_property
-    def table(self) -> tuple:
-        return tuple(tuple(self.mul_basis(i, j) for j in range(self.dim))
-                     for i in range(self.dim))
+        super().__init__(field, products, unit, labels=labels, name=name, check=False)
 
     def _triples(self):
         """The composable triples only: unless the morphisms h, g, f of

@@ -219,9 +219,6 @@ class FiniteCategory:
     def is_identity(self, f: str) -> bool:
         return self.identity[self.dom(f)] == f and self.dom(f) == self.cod(f)
 
-    def composable(self, g: str, f: str) -> bool:
-        return self.dom(g) == self.cod(f)
-
     def compose(self, g: str, f: str) -> str:
         """The composite "first f, then g"."""
         try:

@@ -348,12 +348,10 @@ def _cmd_mod_transport(args):
         raise EngineError("select the target with exactly one of --objects "
                           "or --topology")
     if args.topology:
-        top = topology_from_doc(_read(args.topology, "topology"), cat)
-        sub = classify_topology(cat, top)
+        sub = classify_topology(cat, topology_from_doc(_read(args.topology, "topology"), cat))
     else:
         sub = FullSubcategory(cat, _parse_objects(args.objects))
-        top = None
-    return algebra_module_to_doc(transport_module(m, sub, top))
+    return algebra_module_to_doc(transport_module(m, sub))
 
 
 @_command("mod", "blocks", *SOURCE, *FIELD)

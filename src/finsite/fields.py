@@ -109,9 +109,6 @@ class PrimeField:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def dot(self, a, b):
         return sum(map(operator.mul, a, b)) % self.p
 
@@ -172,9 +169,6 @@ class RationalField:
         if a == 0:
             raise FieldError("division by zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
 
     def dot(self, a, b):
         return sum((x * y for x, y in zip(a, b) if x and y), self.zero)

@@ -1,5 +1,5 @@
 """Finite groups as explicit Cayley tables, with the subgroup machinery
-needed to build orbit categories (closure, conjugation, normalizers)."""
+needed to build orbit categories (closure, conjugation, cosets)."""
 
 from __future__ import annotations
 
@@ -146,9 +146,6 @@ class FiniteGroup:
     def conjugate(self, subset: frozenset, g: str) -> frozenset:
         gi = self.inv(g)
         return frozenset(self.mult(self.mult(gi, h), g) for h in subset)
-
-    def normalizer(self, subset: frozenset) -> frozenset:
-        return frozenset(g for g in self.elements if self.conjugate(subset, g) == subset)
 
     def coset(self, g: str, subset: frozenset) -> frozenset:
         """The left coset g K, as a set of elements."""

@@ -361,16 +361,12 @@ def _check_sheaf_module(m: ModulePresheaf, top: GrothendieckTopology):
             f"covering sieve {sorted(s.members)}")
 
 
-def transport_module(m: ModulePresheaf, sub: FullSubcategory,
-                     top: GrothendieckTopology | None = None) -> AlgebraModule:
-    """Carry a sheaf of modules over to a module over the skew algebra of
-    the classifying subcategory: restrict, then bundle."""
+def transport_module(m: ModulePresheaf, sub: FullSubcategory) -> AlgebraModule:
+    """Carry a sheaf of modules for the topology the subcategory induces
+    over to a module over its skew algebra: restrict, then bundle."""
     cat = m.cat
     sub = _as_subcategory(cat, sub)
-    if top is None:
-        top = subcategory_topology(cat, sub)
-    elif top != subcategory_topology(cat, sub):
-        raise ModuleError("the topology is not the one induced by the subcategory")
+    top = subcategory_topology(cat, sub)
     defect = sheaf_defect(m.r.space, top)
     if defect is not None:
         raise ModuleError(
@@ -382,20 +378,18 @@ def transport_module(m: ModulePresheaf, sub: FullSubcategory,
 
 
 def transport_module_back(n: AlgebraModule, r: AlgebraPresheaf,
-                          sub: FullSubcategory,
-                          top: GrothendieckTopology | None = None) -> ModulePresheaf:
+                          sub: FullSubcategory) -> ModulePresheaf:
     """Inverse transport: unbundle over the subcategory, right Kan extend
     the underlying presheaf, and act on each family componentwise
-    (the value of r is restricted along each family member)."""
-    return _transport_back(n, r, sub, top)[0]
+    (the value of r is restricted along each family member). The result
+    is checked to be a sheaf for the topology the subcategory induces."""
+    return _transport_back(n, r, sub)[0]
 
 
-def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub, top):
+def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub):
     """transport_module_back, with the Kan families it is built on."""
     cat = r.cat
     sub = _as_subcategory(cat, sub)
-    if top is None:
-        top = subcategory_topology(cat, sub)
     m_d = to_module_presheaf(n, check=False)
     if not m_d.cat.same_as(sub.category):
         raise ModuleError("module does not live over the chosen subcategory")
@@ -414,21 +408,18 @@ def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub, top):
             acts.append(sol)
         actions[x] = tuple(acts)
     out = ModulePresheaf(r, space, actions)
-    _check_sheaf_module(out, top)
+    _check_sheaf_module(out, subcategory_topology(cat, sub))
     return out, kan
 
 
-def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory,
-                                top: GrothendieckTopology | None = None):
+def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory):
     """Canonical isomorphism from a sheaf module onto the inverse
     transport of its transport: evaluate along every family member and
     rewrite through the unbundling bases."""
     cat, k = m.cat, m.field
     sub = _as_subcategory(cat, sub)
-    if top is None:
-        top = subcategory_topology(cat, sub)
-    n = transport_module(m, sub, top)
-    back, kan = _transport_back(n, m.r, sub, top)
+    n = transport_module(m, sub)
+    back, kan = _transport_back(n, m.r, sub)
     _, unit_comps = unbundle_bundle_witness(m.restrict(sub))
     comps = {}
     for x in cat.objects:
@@ -443,18 +434,15 @@ def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory,
 
 
 def transport_back_roundtrip_witness(n: AlgebraModule, r: AlgebraPresheaf,
-                                     sub: FullSubcategory,
-                                     top: GrothendieckTopology | None = None):
+                                     sub: FullSubcategory):
     """Canonical isomorphism from the transport of the inverse transport
     back onto n: evaluate families at identities, then include the value
     bases into n."""
     cat = r.cat
     k = n.field
     sub = _as_subcategory(cat, sub)
-    if top is None:
-        top = subcategory_topology(cat, sub)
-    back, kan = _transport_back(n, r, sub, top)
-    forward = transport_module(back, sub, top)
+    back, kan = _transport_back(n, r, sub)
+    forward = transport_module(back, sub)
     data = _unbundle(n, check=False)
     blocks = []
     for w in sub.objects:

@@ -23,7 +23,6 @@ from .fields import (Matrix, block_diagonal, col_space, hstack, inverse, is_inve
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
     transport_module_back
 from .presheaves import LinearPresheaf, SetPresheaf
-from .topology import GrothendieckTopology
 
 # Random modules are cut from free modules of rank 1..MAX_RANK; random set
 # presheaves quotient 1..MAX_GENERATORS representables and 0..MAX_CONSTANTS
@@ -176,12 +175,13 @@ def random_module_presheaf(r: AlgebraPresheaf, rng: random.Random,
 
 
 def random_sheaf_module(r: AlgebraPresheaf, sub: FullSubcategory,
-                        top: GrothendieckTopology, rng: random.Random) -> ModulePresheaf:
-    """A random sheaf of modules for a subcategory topology, produced by
-    inverse transport from a random module over the subcategory."""
+                        rng: random.Random) -> ModulePresheaf:
+    """A random sheaf of modules for the topology the subcategory induces,
+    produced by inverse transport from a random module over the
+    subcategory."""
     skew_d = skew_category_algebra(sub.category, r.restrict(sub))
     n = random_algebra_module(skew_d, rng)
-    m = transport_module_back(n, r, sub, top)
+    m = transport_module_back(n, r, sub)
     twists = {x: random_invertible_matrix(r.field, m.dim(x), rng)
               for x in r.cat.objects}
     return twist_module_presheaf(m, twists)

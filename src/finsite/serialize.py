@@ -12,6 +12,9 @@ Documents are read and written by libyaml when PyYAML was built with it,
 and by PyYAML's pure-Python classes otherwise. The bytes written are the
 same, since a document holding a string on which the two emitters differ
 is written by the pure one, and so are the data read back from them.
+A text holding a tab or a block scalar, which libyaml's parser reads
+more laxly, is read by the pure loader; a scalar with the non-specific
+tag "!", which the two read differently, is refused by both.
 Diagnostics are the pure loader's wording. A document nesting collections
 deeper than MAX_DEPTH is refused before it is composed: libyaml's composer
 recurses without limit and crashes the process at 30,000 levels, and the
@@ -43,6 +46,7 @@ MAX_DEPTH = 100
 _NOT_YAML = (yaml.YAMLError, ValueError, LookupError, AttributeError)
 _OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
 _CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+_BLOCK = ("|", ">")
 
 
 class _NotPlain(Exception):
@@ -91,10 +95,26 @@ def _expect(doc: dict, required: set, optional: set, where: str):
 
 def _load(text: str, loader):
     """The data of text, read by loader once the parser's event stream has
-    shown that no collection nests deeper than MAX_DEPTH."""
+    shown that no collection nests deeper than MAX_DEPTH and that no
+    scalar has the non-specific tag "!" (`a: !` reads as '' with libyaml
+    and as None without). libyaml hands PyYAML's loader every text with a
+    tab, which PyYAML refuses outside quotes, block scalars and comments,
+    and every block scalar, whose header libyaml reads more laxly (`|#`),
+    by raising YAMLError, so that both backends read or refuse such a text
+    alike."""
+    libyaml = loader is not yaml.SafeLoader
+    if libyaml and "\t" in text:
+        raise yaml.YAMLError("a tab")
     depth = 0
     for event in yaml.parse(text, Loader=loader):
-        if isinstance(event, _OPEN):
+        if isinstance(event, yaml.ScalarEvent):
+            if event.tag == "!":
+                mark = event.start_mark
+                raise yaml.YAMLError(f"the non-specific tag '!' on a scalar, at line "
+                                     f"{mark.line + 1}, column {mark.column + 1}")
+            if libyaml and event.style in _BLOCK:
+                raise yaml.YAMLError("a block scalar")
+        elif isinstance(event, _OPEN):
             depth += 1
             if depth > MAX_DEPTH:
                 raise DocumentError(f"document nests collections deeper than "
@@ -320,12 +340,17 @@ def presheaf_from_doc(doc: dict, cat: FiniteCategory):
 # -- algebra presheaves -------------------------------------------------------
 
 
+def _table_out(a: FiniteDimAlgebra) -> list:
+    """The dense structure constant table: cell (i, j) is b_i * b_j."""
+    return [[[_scalar_out(c) for c in a.mul_basis(i, j)] for j in range(a.dim)]
+            for i in range(a.dim)]
+
+
 def _algebra_to_doc(a: FiniteDimAlgebra) -> dict:
     return {"dim": a.dim,
             "labels": [str(l) for l in a.labels],
             "unit": [_scalar_out(c) for c in a.unit],
-            "table": [[[_scalar_out(c) for c in cell] for cell in row]
-                      for row in a.table]}
+            "table": _table_out(a)}
 
 
 def _algebra_from_doc(doc: dict, field, where: str) -> FiniteDimAlgebra:
@@ -341,7 +366,7 @@ def _algebra_from_doc(doc: dict, field, where: str) -> FiniteDimAlgebra:
     labels = doc.get("labels")
     if labels is not None:
         _typed(labels, list, f"{where}: field 'labels'")
-    return FiniteDimAlgebra(field, table, unit, labels=labels)
+    return FiniteDimAlgebra.from_table(field, table, unit, labels=labels)
 
 
 def algebra_presheaf_to_doc(r: AlgebraPresheaf) -> dict:
@@ -426,5 +451,4 @@ def skew_algebra_to_doc(a: SkewCategoryAlgebra) -> dict:
             "dim": a.dim,
             "basis": [[f, str(b)] for (f, b) in a.labels],
             "unit": [_scalar_out(c) for c in a.unit],
-            "table": [[[_scalar_out(c) for c in cell] for cell in row]
-                      for row in a.table]}
+            "table": _table_out(a)}

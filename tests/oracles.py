@@ -9,8 +9,9 @@ unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
 Karoubian subcategories by a Karoubi test of every union of isomorphism
 classes, pointwise
-coset maps for orbit categories, a direct category-algebra table, the
-skew category algebra with its dense table, a
+coset maps for orbit categories, a direct category-algebra table,
+textbook dense tables of the stock algebras, the skew category algebra
+with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
 the fields replaced, with the null space and inverse read off them, and primality by trial division.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from typing import NamedTuple
 
 import pytest
 import yaml
@@ -477,10 +479,71 @@ def category_algebra_table(cat: FiniteCategory, field):
     return tuple(table), tuple(unit)
 
 
+# -- dense structure constant tables ----------------------------------------------
+
+
+class DenseAlgebra(NamedTuple):
+    """An algebra as its full dim x dim table of dim-long cells, every
+    product b_i b_j written out, zeros included."""
+    field: object
+    table: tuple
+    unit: tuple
+    labels: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.table)
+
+
+def table_of(alg) -> tuple:
+    """The dense table of a sparse algebra, cell (i, j) being its b_i b_j."""
+    return tuple(tuple(alg.mul_basis(i, j) for j in range(alg.dim)) for i in range(alg.dim))
+
+
+def dense_algebra(alg) -> DenseAlgebra:
+    return DenseAlgebra(alg.field, table_of(alg), alg.unit, alg.labels)
+
+
+def textbook_diagonal_table(field, n: int):
+    """k^n: e_i e_j is the pointwise product of the indicator vectors."""
+    k = field
+    ind = [[k.one if t == i else k.zero for t in range(n)] for i in range(n)]
+    table = [[[k.mul(a, b) for a, b in zip(ind[i], ind[j])] for j in range(n)]
+             for i in range(n)]
+    return table, [k.one] * n
+
+
+def textbook_matrix_table(field, n: int):
+    """M_n(k) on the matrix units E(r,c) in row-major order: each product
+    is the matrix product of the two units, read off row by row."""
+    k = field
+    units = [matrix(k, [[1 if (a, b) == (r, c) else 0 for b in range(n)] for a in range(n)])
+             for r in range(n) for c in range(n)]
+
+    def flat(m):
+        return [x for row in m.data for x in row]
+
+    table = [[flat(mat_mul(k, u, v)) for v in units] for u in units]
+    return table, flat(matrix(k, [[1 if a == b else 0 for b in range(n)] for a in range(n)]))
+
+
+def textbook_group_table(field, group):
+    """k[G]: the product of the basis elements a and b is the basis
+    element ab, read off the Cayley table."""
+    k = field
+    rows = group.to_data()["table"]
+    elements = list(group.elements)
+    table = [[[k.one if t == rows[a][b] else k.zero for t in elements]
+              for b in range(len(elements))] for a in range(len(elements))]
+    unit = [k.one if all(rows[a][b] == elements[b] for b in range(len(elements))) else k.zero
+            for a in range(len(elements))]
+    return table, unit
+
+
 # -- the dense skew category algebra --------------------------------------------
 
 
-def dense_skew_category_algebra(cat: FiniteCategory, r):
+def dense_skew_category_algebra(cat: FiniteCategory, r) -> DenseAlgebra:
     """The skew category algebra with its full dim x dim table of
     dim-long cells, every product written out, zeros included."""
     k = r.field
@@ -505,7 +568,8 @@ def dense_skew_category_algebra(cat: FiniteCategory, r):
     for x in cat.objects:
         base = offsets[cat.id_of(x)]
         unit[base:base + r.algebra(x).dim] = r.algebra(x).unit
-    return FiniteDimAlgebra(k, table, unit, labels=labels, check=False)
+    return DenseAlgebra(k, tuple(tuple(map(tuple, row)) for row in table), tuple(unit),
+                        tuple(labels))
 
 
 def dense_right_multiplication_matrix(alg, v) -> Matrix:
@@ -541,7 +605,8 @@ def gr_aut_algebra(gr: GrothendieckConstruction, x: str) -> FiniteDimAlgebra:
     table = [[gr.compose(GrMorphism(one, unit_vec(k, alg.dim, i)),
                          GrMorphism(one, unit_vec(k, alg.dim, j))).coeff
               for j in range(alg.dim)] for i in range(alg.dim)]
-    return FiniteDimAlgebra(k, table, alg.unit, labels=alg.labels, name=f"Aut({x})")
+    return FiniteDimAlgebra.from_table(k, table, alg.unit, labels=alg.labels,
+                                       name=f"Aut({x})")
 
 
 def set_total_size(f: SetPresheaf) -> int:

@@ -44,7 +44,7 @@ from finsite.topology import (classify_topology, dense_topology,
                               enumerate_topologies, subcategory_topology)
 
 from oracles import (category_algebra_table, colimit_dimension_linear,
-                     colimit_families_set, searched_matrix_algebra_isomorphism)
+                     colimit_families_set, searched_matrix_algebra_isomorphism, table_of)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -340,18 +340,18 @@ def test_criterion_09_skew_algebra_integrity():
             r = constant_algebra_presheaf(chain3, field_algebra(field))
             skew = skew_category_algebra(chain3, r)
             table, unit = category_algebra_table(chain3, field)
-            assert skew.table == table and skew.unit == unit
+            assert table_of(skew) == table and skew.unit == unit
         swap = swap_action_presheaf(F5)
         skew = skew_category_algebra(swap.cat, swap)
         assert skew.dim == 4
         change = searched_matrix_algebra_isomorphism(skew, matrix_algebra(F5, 2))
         assert change is not None and is_invertible(F5, change)
         # a corrupted structure constant is caught by the verifier
-        broken = [list(map(list, row)) for row in skew.table]
+        broken = [list(map(list, row)) for row in table_of(skew)]
         broken[0][0][1] = (broken[0][0][1] + 1) % 5
         from finsite.algebras import FiniteDimAlgebra
         try:
-            FiniteDimAlgebra(F5, broken, skew.unit, labels=skew.labels)
+            FiniteDimAlgebra.from_table(F5, broken, skew.unit, labels=skew.labels)
             problems = []
         except Exception as exc:
             problems = [str(exc)]
@@ -371,12 +371,12 @@ def test_criterion_10_transport():
         assert is_sheaf(r.space, top)
         rng = random.Random(1010)
         for _ in range(25):
-            m = random_sheaf_module(r, sub, top, rng)
-            n = transport_module(m, sub, top)
+            m = random_sheaf_module(r, sub, rng)
+            n = transport_module(m, sub)
             assert n.dim == m.dim("x") + m.dim("y")
-            back, comps = transport_roundtrip_witness(m, sub, top)
+            back, comps = transport_roundtrip_witness(m, sub)
             assert is_module_presheaf_isomorphism(m, back, comps)
-            forward, t = transport_back_roundtrip_witness(n, r, sub, top)
+            forward, t = transport_back_roundtrip_witness(n, r, sub)
             assert is_algebra_module_isomorphism(forward, n, t)
             # the inverse restores the forced dimension at the removed object
             assert back.dim("z") == m.dim("z") == m.dim("y")
@@ -391,7 +391,7 @@ def test_criterion_11_block_decomposition():
         assert len(blocks) == 1
         assert blocks[0].algebra.dim == 2
         kc2 = group_algebra(F5, cyclic_group(2))
-        assert blocks[0].algebra.table == kc2.table
+        assert blocks[0].algebra.products == kc2.products
         assert blocks[0].algebra.unit == kc2.unit
         for p in (2, 3, 5):
             cp = reduced_p_orbit_category(cyclic_group(p), p)

@@ -11,12 +11,13 @@ from finsite.algebras import (AlgebraError, AlgebraPresheaf, FiniteDimAlgebra,
                               skew_category_algebra, swap_action_presheaf,
                               verify_algebra)
 from finsite.category import validate_category
-from finsite.fields import identity_matrix, matrix, mat_vec, unit_vec
-from finsite.gallery import symmetric_group
+from finsite.fields import PrimeField, RationalField, identity_matrix, matrix, mat_vec, unit_vec
+from finsite.gallery import cyclic_group, symmetric_group
 from finsite.presheaves import PresheafError
 
 from oracles import (category_algebra_table, gr_aut_algebra, gr_component_base,
-                     gr_hom_elements, searched_matrix_algebra_isomorphism)
+                     gr_hom_elements, searched_matrix_algebra_isomorphism, table_of,
+                     textbook_diagonal_table, textbook_group_table, textbook_matrix_table)
 
 
 def test_basic_algebras(f5):
@@ -26,15 +27,42 @@ def test_basic_algebras(f5):
     assert verify_algebra(group_algebra(f5, symmetric_group(3))) == []
 
 
+def _stock_algebras(field):
+    """(stock algebra, textbook table and unit) pairs for one field."""
+    yield field_algebra(field), textbook_diagonal_table(field, 1)
+    for n in (1, 2, 3):
+        yield diagonal_algebra(field, n), textbook_diagonal_table(field, n)
+        yield matrix_algebra(field, n), textbook_matrix_table(field, n)
+    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
+        yield group_algebra(field, group), textbook_group_table(field, group)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), RationalField()],
+                         ids=lambda k: k.label)
+def test_stock_algebras_equal_their_textbook_tables(field):
+    for alg, (table, unit) in _stock_algebras(field):
+        dense = FiniteDimAlgebra.from_table(field, table, unit)
+        assert alg.products == dense.products and alg.unit == dense.unit
+        assert [list(map(list, row)) for row in table_of(alg)] == table
+
+
+def test_from_table_refuses_a_bad_shape(f5):
+    table, unit = textbook_diagonal_table(f5, 2)
+    with pytest.raises(AlgebraError, match="not dim x dim x dim"):
+        FiniteDimAlgebra.from_table(f5, [table[0], [table[1][0], table[1][1][:1]]], unit)
+    with pytest.raises(AlgebraError, match="3 unit coefficients"):
+        FiniteDimAlgebra.from_table(f5, table, unit + [0])
+
+
 def test_broken_algebra_names_triple(chain3, f5):
     r = constant_algebra_presheaf(chain3, field_algebra(f5))
     skew = skew_category_algebra(chain3, r)
     gi = skew.labels.index(("g", "1"))
     fi = skew.labels.index(("f", "1"))
-    table = [list(map(list, row)) for row in skew.table]
+    table = [list(map(list, row)) for row in table_of(skew)]
     table[gi][fi] = list(skew.element("f", (1,)))  # misdirects g * f
     with pytest.raises(AlgebraError) as err:
-        FiniteDimAlgebra(f5, table, skew.unit, labels=skew.labels)
+        FiniteDimAlgebra.from_table(f5, table, skew.unit, labels=skew.labels)
     message = str(err.value)
     assert "associativity failure" in message
     # the named triple pins down the corrupted entry
@@ -89,7 +117,7 @@ def test_constant_skew_is_category_algebra(chain3, f2, f5):
         skew = skew_category_algebra(chain3, r)
         assert skew.dim == 6
         table, unit = category_algebra_table(chain3, field)
-        assert skew.table == table
+        assert table_of(skew) == table
         assert skew.unit == unit
         assert verify_algebra(skew) == []
 
@@ -173,7 +201,7 @@ def test_grothendieck_construction_aut_is_coefficient_algebra(f5):
     r = swap_action_presheaf(f5)
     gr = GrothendieckConstruction(r.cat, r)
     aut = gr_aut_algebra(gr, "*")
-    assert aut.table == r.algebra("*").table
+    assert aut.products == r.algebra("*").products
     assert aut.unit == r.algebra("*").unit
 
 

@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import time
 
@@ -229,7 +231,7 @@ def test_module_pipeline_through_files(tmp_path, capsys, chain3, f5):
     r = chain_diagonal_algebra_presheaf(f5)
     sub = FullSubcategory(chain3, ("x", "y"))
     top = subcategory_topology(chain3, sub)
-    m = random_sheaf_module(r, sub, top, random.Random(12))
+    m = random_sheaf_module(r, sub, random.Random(12))
 
     cat_file = tmp_path / "cat.yaml"
     cat_file.write_text(dump_text(category_to_doc(chain3)))
@@ -339,9 +341,16 @@ def test_cat_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
 
 
-@pytest.mark.parametrize("gallery", [["orbit", "--group", "S3"], ["idem"]],
-                         ids=["orbit S3", "idem"])
-def test_top_enumerate_independent_of_hash_seed(gallery):
+S3_F5 = ["--gallery", "orbit", "--group", "S3", "--constant-field", "5"]
+HASH_SEED_ARGV = {"orbit S3": ["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
+                  "idem": ["top", "enumerate", "--gallery", "idem"],
+                  "alg skew": ["alg", "skew", *S3_F5],
+                  "alg verify": ["alg", "verify", *S3_F5],
+                  "mod blocks": ["mod", "blocks", *S3_F5]}
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_ARGV.values(), ids=HASH_SEED_ARGV.keys())
+def test_top_enumerate_independent_of_hash_seed(argv):
     import os
     import subprocess
     import sys
@@ -353,11 +362,10 @@ def test_top_enumerate_independent_of_hash_seed(gallery):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-m", "finsite.cli", "top", "enumerate",
-                              "--gallery", *gallery],
+        run = subprocess.run([sys.executable, "-m", "finsite.cli", *argv],
                              env=env, capture_output=True, text=True, check=True)
         outs.append(run.stdout)
-    assert outs[0] == outs[1] and outs[0].startswith("count:")
+    assert outs[0] == outs[1] and outs[0]
 
 
 @pytest.mark.parametrize("argv", [["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
@@ -558,6 +566,10 @@ MALFORMED_CASES = [
      "group", "elements", ["e", ["r"]]),
     (["top", "enumerate", "--gallery", "group", "--group-file", "BAD"],
      "group", "table", [["e", "r"], ["r", ["e"]]]),
+    (["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
+     "algebra-presheaf", "algebras.x.table", [[[1, 0], [0]], [[0, 0], [0, 1]]]),
+    (["alg", "verify", "--gallery", "chain3", "--algebra", "BAD"],
+     "algebra-presheaf", "algebras.x.unit", [1]),
 ]
 
 
@@ -585,7 +597,10 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
                "module-presheaf": module_presheaf_to_doc(m),
                "algebra-module": algebra_module_to_doc(to_algebra_module(m)),
                "algebra-presheaf": algebra_presheaf_to_doc(r)}
-    bad = dict(genuine[kind], **{field: value})
+    # a dotted field names an entry inside the document
+    bad = copy.deepcopy(genuine[kind])
+    *path, key = field.split(".")
+    functools.reduce(dict.__getitem__, path, bad)[key] = value
     paths = {"BAD": tmp_path / "bad.yaml", "ALGEBRA": tmp_path / "algebra.yaml"}
     paths["BAD"].write_text(dump_text(bad))
     paths["ALGEBRA"].write_text(dump_text(genuine["algebra-presheaf"]))
@@ -593,12 +608,12 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
     assert code == 1
     if argv[:2] == ["cat", "validate"]:
         assert err == "" and yaml.safe_load(out)["valid"] is False
-        assert field in out
+        assert key in out
     else:
         assert out == "" and err.startswith("error: ")
         assert [line for line in err.splitlines() if line.startswith("error:")] == \
             [err.splitlines()[0]]
-        assert field in err
+        assert key in err
 
 
 # Topology documents on chain3 that are no topology: a covering "sieve"
@@ -653,6 +668,10 @@ HOSTILE_DOCUMENTS = {
                  "error: not valid YAML: invalid literal for int() with base 16: ''\n"),
     "3,000 levels": ("[" * 3000 + "\n", "error: document nests collections deeper than "
                                           "the limit of 100 levels\n"),
+    "tab in a flow sequence": ("format: finsite/1\nkind: category\nobjects: [x,\ty]\n", None),
+    "non-specific tag": ("format: finsite/1\nkind: category\nname: !\n",
+                         "error: not valid YAML: the non-specific tag '!' on a scalar, "
+                         "at line 3, column 7\n"),
 }
 
 

@@ -59,7 +59,6 @@ def test_fields_refuse_floats():
 
 def test_rationals_exact():
     q = RationalField()
-    assert q.div(1, 3) * 3 == 1
     assert q.of(2) == Fraction(2)
 
 

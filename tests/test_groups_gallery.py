@@ -39,14 +39,6 @@ def test_subgroup_enumeration():
     assert sorted(len(h) for h in c6.subgroups()) == [1, 2, 3, 6]
 
 
-def test_normalizer_of_c3_in_s3():
-    s3 = symmetric_group(3)
-    c3 = next(h for h in s3.subgroups() if len(h) == 3)
-    assert s3.normalizer(c3) == frozenset(s3.elements)
-    c2 = next(h for h in s3.subgroups() if len(h) == 2)
-    assert len(s3.normalizer(c2)) == 2
-
-
 def test_chain_poset_counts():
     for n in range(1, 9):
         cat = chain_poset(n)

@@ -21,8 +21,9 @@ from finsite.sampling import random_linear_presheaf
 from finsite.sheaves import dense_sheafify_fixed_points, families, member_order
 from finsite.topology import dense_topology
 
-from oracles import (dense_mul, dense_verify, scalar_combination, scalar_inverse,
-                     scalar_mat_mul, scalar_mat_vec, scalar_null_space, scalar_rref)
+from oracles import (dense_algebra, dense_mul, dense_verify, scalar_combination,
+                     scalar_inverse, scalar_mat_mul, scalar_mat_vec, scalar_null_space,
+                     scalar_rref)
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), RationalField()]
 
@@ -118,9 +119,11 @@ def _skew_algebras(field):
         yield skew_category_algebra(r.cat, r)
 
 
-def _copy(alg, table=None, unit=None):
-    return FiniteDimAlgebra(alg.field, table or alg.table, unit or alg.unit,
-                            labels=alg.labels, check=False)
+def _copy(dense, table=None, unit=None):
+    """A sparse algebra and its dense oracle, with table or unit changed."""
+    changed = dense._replace(table=table or dense.table, unit=unit or dense.unit)
+    return FiniteDimAlgebra.from_table(changed.field, changed.table, changed.unit,
+                                       labels=changed.labels, check=False), changed
 
 
 @pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=lambda k: k.label)
@@ -128,22 +131,24 @@ def test_sparse_verify_and_mul_equal_the_dense_oracle(field):
     rng = random.Random(13)
     found = []
     for alg in _skew_algebras(field):
-        assert alg.verify() == dense_verify(alg) == []
+        dense = dense_algebra(alg)
+        assert alg.verify() == dense_verify(dense) == []
         for _ in range(5):
             u = tuple(field.rand(rng) if rng.random() < 0.3 else field.zero
                       for _ in range(alg.dim))
             v = tuple(field.rand(rng) for _ in range(alg.dim))
-            assert alg.mul(u, v) == dense_mul(alg, u, v)
+            assert alg.mul(u, v) == dense_mul(dense, u, v)
         i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
         t = rng.randrange(alg.dim)
-        table = [[list(cell) for cell in row] for row in alg.table]
+        table = [[list(cell) for cell in row] for row in dense.table]
         table[i][j][t] = field.add(table[i][j][t], field.one)
         unit = list(alg.unit)
         unit[t] = field.add(unit[t], field.one)
-        changed_table, changed_unit = _copy(alg, table=table), _copy(alg, unit=unit)
+        (changed_table, dense_table), (changed_unit, dense_unit) = \
+            _copy(dense, table=table), _copy(dense, unit=unit)
         found.append(changed_table.verify())
-        assert found[-1] == dense_verify(changed_table)
-        assert changed_unit.verify() == dense_verify(changed_unit) != []
+        assert found[-1] == dense_verify(dense_table)
+        assert changed_unit.verify() == dense_verify(dense_unit) != []
     # r r = 2e over F5 is still associative, the other changes are not
     assert sum(1 for problems in found if problems) >= len(found) - 1
 

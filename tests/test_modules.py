@@ -24,7 +24,6 @@ from finsite.presheaves import (LinearPresheaf, constant_linear_presheaf,
                                 zero_presheaf)
 from finsite.sampling import (random_algebra_module, random_module_presheaf,
                               random_sheaf_module, regular_module)
-from finsite.topology import subcategory_topology
 
 
 def zero_module_presheaf(r):
@@ -258,10 +257,9 @@ def test_transport_is_fully_faithful_on_sheaf_modules(chain3, f5):
     their transports to modules over the skew algebra of {x, y}."""
     r = chain_diagonal_algebra_presheaf(f5)
     sub = FullSubcategory(chain3, ("x", "y"))
-    top = subcategory_topology(chain3, sub)
     rng = random.Random(22)
-    ms = [random_sheaf_module(r, sub, top, rng) for _ in range(3)]
-    ns = [transport_module(m, sub, top) for m in ms]
+    ms = [random_sheaf_module(r, sub, rng) for _ in range(3)]
+    ns = [transport_module(m, sub) for m in ms]
     for m1, n1 in zip(ms, ns):
         for m2, n2 in zip(ms, ns):
             assert (len(intertwiner_basis(m1.rep, m2.rep))

@@ -21,8 +21,8 @@ from finsite.fields import (PrimeField, RationalField, inverse, mat_mul, mat_vec
 from finsite.gallery import category_by_name, symmetric_group
 from finsite.sampling import random_invertible_matrix
 
-from oracles import (dense_mul, dense_right_multiplication_matrix,
-                     dense_skew_category_algebra, dense_verify)
+from oracles import (dense_algebra, dense_mul, dense_right_multiplication_matrix,
+                     dense_skew_category_algebra, dense_verify, table_of)
 
 F2, F5, Q = PrimeField(2), PrimeField(5), RationalField()
 
@@ -43,13 +43,14 @@ def _random_vector(field, rng, dim, density):
 
 
 def _assert_matches_dense(skew, rng):
-    """table, unit and labels equal the dense builder's; mul equals the
+    """Every product of two basis elements, cell by cell, the unit and the
+    labels equal the dense builder's; mul equals the
     dense product on random vectors; the right multiplication by every
     basis element and by a random vector equals the dense one; verify
     lists the same problems as the dense verifier."""
     dense = dense_skew_category_algebra(skew.cat, skew.r)
     k = skew.field
-    assert skew.table == dense.table
+    assert table_of(skew) == dense.table
     assert skew.unit == dense.unit and skew.labels == dense.labels
     for density in (0.2, 1.0):
         u, v = (_random_vector(k, rng, skew.dim, density) for _ in range(2))
@@ -100,7 +101,7 @@ def random_coefficients(cat, field, rng) -> AlgebraPresheaf:
         split = diagonal_algebra(field, n)
         table = [[mat_vec(field, back[x], split.mul(p.col(i), p.col(j))) for j in range(n)]
                  for i in range(n)]
-        at[x] = FiniteDimAlgebra(field, table, mat_vec(field, back[x], split.unit))
+        at[x] = FiniteDimAlgebra.from_table(field, table, mat_vec(field, back[x], split.unit))
     maps = {}
     for m in cat.morphisms:
         pull = matrix(field, [[1 if index[m.cod].get(None if s is None else
@@ -143,10 +144,8 @@ def test_a_corrupted_product_is_reported_as_the_dense_verifier_does():
                 products[i][j] = tuple((s, c) for s, c in sorted(cell.items()) if c != field.zero)
                 broken = SkewCategoryAlgebra(r.cat, r, field, skew.basis_offset, products,
                                              skew.unit, skew.labels)
-                dense = FiniteDimAlgebra(field, broken.table, broken.unit, labels=broken.labels,
-                                         check=False)
                 problems = broken.verify()
-                assert problems == dense_verify(dense)
+                assert problems == dense_verify(dense_algebra(broken))
                 found += bool(problems)
     assert found >= 20
 

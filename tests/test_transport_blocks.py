@@ -24,11 +24,10 @@ from finsite.topology import minimal_topology, subcategory_topology
 def test_transport_dimensions(chain3, f5):
     r = chain_diagonal_algebra_presheaf(f5)
     sub = FullSubcategory(chain3, ("x", "y"))
-    top = subcategory_topology(chain3, sub)
     rng = random.Random(0)
     for _ in range(5):
-        m = random_sheaf_module(r, sub, top, rng)
-        n = transport_module(m, sub, top)
+        m = random_sheaf_module(r, sub, rng)
+        n = transport_module(m, sub)
         assert n.dim == m.dim("x") + m.dim("y")
         # a sheaf for this topology carries equal dimensions at y and z
         assert m.dim("y") == m.dim("z")
@@ -37,16 +36,15 @@ def test_transport_dimensions(chain3, f5):
 def test_transport_roundtrips(chain3, f2, f5):
     rng = random.Random(1)
     sub = FullSubcategory(chain3, ("x", "y"))
-    top = subcategory_topology(chain3, sub)
     for field in (f2, f5):
         r = chain_diagonal_algebra_presheaf(field)
         skew_d = skew_category_algebra(sub.category, r.restrict(sub))
         for _ in range(4):
-            m = random_sheaf_module(r, sub, top, rng)
-            back, comps = transport_roundtrip_witness(m, sub, top)
+            m = random_sheaf_module(r, sub, rng)
+            back, comps = transport_roundtrip_witness(m, sub)
             assert is_module_presheaf_isomorphism(m, back, comps)
             n = random_algebra_module(skew_d, rng)
-            forward, t = transport_back_roundtrip_witness(n, r, sub, top)
+            forward, t = transport_back_roundtrip_witness(n, r, sub)
             assert is_algebra_module_isomorphism(forward, n, t)
 
 
@@ -57,7 +55,7 @@ def test_transport_back_produces_sheaf_modules(chain3, f5):
     skew_d = skew_category_algebra(sub.category, r.restrict(sub))
     rng = random.Random(2)
     n = random_algebra_module(skew_d, rng)
-    m = transport_module_back(n, r, sub, top)
+    m = transport_module_back(n, r, sub)
     assert is_sheaf(m.space, top)
     assert m.dim("y") == m.dim("z")
 
@@ -65,10 +63,10 @@ def test_transport_back_produces_sheaf_modules(chain3, f5):
 def test_transport_on_whole_category_is_bundling(chain3, f5):
     r = constant_algebra_presheaf(chain3, field_algebra(f5))
     sub = FullSubcategory(chain3, chain3.objects)
-    top = minimal_topology(chain3)
+    assert subcategory_topology(chain3, sub) == minimal_topology(chain3)
     rng = random.Random(3)
     m = random_module_presheaf(r, rng)
-    n1 = transport_module(m, sub, top)
+    n1 = transport_module(m, sub)
     n2 = to_algebra_module(m)
     assert n1.dim == n2.dim
     assert n1.actions == n2.actions
@@ -91,21 +89,10 @@ def test_transport_rejects_non_algebra_sheaf(chain3, f5):
     # for the one classified by the bottom object alone
     r = chain_diagonal_algebra_presheaf(f5)
     sub = FullSubcategory(chain3, ("x",))
-    top = subcategory_topology(chain3, sub)
     rng = random.Random(5)
-    m = random_sheaf_module(r, FullSubcategory(chain3, ("x", "y")),
-                            subcategory_topology(chain3, ("x", "y")), rng)
+    m = random_sheaf_module(r, FullSubcategory(chain3, ("x", "y")), rng)
     with pytest.raises(ModuleError):
-        transport_module(m, sub, top)
-
-
-def test_transport_rejects_mismatched_topology(chain3, f5):
-    r = chain_diagonal_algebra_presheaf(f5)
-    sub = FullSubcategory(chain3, ("x", "y"))
-    rng = random.Random(6)
-    m = random_sheaf_module(r, sub, subcategory_topology(chain3, sub), rng)
-    with pytest.raises(ModuleError, match="topology"):
-        transport_module(m, sub, minimal_topology(chain3))
+        transport_module(m, sub)
 
 
 # -- dense-site blocks ------------------------------------------------------
@@ -121,7 +108,7 @@ def test_blocks_reduced_orbit_s3(f5):
     assert len(block.automorphisms) == 2
     # the block is the group algebra of the order-two normalizer quotient
     kc2 = group_algebra(f5, cyclic_group(2))
-    assert block.algebra.table == kc2.table
+    assert block.algebra.products == kc2.products
     assert block.algebra.unit == kc2.unit
 
 
@@ -150,7 +137,7 @@ def test_blocks_group_category(group_c2, f5):
     blocks = dense_block_decomposition(group_c2, r)
     assert len(blocks) == 1
     kc2 = group_algebra(f5, cyclic_group(2))
-    assert blocks[0].algebra.table == kc2.table
+    assert blocks[0].algebra.products == kc2.products
 
 
 def test_block_dimension_matches_minimal_skew(chain3, orbit_c2, f5):
