@@ -235,6 +235,35 @@ class FiniteCategory:
     def endos(self, x: str) -> tuple[str, ...]:
         return self.hom(x, x)
 
+    @cached_property
+    def generators(self) -> frozenset:
+        """Non-identity morphisms whose composites are every non-identity
+        morphism, chosen greedily: those with the fewest factorisations g·f
+        into two non-identity morphisms first, then by index, each kept
+        unless the composites of those kept already reach it."""
+        ids = set(self.identity.values())
+        table = self.compose_table
+        count = {m.name: 0 for m in self.morphisms if m.name not in ids}
+        for (g, f), gf in table.items():
+            if gf in count and g not in ids and f not in ids:
+                count[gf] += 1
+        gens, reached = [], set()
+        for m in sorted(count, key=lambda m: (count[m], self.mor_index[m])):
+            if m in reached:
+                continue
+            gens.append(m)
+            # every composite holding m: m with the reached on either side,
+            # then grown by one generator at a time on either side
+            todo = [m] + [table[m, s] for s in self.into(self.dom(m)) if s in reached]
+            todo += [table[s, m] for s in reached if self.dom(s) == self.cod(m)]
+            while todo:
+                t = todo.pop()
+                if t not in reached and t not in ids:
+                    reached.add(t)
+                    todo += [table[g, t] for g in gens if self.dom(g) == self.cod(t)]
+                    todo += [table[t, g] for g in gens if self.cod(g) == self.dom(t)]
+        return frozenset(gens)
+
     # -- isomorphisms and idempotents -----------------------------------
 
     def inverse(self, f: str) -> str | None:

@@ -526,6 +526,21 @@ def null_space(field, a: Matrix) -> Matrix:
     return transpose(Matrix(len(cols), a.cols, tuple(cols)))
 
 
+def null_space_coordinates(field, basis: Matrix, y: Matrix) -> Matrix | None:
+    """The X with basis X = y for a basis made by null_space, or None when
+    a column of y leaves its span. Column j of such a basis is one at its
+    free variable, its last nonzero row, and zero at the other free
+    variables, so X is the rows of y at the free variables."""
+    if basis.rows != y.rows:
+        raise FieldError("solve shape mismatch")
+    free = [0] * basis.cols
+    for i, row in enumerate(basis.data):
+        for j in itertools.compress(range(basis.cols), row):
+            free[j] = i
+    x = Matrix(basis.cols, y.cols, tuple(y.data[i] for i in free))
+    return x if mat_mul(field, basis, x) == y else None
+
+
 def col_space(field, a: Matrix) -> Matrix:
     """Canonical basis of the column space (rref rows of the transpose)."""
     r, pivots = rref(field, transpose(a))

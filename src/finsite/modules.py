@@ -15,7 +15,7 @@ from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei
 from .errors import EngineError
 from .fields import (Matrix, block_diagonal, block_matrix, block_offsets, col_space,
                      hstack, identity_matrix, is_invertible, mat_combination, mat_mul,
-                     solve_matrix, unit_vec, vstack, zero_matrix)
+                     null_space_coordinates, solve_matrix, unit_vec, vstack, zero_matrix)
 from .presheaves import (LinearPresheaf, Representation, _as_subcategory,
                          all_invertible, is_intertwiner)
 from .sheaves import kan_extension, sheaf_defect
@@ -402,7 +402,7 @@ def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub):
         for bidx in range(r.algebra(x).dim):
             big = block_diagonal(k, [m_d.act(cat.dom(t), r.mat(t).col(bidx))
                                      for t in fams.members])
-            sol = solve_matrix(k, fams.basis, mat_mul(k, big, fams.basis))
+            sol = null_space_coordinates(k, fams.basis, mat_mul(k, big, fams.basis))
             if sol is None:
                 raise ModuleError("componentwise action left the family space")
             acts.append(sol)
@@ -426,7 +426,7 @@ def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory):
         blocks = [mat_mul(k, unit_comps[cat.dom(t)], m.space.mat(t))
                   for t in kan[x].members]
         stacked = vstack(k, blocks) if blocks else zero_matrix(k, 0, m.dim(x))
-        sol = solve_matrix(k, kan[x].basis, stacked)
+        sol = null_space_coordinates(k, kan[x].basis, stacked)
         if sol is None:
             raise ModuleError("restriction family left the Kan space")
         comps[x] = sol

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
 from .fields import (Matrix, block_matrix, block_offsets, identity_matrix, mat_mul,
-                     null_space, rank, solve_matrix, vstack, zero_matrix)
+                     null_space, null_space_coordinates, rank, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve, sieve_sort_key
 from .topology import GrothendieckTopology
@@ -69,9 +69,10 @@ def families(f, cat: FiniteCategory, members: tuple):
     """
     d = f.cat
     index = {u: i for i, u in enumerate(members)}
-    # (i, v, j): member i precomposed with v is member j.
+    # (i, v, j): member i precomposed with v is member j. Generators v are
+    # enough: F(vw)(m_u) = F(w)(m_uv) = m_uvw by induction on word length.
     links = [(i, v, index[cat.compose(u, v)]) for i, u in enumerate(members)
-             for v in d.into(cat.dom(u)) if not d.is_identity(v)]
+             for v in d.into(cat.dom(u)) if v in d.generators]
     if f.flavor == "set":
         pools = [f.at(cat.dom(u)) for u in members]
         return tuple(combo for combo in itertools.product(*pools)
@@ -132,7 +133,7 @@ def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
         src, dst = values[m.dom], values[m.cod]
         blocks = [dst.block(j) for j in positions(m)]
         pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
-        sol = solve_matrix(k, src.basis, pulled)
+        sol = null_space_coordinates(k, src.basis, pulled)
         if sol is None:
             raise EngineError("pulled family left the family space")
         mats[m.name] = sol
@@ -218,7 +219,7 @@ def unit_into_half_sheafification(f, top: GrothendieckTopology):
     for x in cat.objects:
         space = linear_matching_families(f, top.minimal_cover(x))
         res = linear_restriction_matrix(f, top.minimal_cover(x))
-        sol = solve_matrix(k, space.basis, res)
+        sol = null_space_coordinates(k, space.basis, res)
         if sol is None:
             raise EngineError("restriction family left the family space")
         comps[x] = sol
@@ -346,7 +347,7 @@ def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPr
             t = cat.compose(m.name, comp.orbit_rep)
             j, a = _match_component(cat, components[x], comp.class_index, t)
             moved = mat_mul(k, f.mat(a), bases[x][j])
-            block = solve_matrix(k, bases[w][i], moved)
+            block = null_space_coordinates(k, bases[w][i], moved)
             if block is None:
                 raise EngineError("fixed subspace not preserved; "
                                   "stabilizer matching is inconsistent")

@@ -3,7 +3,10 @@
 Each of these recomputes a quantity along a different route than the
 library: word reduction for the involution presentation, long-form
 colimits for half-sheafification, the sheaf condition on least covering
-sieves only, right Kan extension with its own family solver, sieves by a
+sieves only, compatible families with a condition for every morphism and
+functoriality on every composable pair (the library tries a generating
+set), composites grown one letter at a time, right Kan extension with its own
+family solver, sieves by a
 scan of every subset, the topology census by a product search and
 unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
@@ -39,7 +42,7 @@ from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
                             null_space, rank, solve, solve_matrix, unit_vec,
                             vec_sub, zero_vec)
 from finsite.presheaves import LinearPresheaf, SetPresheaf
-from finsite.sheaves import (_sieve_is_descent, linear_matching_families,
+from finsite.sheaves import (FamilySpace, _sieve_is_descent, linear_matching_families,
                              member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
 from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
@@ -195,6 +198,65 @@ def least_sieve_defect(f, top: GrothendieckTopology):
         least = top.minimal_cover(x)
         if not _sieve_is_descent(f, least):
             return (x, least)
+    return None
+
+
+# -- generating sets, families over every link, the full functoriality scan ------
+
+
+def composition_closure(cat: FiniteCategory, morphisms) -> set:
+    """Every composite of one or more of the given morphisms: the words
+    grown one letter at a time on the left until nothing new appears."""
+    closed = set(morphisms)
+    while True:
+        grown = closed | {cat.compose(g, w) for g in morphisms for w in closed
+                          if cat.dom(g) == cat.cod(w)}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def all_links_families(f, cat: FiniteCategory, members: tuple):
+    """families with a compatibility condition for every non-identity
+    morphism v of f.cat into the domain of a member, not only for its
+    generators: the filtered product of the pools, or a FamilySpace."""
+    d = f.cat
+    index = {u: i for i, u in enumerate(members)}
+    links = [(i, v.name, index[cat.compose(u, v.name)]) for i, u in enumerate(members)
+             for v in d.morphisms if v.cod == cat.dom(u) and not d.is_identity(v.name)]
+    if f.flavor == "set":
+        return tuple(combo for combo in itertools.product(*[f.at(cat.dom(u)) for u in members])
+                     if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
+    k = f.field
+    dims = tuple(f.at(cat.dom(u)) for u in members)
+    offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
+    total = sum(dims)
+    rows = []
+    for i, v, j in links:
+        fv = f.mat(v)
+        for r in range(fv.rows):
+            row = [k.zero] * total
+            for c in range(fv.cols):
+                row[offsets[i] + c] = fv.entry(r, c)
+            row[offsets[j] + r] = k.sub(row[offsets[j] + r], k.one)
+            rows.append(tuple(row))
+    return FamilySpace(members, dims, offsets,
+                       null_space(k, Matrix(len(rows), total, tuple(rows))))
+
+
+def functoriality_scan(cat: FiniteCategory, maps: dict, field=None):
+    """The first composable pair (g, f), g in morphism order and f in the
+    order of the morphisms into dom g, with F(gf) != F(f)F(g), or None;
+    maps holds function tables (set presheaves) or, with field, matrices."""
+    for g in cat.morphisms:
+        for f in cat.into(g.dom):
+            gf = cat.compose(g.name, f)
+            if field is None:
+                bad = any(maps[f][maps[g.name][a]] != maps[gf][a] for a in maps[g.name])
+            else:
+                bad = scalar_mat_mul(field, maps[f], maps[g.name]) != maps[gf]
+            if bad:
+                return g.name, f
     return None
 
 

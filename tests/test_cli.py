@@ -342,20 +342,60 @@ def test_cat_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
 
 
 S3_F5 = ["--gallery", "orbit", "--group", "S3", "--constant-field", "5"]
+S3 = ["--gallery", "orbit", "--group", "S3"]
+# Documents named in braces are written once by the fixture s3_f5_documents.
 HASH_SEED_ARGV = {"orbit S3": ["top", "enumerate", "--gallery", "orbit", "--group", "S3"],
                   "idem": ["top", "enumerate", "--gallery", "idem"],
                   "alg skew": ["alg", "skew", *S3_F5],
                   "alg verify": ["alg", "verify", *S3_F5],
-                  "mod blocks": ["mod", "blocks", *S3_F5]}
+                  "mod blocks": ["mod", "blocks", *S3_F5],
+                  "sheaf sheafify": ["sheaf", "sheafify", *S3, "--presheaf", "{presheaf}",
+                                     "--objects", "{objects}"],
+                  "sheaf sheafify dense": ["sheaf", "sheafify", *S3, "--presheaf", "{presheaf}",
+                                           "--dense"],
+                  "sheaf kan": ["sheaf", "kan", *S3, "--presheaf", "{on_d}",
+                                "--objects", "{objects}"],
+                  "sheaf check": ["sheaf", "check", *S3, "--presheaf", "{presheaf}",
+                                  "--objects", "{objects}"],
+                  "mod transport": ["mod", "transport", *S3_F5, "--module", "{module}",
+                                    "--objects", "{objects}"]}
+
+
+@pytest.fixture(scope="module")
+def s3_f5_documents(tmp_path_factory):
+    """An F5 presheaf on orbit S3, one on D = S3/1 and the subgroups of
+    order 2, and a sheaf module for J^D."""
+    import random
+
+    from finsite.algebras import constant_algebra_presheaf, field_algebra
+    from finsite.category import FullSubcategory
+    from finsite.fields import PrimeField
+    from finsite.gallery import orbit_category, symmetric_group
+    from finsite.sampling import random_linear_presheaf, random_sheaf_module
+    from finsite.serialize import module_presheaf_to_doc
+    cat, k = orbit_category(symmetric_group(3)), PrimeField(5)
+    sub = FullSubcategory(cat, ("S3/1", "S3/{e,(23)}", "S3/{e,(12)}", "S3/{e,(13)}"))
+    rng = random.Random(3)
+    docs = {"presheaf": presheaf_to_doc(random_linear_presheaf(cat, k, rng)),
+            "on_d": presheaf_to_doc(random_linear_presheaf(sub.category, k, rng)),
+            "module": module_presheaf_to_doc(random_sheaf_module(
+                constant_algebra_presheaf(cat, field_algebra(k)), sub, rng))}
+    out = tmp_path_factory.mktemp("s3-f5")
+    paths = {"objects": ",".join(sub.objects)}
+    for name, doc in docs.items():
+        (out / f"{name}.yaml").write_text(dump_text(doc))
+        paths[name] = str(out / f"{name}.yaml")
+    return paths
 
 
 @pytest.mark.parametrize("argv", HASH_SEED_ARGV.values(), ids=HASH_SEED_ARGV.keys())
-def test_top_enumerate_independent_of_hash_seed(argv):
+def test_top_enumerate_independent_of_hash_seed(argv, s3_f5_documents):
     import os
     import subprocess
     import sys
 
     import finsite
+    argv = [arg.format(**s3_f5_documents) if arg.startswith("{") else arg for arg in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(finsite.__file__)))
     outs = []
     for seed in ("0", "1"):
