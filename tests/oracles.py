@@ -380,21 +380,34 @@ def _axioms_hold(cat, covering, sieves) -> bool:
     return True
 
 
+def up_closed_families(sieves: list) -> list:
+    """Every family of the given sieves that holds the maximal one and is
+    closed upwards under inclusion, as index sets in (size, index-lex)
+    order. Each is the union of the principal up-sets of its minimal
+    members, an antichain, and the antichains are grown one index at a
+    time, so the work follows the number of families, not 2^len(sieves)."""
+    n = len(sieves)
+    up = [frozenset(j for j in range(n) if sieves[i] <= sieves[j]) for i in range(n)]
+    comparable = [frozenset(j for j in range(n) if sieves[i] <= sieves[j] or sieves[j] <= sieves[i])
+                  for i in range(n)]
+    families = set()
+
+    def grow(start, blocked, family):
+        for i in range(start, n):
+            if i not in blocked:
+                families.add(family | up[i])
+                grow(i + 1, blocked | comparable[i], family | up[i])
+    grow(0, frozenset(), frozenset())
+    return sorted(families, key=lambda family: (len(family), sorted(family)))
+
+
 def product_search_topologies(cat: FiniteCategory):
     """Every topology, as the axiom-checked product of the up-closed sieve
     families per object, in product order: object by object, family size,
     then the positions of its sieves."""
     sieves = {x: [s.members for s in subset_scan_sieves(cat, x)] for x in cat.objects}
-    per_object = []
-    for x in cat.objects:
-        families = []
-        for r in range(len(sieves[x]) + 1):
-            for subset in itertools.combinations(sieves[x], r):
-                family = frozenset(subset)
-                if frozenset(cat.into(x)) in family and all(
-                        t in family for s in family for t in sieves[x] if s <= t):
-                    families.append(family)
-        per_object.append(families)
+    per_object = [[frozenset(sieves[x][i] for i in family)
+                   for family in up_closed_families(sieves[x])] for x in cat.objects]
     out = []
     for combo in itertools.product(*per_object):
         covering = dict(zip(cat.objects, combo))

@@ -3,9 +3,11 @@ against the scalar-loop and dense oracles, on seeded random inputs."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from finsite import fields
 from finsite.algebras import (FiniteDimAlgebra, chain_diagonal_algebra_presheaf,
                               constant_algebra_presheaf, field_algebra,
                               involution_group_algebra_presheaf,
@@ -45,34 +47,54 @@ def _random_matrix(field, rng, rows, cols, density):
 
 
 def _cases(field, seed, count):
+    """(rng, rows, cols, inner, density): A is rows x cols, B cols x inner.
+    The last three shapes are large enough for the packed route of mat_mul
+    to take rows of A with no, one and several terms."""
     rng = random.Random(seed)
-    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes = [(0, 3, 7), (3, 0, 7), (0, 0, 7), (1, 1, 7)]
     for _ in range(count):
-        shapes.append((rng.randint(1, 12), rng.randint(1, 12)))
-    for rows, cols in shapes:
+        shapes.append((rng.randint(1, 12), rng.randint(1, 12), 7))
+    for rows, cols, inner in shapes + [(24, 20, 16), (20, 24, 16), (40, 20, 16)]:
         for density in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
-            yield rng, rows, cols, density
+            yield rng, rows, cols, rng.randint(0, inner), density
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.label)
 def test_kernels_equal_the_scalar_loops(field):
+    with mock.patch.object(fields, "_pack_rows", wraps=fields._pack_rows) as packings:
+        paths = _kernel_paths(field, packings)
+    if field.char:
+        assert paths == {0, 1, 2, "dots", ("packed", 0), ("packed", 1), ("packed", 2),
+                         "packed combination", "axpy combination"}
+    else:
+        assert paths == {"zero row of A", "B without rows or columns", "rank deficient"}
+        assert packings.call_count == 0
+
+
+def _kernel_paths(field, packings) -> set:
+    """Check every kernel against its oracle on the seeded cases and return
+    the paths taken: for mat_mul over F_p, the packed route or the row
+    primitives, each by the number of nonzero entries of a row of A that
+    face a nonzero row of B."""
     paths = set()
-    for rng, rows, cols, density in _cases(field, 11, 14):
+    for rng, rows, cols, inner, density in _cases(field, 11, 14):
         a = _random_matrix(field, rng, rows, cols, density)
-        inner = rng.randint(0, 7)
         b = _random_matrix(field, rng, cols, inner, rng.choice((0.1, 0.5, 1.0)))
-        if field.char:
-            live = [any(r) for r in b.data]
-            for row in a.data:
-                terms = sum(1 for x, y in zip(row, live) if x and y)
-                paths.add(min(terms, 2) if field.row_sum_ratio * terms <= cols else "dots")
-        else:
+        if not field.char:
             paths.update(case for case, reached in (
                 ("zero row of A", cols and not all(map(any, a.data))),
                 ("B without rows or columns", not (b.rows and b.cols)),
                 ("rank deficient", rows and cols and rank(field, a) < min(rows, cols)))
                 if reached)
+        before = packings.call_count
         assert mat_mul(field, a, b) == scalar_mat_mul(field, a, b)
+        if field.char:
+            packed = packings.call_count > before
+            live = [any(r) for r in b.data]
+            for row in a.data:
+                terms = sum(1 for x, y in zip(row, live) if x and y)
+                paths.add(("packed", min(terms, 2)) if packed else
+                          min(terms, 2) if field.row_sum_ratio * terms <= cols else "dots")
         v = tuple(field.of(x) for x in _random_matrix(field, rng, 1, cols, density).data[0]) \
             if cols else ()
         assert mat_vec(field, a, v) == scalar_mat_vec(field, a, v)
@@ -82,12 +104,13 @@ def test_kernels_equal_the_scalar_loops(field):
             scalar_null_space(field, a)
         coeffs = Matrix(1, 4, ((field.rand(rng), field.rand(rng), field.one, field.zero),))
         mats = [_random_matrix(field, rng, rows, cols, density) for _ in range(4)]
+        before = packings.call_count
         assert mat_combination(field, coeffs.data[0], mats, rows, cols) == \
             scalar_combination(field, coeffs.data[0], mats, rows, cols)
-    if field.char:
-        assert paths == {0, 1, 2, "dots"}
-    else:
-        assert paths == {"zero row of A", "B without rows or columns", "rank deficient"}
+        if field.char:
+            paths.add("packed combination" if packings.call_count > before
+                      else "axpy combination")
+    return paths
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.label)

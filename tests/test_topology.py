@@ -19,7 +19,7 @@ from finsite.topology import (ClassificationError, check_topology,
 
 from oracles import (census_yaml, iso_union_karoubian_subcategories,
                      product_search_topologies, scan_classifying_subcategory,
-                     subset_scan_labels, unpruned_topologies)
+                     subset_scan_labels, unpruned_topologies, up_closed_families)
 
 # The census members of the benchmark ladder that the guards let through.
 CENSUS_MEMBERS = [("chain3",), ("chain4",), ("chain5",), ("chain6",),
@@ -314,14 +314,15 @@ def random_concrete_category(rng: random.Random, name: str):
 
 
 def random_concrete_categories(count: int, seed: int = 7) -> list:
-    """Seeded random concrete categories, skipping those with more than 12
-    sieves on an object: the product-search oracle runs through every set
-    of sieves on each object."""
+    """Seeded random concrete categories, skipping those with more than 40
+    sieves on an object: the product-search oracle lists every up-closed
+    family of sieves on each object, and a few objects of 53 to 145 sieves
+    have too many of those to list."""
     rng = random.Random(seed)
     cats = []
     while len(cats) < count:
         cat = random_concrete_category(rng, f"concrete{len(cats)}")
-        if cat is not None and all(len(sieves_on(cat, x)) <= 12 for x in cat.objects):
+        if cat is not None and all(len(sieves_on(cat, x)) <= 40 for x in cat.objects):
             cats.append(cat)
     return cats
 
@@ -340,6 +341,27 @@ def test_census_matches_product_search_on_small_categories():
         for top in census:
             key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
             assert top.label == labels.get(key), cat.name
+
+
+def test_up_closed_families_match_the_subset_scan():
+    """The antichain enumeration of the oracle against a filter of every
+    subset of the sieves, on the objects with at most 12 sieves; the
+    family reaches objects with more than 12."""
+    largest = 0
+    for cat in ORACLE_FAMILY:
+        for x in cat.objects:
+            sieves = [s.members for s in sieves_on(cat, x)]
+            largest = max(largest, len(sieves))
+            if len(sieves) > 12:
+                continue
+            top = sieves.index(frozenset(cat.into(x)))
+            scan = [set(subset) for r in range(len(sieves) + 1)
+                    for subset in itertools.combinations(range(len(sieves)), r)
+                    if top in subset and all(j in subset for i in subset
+                                             for j in range(len(sieves))
+                                             if sieves[i] <= sieves[j])]
+            assert [set(f) for f in up_closed_families(sieves)] == scan, (cat.name, x)
+    assert largest > 20
 
 
 def test_karoubian_subcategories_match_the_union_scan():
