@@ -41,8 +41,7 @@ from .sheaves import (FamilySpace, dense_sheafify_fixed_points, extend_by_defaul
                       families, half_sheafify, is_sheaf, kan_extension,
                       matching_families, right_kan_extension, rk_counit,
                       sheaf_defect, sheafify, unit_into_half_sheafification)
-from .sieves import (Sieve, empty_sieve, generated_sieve, is_sieve,
-                     maximal_sieve, pullback_sieve, sieves_on)
+from .sieves import Sieve, is_sieve, maximal_sieve, pullback_sieve, sieves_on
 from .topology import (ClassificationError, GrothendieckTopology,
                        check_topology, classify_topology, dense_topology,
                        enumerate_topologies, finest_topology_for, is_topology,

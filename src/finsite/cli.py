@@ -114,19 +114,12 @@ def _sieve_cell(cat, sieve) -> str:
 
 def _topology_table(cat, tops) -> str:
     """A minimal-covering-sieve grid, one row per topology."""
-    labels = []
-    rows = []
-    for top in tops:
-        labels.append(top.label or "J?")
-        rows.append([_sieve_cell(cat, top.minimal_cover(x)) for x in cat.objects])
-    headers = ["topology"] + list(cat.objects)
-    table = [headers] + [[lab] + row for lab, row in zip(labels, rows)]
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    table = [["topology", *cat.objects]] + [
+        [top.label or "J?"] + [_sieve_cell(cat, top.minimal_cover(x)) for x in cat.objects]
+        for top in tops]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 

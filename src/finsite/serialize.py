@@ -286,7 +286,9 @@ def topology_from_doc(doc: dict, cat: FiniteCategory) -> GrothendieckTopology:
     violations = check_topology(cat, covering)
     if violations:
         raise DocumentError(f"topology: not a Grothendieck topology: {violations[0]}")
-    return GrothendieckTopology(cat, covering, label=doc.get("label"))
+    # Each family is now the sieves containing its least member.
+    return GrothendieckTopology(cat, {x: min(fams, key=lambda s: len(s.members))
+                                      for x, fams in covering.items()}, label=doc.get("label"))
 
 
 # -- presheaves --------------------------------------------------------------

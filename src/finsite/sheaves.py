@@ -15,8 +15,9 @@ for every covering sieve.
 Half-sheafification is computed on the minimal covering sieve. On a
 finite site the covering sieves at an object are closed under
 intersection, so the inclusion-poset colimit defining the construction
-is attained at its least element; the long-form colimit lives in the
-test suite as an independent oracle.
+is attained at its least element, which is how a GrothendieckTopology
+holds the topology: one least covering sieve per object. The long-form
+colimit lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import EngineError
 from .fields import (Matrix, block_matrix, block_offsets, identity_matrix, mat_mul,
                      null_space, null_space_coordinates, rank, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
-from .sieves import Sieve, sieve_sort_key
+from .sieves import Sieve
 from .topology import GrothendieckTopology
 
 
@@ -178,7 +179,7 @@ def sheaf_defect(f, top: GrothendieckTopology):
     """
     cat = f.cat
     for x in cat.objects:
-        for s in sorted(top.covering[x], key=lambda s: sieve_sort_key(cat, s)):
+        for s in top.sieves_at(x):
             if not _sieve_is_descent(f, s):
                 return (x, s)
     return None

@@ -19,10 +19,6 @@ def maximal_sieve(cat: FiniteCategory, x: str) -> Sieve:
     return Sieve(x, frozenset(cat.into(x)))
 
 
-def empty_sieve(x: str) -> Sieve:
-    return Sieve(x, frozenset())
-
-
 def is_sieve(cat: FiniteCategory, target: str, members: Iterable[str]) -> bool:
     members = frozenset(members)
     for u in members:
@@ -32,13 +28,6 @@ def is_sieve(cat: FiniteCategory, target: str, members: Iterable[str]) -> bool:
             if cat.compose(u, v) not in members:
                 return False
     return True
-
-
-def sieve(cat: FiniteCategory, target: str, members: Iterable[str]) -> Sieve:
-    s = Sieve(target, frozenset(members))
-    if not is_sieve(cat, s.target, s.members):
-        raise EngineError(f"not a sieve on {target!r}: {sorted(s.members)}")
-    return s
 
 
 def sieve_sort_key(cat: FiniteCategory, s: Sieve):
@@ -63,7 +52,8 @@ def sieves_on(cat: FiniteCategory, x: str) -> tuple[Sieve, ...]:
         return cached[x]
     into = cat.into(x)
     if len(into) > 20:
-        raise EngineError(f"sieve enumeration too large at {x!r}: 2^{len(into)} subsets")
+        raise EngineError(f"sieve enumeration refused at {x!r}: {len(into)} morphisms "
+                          "into it, above the limit 20")
     bit = {u: 1 << i for i, u in enumerate(into)}
     masks = {0}
     for u in into:
@@ -87,19 +77,3 @@ def pullback_sieve(cat: FiniteCategory, s: Sieve, f: str) -> Sieve:
     y = cat.dom(f)
     members = frozenset(g for g in cat.into(y) if cat.compose(f, g) in s.members)
     return Sieve(y, members)
-
-
-def generated_sieve(cat: FiniteCategory, x: str, generators: Iterable[str]) -> Sieve:
-    """The least sieve on x containing the given morphisms.
-
-    One pass of precomposition suffices because the table is closed.
-    """
-    gens = list(generators)
-    for u in gens:
-        if cat.cod(u) != x:
-            raise EngineError(f"generator {u!r} does not end at {x!r}")
-    members = set(gens)
-    for u in gens:
-        for v in cat.into(cat.dom(u)):
-            members.add(cat.compose(u, v))
-    return Sieve(x, frozenset(members))

@@ -32,141 +32,169 @@ class ClassificationError(EngineError):
 
 
 class GrothendieckTopology:
-    """A per-object family of covering sieves on a fixed category.
+    """A Grothendieck topology on a fixed category, held as its least
+    covering sieve L_x at each object.
 
-    Equality and hashing look only at the covering data, so topologies
-    from different constructions compare as expected.
+    On a finite category the covering sieves at x are closed under
+    intersection, so they are exactly the sieves containing L_x. Covering,
+    comparison, equality and hashing read L_x alone; the full families
+    are derived only for output, by ``sieves_at``. Each L_x must be a
+    sieve on x; whether they make a topology is for ``check_topology`` to
+    say.
     """
 
-    def __init__(self, cat: FiniteCategory, covering: dict, *, label: str | None = None):
+    def __init__(self, cat: FiniteCategory, least: dict, *, label: str | None = None):
+        if set(least) != set(cat.objects):
+            raise EngineError(f"least covers must be given at exactly the objects "
+                              f"{list(cat.objects)}, not {sorted(least)}")
         self.cat = cat
-        self.covering = {x: frozenset(covering.get(x, ())) for x in cat.objects}
+        self.least = {x: least[x] for x in cat.objects}
         self.label = label
-        extra = set(covering) - set(cat.objects)
-        if extra:
-            raise EngineError(f"covering data for unknown objects: {sorted(extra)}")
-        for x, sieves in self.covering.items():
-            for s in sieves:
-                if s.target != x:
-                    raise EngineError(f"sieve on {s.target!r} filed under {x!r}")
+        for x, s in self.least.items():
+            if s.target != x or not is_sieve(cat, x, s.members):
+                raise EngineError(f"not a sieve on {x!r}: {sorted(s.members)}")
 
     def sieves_at(self, x: str) -> tuple[Sieve, ...]:
-        return tuple(sorted(self.covering[x], key=lambda s: sieve_sort_key(self.cat, s)))
+        """Every covering sieve at x, in sieve_sort_key order."""
+        return tuple(s for s in sieves_on(self.cat, x) if self.covers(s))
 
     def covers(self, s: Sieve) -> bool:
-        return s in self.covering[s.target]
+        return self.least[s.target].members <= s.members
 
     def minimal_cover(self, x: str) -> Sieve:
-        """The intersection of all covering sieves on x; always itself covering."""
-        sieves = self.covering[x]
-        if not sieves:
-            raise EngineError(f"no covering sieves at {x!r}")
-        members = frozenset.intersection(*(s.members for s in sieves))
-        least = Sieve(x, members)
-        if least not in sieves:
-            raise EngineError(
-                f"covering sieves at {x!r} are not closed under intersection; "
-                "not a Grothendieck topology")
-        return least
+        return self.least[x]
 
     def le(self, other: GrothendieckTopology) -> bool:
-        """Objectwise containment of covering families."""
-        return all(self.covering[x] <= other.covering[x] for x in self.cat.objects)
-
-    def _key(self):
-        return tuple((x, frozenset(self.covering[x])) for x in self.cat.objects)
+        """Every sieve covering for self covers for other."""
+        return all(other.least[x].members <= self.least[x].members for x in self.cat.objects)
 
     def __eq__(self, other):
         return (isinstance(other, GrothendieckTopology)
-                and self._key() == other._key())
+                and tuple(self.least.values()) == tuple(other.least.values()))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(self.least.values()))
 
     def to_data(self) -> dict:
-        cat = self.cat
-        doc = {}
-        for x in cat.objects:
-            doc[x] = [sorted(s.members, key=lambda m: cat.mor_index[m])
-                      for s in self.sieves_at(x)]
-        return doc
+        index = self.cat.mor_index
+        return {x: [sorted(s.members, key=index.__getitem__) for s in self.sieves_at(x)]
+                for x in self.cat.objects}
 
     def __repr__(self):
         label = self.label or "topology"
-        sizes = ",".join(str(len(self.covering[x])) for x in self.cat.objects)
+        sizes = ",".join(str(len(self.sieves_at(x))) for x in self.cat.objects)
         return f"<{label} with covering sizes [{sizes}]>"
 
 
 def check_topology(cat: FiniteCategory, top) -> list[TopologyViolation]:
-    """All axiom violations of a covering assignment, in deterministic order."""
-    covering = top.covering if isinstance(top, GrothendieckTopology) else \
-        {x: frozenset(top.get(x, ())) for x in cat.objects}
-    violations = []
-    for x in cat.objects:
-        for s in sorted(covering[x], key=lambda s: sieve_sort_key(cat, s)):
-            if s.target != x or not is_sieve(cat, x, s.members):
-                violations.append(TopologyViolation("sieve", x, s, None))
+    """The axiom violations of a topology, or of a covering assignment
+    {object: covering sieves} such as a document holds, in order.
+
+    A topology is checked on its least covers alone, sieves by its
+    constructor. Stability asks f*(L_x) ⊇ L_{dom f} for every f into x.
+    Transitivity asks L_x to lie in U_x, the union of f·L_{dom f} over f
+    in L_x: U_x is a sieve whose pullbacks along the members of L_x
+    cover, so it must cover; a failing U_x is the sieve named.
+
+    An assignment is checked in steps, each only when those before it
+    found nothing: every entry is a sieve on its object; the maximal
+    sieve covers; the family at x is the set of sieves containing its
+    intersection L_x; then the check above. Each violation named is one
+    of the assignment itself.
+    """
+    least, violations = ((top.least, []) if isinstance(top, GrothendieckTopology)
+                         else _least_covers(cat, top))
     if violations:
         return violations
-    all_sieves = {x: sieves_on(cat, x) for x in cat.objects}
     for x in cat.objects:
-        if maximal_sieve(cat, x) not in covering[x]:
-            violations.append(TopologyViolation("maximal-sieve", x,
-                                                maximal_sieve(cat, x), None))
+        for f in cat.into(x):
+            if not least[cat.dom(f)].members <= pullback_sieve(cat, least[x], f).members:
+                violations.append(TopologyViolation("stability", x, least[x], f))
     for x in cat.objects:
-        for s in sorted(covering[x], key=lambda s: sieve_sort_key(cat, s)):
-            for f in cat.into(x):
-                if pullback_sieve(cat, s, f) not in covering[cat.dom(f)]:
-                    violations.append(TopologyViolation("stability", x, s, f))
-    for x in cat.objects:
-        for s1 in sorted(covering[x], key=lambda s: sieve_sort_key(cat, s)):
-            for s2 in all_sieves[x]:
-                if s2 in covering[x]:
-                    continue
-                if all(pullback_sieve(cat, s2, f) in covering[cat.dom(f)]
-                       for f in s1.members):
-                    violations.append(TopologyViolation("transitivity", x, s2, None))
+        union = Sieve(x, frozenset(cat.compose(f, g) for f in least[x].members
+                                   for g in least[cat.dom(f)].members))
+        if not least[x].members <= union.members:
+            violations.append(TopologyViolation("transitivity", x, union, None))
     return violations
+
+
+def _least_covers(cat: FiniteCategory, covering: dict):
+    """The least covers of a covering assignment, or the violations that
+    keep it from being the sieves containing them."""
+    families = {x: frozenset(covering.get(x, ())) for x in cat.objects}
+    ordered = {x: sorted(families[x], key=lambda s: sieve_sort_key(cat, s)) for x in cat.objects}
+    violations = [TopologyViolation("sieve", x, s, None) for x in cat.objects for s in ordered[x]
+                  if s.target != x or not is_sieve(cat, x, s.members)]
+    if violations:
+        return None, violations
+    violations = [TopologyViolation("maximal-sieve", x, maximal_sieve(cat, x), None)
+                  for x in cat.objects if maximal_sieve(cat, x) not in families[x]]
+    if violations:
+        return None, violations
+    least = {}
+    for x in cat.objects:
+        least[x] = ordered[x][0]
+        for s in ordered[x][1:]:
+            meet = Sieve(x, least[x].members & s.members)
+            if meet not in families[x]:
+                # Along each member f of the cover least[x], meet pulls back to f*(s).
+                f = next((f for f in sorted(least[x].members, key=cat.mor_index.__getitem__)
+                          if pullback_sieve(cat, s, f) not in families[cat.dom(f)]), None)
+                violations.append(TopologyViolation("stability", x, s, f) if f else
+                                  TopologyViolation("transitivity", x, meet, None))
+                break
+            least[x] = meet
+        else:
+            # A sieve above the cover least[x] pulls back to maximal sieves along its members.
+            above = next((r for r in sieves_on(cat, x)
+                          if least[x].members <= r.members and r not in families[x]), None)
+            if above:
+                violations.append(TopologyViolation("transitivity", x, above, None))
+    return least, violations
 
 
 def is_topology(cat: FiniteCategory, top) -> bool:
     return not check_topology(cat, top)
 
 
+def _generated(cat: FiniteCategory, x: str, generators) -> Sieve:
+    """The least sieve on x holding the generators. One pass of
+    precomposition suffices because the table is closed."""
+    for u in generators:
+        if cat.cod(u) != x:
+            raise EngineError(f"generator {u!r} does not end at {x!r}")
+    return Sieve(x, frozenset(cat.compose(u, v) for u in generators
+                              for v in cat.into(cat.dom(u))))
+
+
 def minimal_topology(cat: FiniteCategory) -> GrothendieckTopology:
     return GrothendieckTopology(
-        cat, {x: {maximal_sieve(cat, x)} for x in cat.objects}, label="J_min")
-
-
-def _sieves_containing(cat: FiniteCategory, required: dict,
-                       label: str | None = None) -> GrothendieckTopology:
-    """The covering sieves on x are the sieves containing required[x]."""
-    covering = {x: {s for s in sieves_on(cat, x) if required[x] <= s.members}
-                for x in cat.objects}
-    return GrothendieckTopology(cat, covering, label=label)
+        cat, {x: maximal_sieve(cat, x) for x in cat.objects}, label="J_min")
 
 
 def maximal_topology(cat: FiniteCategory) -> GrothendieckTopology:
-    return _sieves_containing(cat, {x: frozenset() for x in cat.objects}, "J_max")
+    return GrothendieckTopology(cat, {x: Sieve(x, frozenset()) for x in cat.objects},
+                                label="J_max")
 
 
 def dense_topology(cat: FiniteCategory) -> GrothendieckTopology:
     """Sieves that meet every incoming morphism after a further precomposition:
-    S covers x when every f: y -> x admits g: z -> y with "g then f" in S."""
-    covering = {}
-    for x in cat.objects:
-        chosen = set()
-        for s in sieves_on(cat, x):
-            ok = True
-            for f in cat.into(x):
-                y = cat.dom(f)
-                if not any(cat.compose(f, g) in s.members for g in cat.into(y)):
-                    ok = False
-                    break
-            if ok:
-                chosen.add(s)
-        covering[x] = chosen
-    return GrothendieckTopology(cat, covering, label="J_den")
+    S covers x when every f: y -> x admits g: z -> y with "g then f" in S.
+
+    The dense sieves form a topology, so h into x lies in the least one
+    exactly when the largest sieve without h, the morphisms h does not
+    factor through, is not dense."""
+    def dense(members, x):
+        return all(any(cat.compose(f, g) in members for g in cat.into(cat.dom(f)))
+                   for f in cat.into(x))
+
+    def factors_through(h, u):
+        return any(cat.compose(u, v) == h for v in cat.hom(cat.dom(h), cat.dom(u)))
+
+    return GrothendieckTopology(cat, {x: Sieve(x, frozenset(
+        h for h in cat.into(x)
+        if not dense({u for u in cat.into(x) if not factors_through(h, u)}, x)))
+        for x in cat.objects}, label="J_den")
 
 
 def subcategory_topology(cat: FiniteCategory, sub) -> GrothendieckTopology:
@@ -183,15 +211,16 @@ def subcategory_topology(cat: FiniteCategory, sub) -> GrothendieckTopology:
         raise EngineError(
             f"object set {list(sub.objects)} is not closed under isomorphism")
     keep = set(sub.objects)
-    return _sieves_containing(
-        cat, {x: frozenset(t for t in cat.into(x) if cat.dom(t) in keep) for x in cat.objects},
-        "J^{" + ",".join(sub.objects) + "}")
+    return GrothendieckTopology(
+        cat, {x: _generated(cat, x, [t for t in cat.into(x) if cat.dom(t) in keep])
+              for x in cat.objects},
+        label="J^{" + ",".join(sub.objects) + "}")
 
 
 def topology_from_minimal_covers(cat: FiniteCategory, minimal: dict) -> GrothendieckTopology:
     """Upward closure of one chosen sieve per object (sieves above stay covering)."""
-    return _sieves_containing(cat, {x: minimal[x].members if isinstance(minimal[x], Sieve)
-                                    else frozenset(minimal[x]) for x in cat.objects})
+    return GrothendieckTopology(cat, {x: _generated(cat, x, getattr(s, "members", s))
+                                      for x, s in minimal.items()})
 
 
 def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
@@ -222,8 +251,8 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
         objects = set().union(*(classes[i].objects for i in t))
         label = ("J^{" + ",".join(x for x in cat.objects if x in objects) + "}"
                  if all(classes[i].objects for i in t) else None)
-        top = _sieves_containing(cat, {x: union.intersection(cat.into(x))
-                                       for x in cat.objects}, label)
+        top = GrothendieckTopology(cat, {x: _generated(cat, x, union.intersection(cat.into(x)))
+                                         for x in cat.objects}, label=label)
         violations = check_topology(cat, top)
         if violations:
             raise ClassificationError(f"{label or 'J^T'} fails the axioms, against the "
@@ -232,8 +261,8 @@ def enumerate_topologies(cat: FiniteCategory) -> list[GrothendieckTopology]:
     position = {x: {s: i for i, s in enumerate(sieves_on(cat, x))} for x in cat.objects}
 
     def product_order(top):
-        return tuple((len(top.covering[x]), sorted(position[x][s] for s in top.covering[x]))
-                     for x in cat.objects)
+        return tuple((len(p), p) for p in ([position[x][s] for s in top.sieves_at(x)]
+                                            for x in cat.objects))
 
     return sorted(tops, key=product_order)
 
@@ -250,7 +279,7 @@ def classify_topology(cat: FiniteCategory, top: GrothendieckTopology) -> FullSub
     it is reported loudly rather than absorbed.
     """
     sub = FullSubcategory(cat, tuple(
-        x for x in cat.objects if all(cat.id_of(x) in s.members for s in top.covering[x])))
+        x for x in cat.objects if cat.id_of(x) in top.least[x].members))
     if sub.is_strictly_full() and is_karoubian(sub.category) \
             and subcategory_topology(cat, sub) == top:
         return sub
@@ -274,5 +303,4 @@ def finest_topology_for(presheaf, cat: FiniteCategory | None = None) -> Grothend
         raise ClassificationError(
             f"{len(maximal)} incomparable maximal topologies admit this presheaf; "
             "the finest one is not unique on this input")
-    top = maximal[0]
-    return GrothendieckTopology(cat, top.covering, label="J_N")
+    return GrothendieckTopology(cat, maximal[0].least, label="J_N")

@@ -7,7 +7,8 @@ sieves only, compatible families with a condition for every morphism and
 functoriality on every composable pair (the library tries a generating
 set), composites grown one letter at a time, right Kan extension with its own
 family solver, sieves by a
-scan of every subset, the topology census by a product search and
+scan of every subset, the topology axioms by a sweep over every covering
+sieve and every sieve, the topology census by a product search and
 unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
 Karoubian subcategories by a Karoubi test of every union of isomorphism
@@ -46,7 +47,7 @@ from finsite.sheaves import (FamilySpace, _sieve_is_descent, linear_matching_fam
                              member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
 from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
-from finsite.topology import GrothendieckTopology, check_topology, subcategory_topology
+from finsite.topology import GrothendieckTopology, TopologyViolation, subcategory_topology
 
 
 # -- word reduction for the involution presentation ------------------------
@@ -105,7 +106,7 @@ def colimit_families_set(f, top: GrothendieckTopology, x: str):
     """Equivalence classes of (covering sieve, matching family) pairs under
     agreement on a common covering refinement."""
     cat = f.cat
-    sieves = sorted(top.covering[x], key=lambda s: sieve_sort_key(cat, s))
+    sieves = top.sieves_at(x)
     items = []
     for s in sieves:
         for fam in set_matching_families(f, s):
@@ -141,7 +142,7 @@ def colimit_dimension_linear(f, top: GrothendieckTopology, x: str) -> int:
     """Dimension of the long-form colimit: the direct sum of the family
     spaces over all covering sieves, divided by the agreement relations."""
     cat, k = f.cat, f.field
-    sieves = sorted(top.covering[x], key=lambda s: sieve_sort_key(cat, s))
+    sieves = top.sieves_at(x)
     spaces = [linear_matching_families(f, s) for s in sieves]
     offsets = []
     total = 0
@@ -363,21 +364,48 @@ def _pullback(cat, members, f):
     return frozenset(g for g in cat.into(cat.dom(f)) if cat.compose(f, g) in members)
 
 
-def _axioms_hold(cat, covering, sieves) -> bool:
-    """Maximal sieve, stability and transitivity for families of member sets."""
+def topology_violations(cat, covering) -> list:
+    """Every axiom violation of a covering assignment {object: set of
+    Sieves}, by a sweep over every covering sieve and every sieve: the
+    entries that are no sieves (and nothing else when there are any),
+    then object by object the missing maximal sieve, each covering sieve
+    with a pullback that does not cover, and each sieve that does not
+    cover although its pullbacks along the members of some covering
+    sieve all do."""
+    return list(_violations(cat, covering, {x: subset_scan_sieves(cat, x)
+                                            for x in cat.objects}))
+
+
+def _violations(cat, covering, sieves):
+    bad = [TopologyViolation("sieve", x, s, None) for x in cat.objects
+           for s in sorted(covering[x], key=lambda s: sieve_sort_key(cat, s))
+           if s.target != x or s not in sieves[x]]
+    if bad:
+        yield from bad
+        return
+    covered = {x: {s.members for s in covering[x]} for x in cat.objects}
     for x in cat.objects:
-        if frozenset(cat.into(x)) not in covering[x]:
-            return False
+        if frozenset(cat.into(x)) not in covered[x]:
+            yield TopologyViolation("maximal-sieve", x, Sieve(x, frozenset(cat.into(x))), None)
         for s in covering[x]:
-            if any(_pullback(cat, s, f) not in covering[cat.dom(f)] for f in cat.into(x)):
-                return False
+            for f in cat.into(x):
+                if _pullback(cat, s.members, f) not in covered[cat.dom(f)]:
+                    yield TopologyViolation("stability", x, s, f)
         for r in sieves[x]:
-            if r in covering[x]:
-                continue
-            for s in covering[x]:
-                if all(_pullback(cat, r, f) in covering[cat.dom(f)] for f in s):
-                    return False
-    return True
+            if r.members not in covered[x] and any(
+                    all(_pullback(cat, r.members, f) in covered[cat.dom(f)] for f in s.members)
+                    for s in covering[x]):
+                yield TopologyViolation("transitivity", x, r, None)
+
+
+def _axioms_hold(cat, covering, sieves) -> bool:
+    return next(_violations(cat, covering, sieves), None) is None
+
+
+def _from_family(cat, covering) -> GrothendieckTopology:
+    """The topology whose least covers are the intersections of the families."""
+    return GrothendieckTopology(cat, {x: Sieve(x, frozenset.intersection(
+        *(s.members for s in covering[x]))) for x in cat.objects})
 
 
 def up_closed_families(sieves: list) -> list:
@@ -405,16 +433,20 @@ def product_search_topologies(cat: FiniteCategory):
     """Every topology, as the axiom-checked product of the up-closed sieve
     families per object, in product order: object by object, family size,
     then the positions of its sieves."""
-    sieves = {x: [s.members for s in subset_scan_sieves(cat, x)] for x in cat.objects}
+    sieves = {x: subset_scan_sieves(cat, x) for x in cat.objects}
+    return [_from_family(cat, covering) for covering in up_closed_products(cat, sieves)
+            if _axioms_hold(cat, covering, sieves)]
+
+
+def up_closed_products(cat: FiniteCategory, sieves: dict):
+    """Every covering assignment whose family at each object holds the
+    maximal sieve and is closed upwards, in product order, from the
+    sieves on each object."""
     per_object = [[frozenset(sieves[x][i] for i in family)
-                   for family in up_closed_families(sieves[x])] for x in cat.objects]
-    out = []
+                   for family in up_closed_families([s.members for s in sieves[x]])]
+                  for x in cat.objects]
     for combo in itertools.product(*per_object):
-        covering = dict(zip(cat.objects, combo))
-        if _axioms_hold(cat, covering, sieves):
-            out.append(GrothendieckTopology(
-                cat, {x: {Sieve(x, m) for m in fam} for x, fam in covering.items()}))
-    return out
+        yield dict(zip(cat.objects, combo))
 
 
 def _isomorphic(cat, x, y) -> bool:
@@ -459,7 +491,7 @@ def census_yaml(cat: FiniteCategory) -> str:
     labels = subset_scan_labels(cat)
     tops = product_search_topologies(cat)
     for top in tops:
-        key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
+        key = tuple((x, frozenset(top.sieves_at(x))) for x in cat.objects)
         top.label = labels.get(key, "J?")
     return dump_text({"count": len(tops), "topologies": [topology_to_doc(t) for t in tops]})
 
@@ -489,24 +521,17 @@ def iso_union_karoubian_subcategories(cat: FiniteCategory) -> list:
 
 def unpruned_topologies(cat: FiniteCategory):
     """Every covering assignment containing the maximal sieve, filtered by
-    the axiom checker, with no up-closure pruning at all."""
+    the sweep of topology_violations, with no up-closure pruning at all."""
+    sieves = {x: subset_scan_sieves(cat, x) for x in cat.objects}
     per_object = []
     for x in cat.objects:
-        sieves = subset_scan_sieves(cat, x)
         top_sieve = maximal_sieve(cat, x)
-        others = [s for s in sieves if s != top_sieve]
-        families = []
-        for r in range(len(others) + 1):
-            for subset in itertools.combinations(others, r):
-                families.append(frozenset(subset) | {top_sieve})
-        per_object.append(families)
-    out = []
-    for combo in itertools.product(*per_object):
-        covering = dict(zip(cat.objects, combo))
-        cand = GrothendieckTopology(cat, covering)
-        if not check_topology(cat, cand):
-            out.append(cand)
-    return out
+        others = [s for s in sieves[x] if s != top_sieve]
+        per_object.append([frozenset(subset) | {top_sieve} for r in range(len(others) + 1)
+                           for subset in itertools.combinations(others, r)])
+    coverings = (dict(zip(cat.objects, combo)) for combo in itertools.product(*per_object))
+    return [_from_family(cat, covering) for covering in coverings
+            if _axioms_hold(cat, covering, sieves)]
 
 
 # -- pointwise coset maps for orbit categories --------------------------------

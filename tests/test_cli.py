@@ -543,7 +543,8 @@ def test_wrong_document_kind_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
 def test_s4_census_is_refused_by_the_sieve_guard(capsys, argv, obj):
     code, out, err = run_cli(capsys, "top", "enumerate", *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: sieve enumeration too large at {obj}: 2^24 subsets\n"
+    assert err == (f"error: sieve enumeration refused at {obj}: 24 morphisms into it, "
+                   "above the limit 20\n")
 
 
 def test_skew_document_of_orbit_s4_is_refused_by_name_and_verify_answers(capsys):
@@ -694,6 +695,43 @@ def test_topology_document_must_be_a_topology(tmp_path, capsys, chain3, f5, argv
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.yaml"
         paths[name].write_text(dump_text(doc))
+    code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: topology: not a Grothendieck topology: {violation}\n"
+
+
+# Topology documents on the cospan x -> z <- y whose families hold only
+# sieves and the maximal sieve, but are not the sieves containing their
+# intersection: each names a violation of the document itself.
+NOT_CLOSED = {"not upward closed": ([["a"], ["1z", "a", "b"]],
+                                    "transitivity fails at 'z' for sieve ['a', 'b']"),
+              "not closed under intersection": ([["a"], ["b"], ["a", "b"], ["1z", "a", "b"]],
+                                                "stability fails at 'z' for sieve ['b'] "
+                                                "along 'a'")}
+
+
+@pytest.mark.parametrize("argv", [["top", "classify"],
+                                  ["sheaf", "check", "--presheaf", "PRESHEAF"]],
+                         ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("case", NOT_CLOSED)
+def test_topology_document_must_be_the_sieves_above_a_least_one(tmp_path, capsys, argv, case):
+    from finsite.category import FiniteCategory
+
+    cospan = FiniteCategory(
+        ["x", "y", "z"], [("1x", "x", "x"), ("1y", "y", "y"), ("1z", "z", "z"),
+                          ("a", "x", "z"), ("b", "y", "z")], {"x": "1x", "y": "1y", "z": "1z"},
+        {("1x", "1x"): "1x", ("1y", "1y"): "1y", ("1z", "1z"): "1z", ("a", "1x"): "a",
+         ("1z", "a"): "a", ("b", "1y"): "b", ("1z", "b"): "b"}, name="cospan")
+    covering, violation = NOT_CLOSED[case]
+    files = {"CAT": category_to_doc(cospan),
+             "PRESHEAF": presheaf_to_doc(singleton_presheaf(cospan)),
+             "TOP": {"format": "finsite/1", "kind": "topology",
+                     "covering": {"x": [["1x"]], "y": [["1y"]], "z": covering}}}
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(dump_text(doc))
+    argv = argv + ["--category", "CAT", "--topology", "TOP"]
     code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
     assert (code, out) == (1, "")
     assert err == f"error: topology: not a Grothendieck topology: {violation}\n"

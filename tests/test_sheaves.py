@@ -13,7 +13,7 @@ from finsite.sheaves import (dense_components, dense_sheafify_fixed_points,
                              half_sheafify, is_sheaf, linear_matching_families,
                              matching_families, member_order, set_matching_families,
                              sheaf_defect, sheafify, unit_into_half_sheafification)
-from finsite.sieves import Sieve, empty_sieve, maximal_sieve
+from finsite.sieves import Sieve, maximal_sieve
 from finsite.topology import (dense_topology, enumerate_topologies,
                               maximal_topology, minimal_topology,
                               subcategory_topology)
@@ -36,9 +36,9 @@ def test_matching_families_maximal_is_value(chain3):
 
 def test_matching_families_empty_sieve(chain3, f5):
     f = representable_presheaf(chain3, "z")
-    assert set_matching_families(f, empty_sieve("x")) == ((),)
+    assert set_matching_families(f, Sieve("x", frozenset())) == ((),)
     g = constant_linear_presheaf(chain3, f5, 2)
-    assert linear_matching_families(g, empty_sieve("x")).dim == 0
+    assert linear_matching_families(g, Sieve("x", frozenset())).dim == 0
 
 
 def test_matching_families_example(chain3):

@@ -11,7 +11,7 @@ from finsite.gallery import (chain_poset, idempotent_pair_category,
                              symmetric_group)
 from finsite.presheaves import singleton_presheaf
 from finsite.sieves import Sieve, maximal_sieve, sieves_on
-from finsite.topology import (ClassificationError, check_topology,
+from finsite.topology import (ClassificationError, GrothendieckTopology, check_topology,
                               classify_topology, dense_topology,
                               enumerate_topologies, finest_topology_for,
                               is_topology, maximal_topology, minimal_topology,
@@ -19,7 +19,8 @@ from finsite.topology import (ClassificationError, check_topology,
 
 from oracles import (census_yaml, iso_union_karoubian_subcategories,
                      product_search_topologies, scan_classifying_subcategory,
-                     subset_scan_labels, unpruned_topologies, up_closed_families)
+                     subset_scan_labels, subset_scan_sieves, topology_violations,
+                     unpruned_topologies, up_closed_families, up_closed_products)
 
 # The census members of the benchmark ladder that the guards let through.
 CENSUS_MEMBERS = [("chain3",), ("chain4",), ("chain5",), ("chain6",),
@@ -82,6 +83,13 @@ def test_table_rows_are_topologies(chain3):
         assert is_topology(chain3, top)
 
 
+def test_minimal_covers_are_closed_under_precomposition(chain3):
+    top = topology_from_minimal_covers(chain3, {"x": set(), "y": set(), "z": {"g"}})
+    assert top.minimal_cover("z") == Sieve("z", frozenset({"g", "gf"}))
+    with pytest.raises(EngineError, match="^generator 'g' does not end at 'y'$"):
+        topology_from_minimal_covers(chain3, {"x": set(), "y": {"g"}, "z": set()})
+
+
 def test_axiom_one_violation_detected(chain3):
     covering = {x: {maximal_sieve(chain3, x)} for x in chain3.objects}
     covering["x"] = set()
@@ -94,6 +102,11 @@ def test_non_sieve_member_diagnosed(chain3):
     covering["z"] = {maximal_sieve(chain3, "z"), Sieve("z", frozenset({"g"}))}
     violations = check_topology(chain3, covering)
     assert violations and violations[0].axiom == "sieve"
+    least = {x: maximal_sieve(chain3, x) for x in chain3.objects}
+    with pytest.raises(EngineError, match=r"^not a sieve on 'z': \['g'\]$"):
+        GrothendieckTopology(chain3, dict(least, z=Sieve("z", frozenset({"g"}))))
+    with pytest.raises(EngineError, match=r"^not a sieve on 'y': \['g', 'gf'\]$"):
+        GrothendieckTopology(chain3, dict(least, y=Sieve("z", frozenset({"g", "gf"}))))
 
 
 def test_dense_topology_is_a_topology_even_off_ei(chain3, involution, orbit_c2):
@@ -103,7 +116,7 @@ def test_dense_topology_is_a_topology_even_off_ei(chain3, involution, orbit_c2):
     # middle, unclassifiable one
     cat = idempotent_pair_category()
     den = dense_topology(cat)
-    assert len(den.covering["x"]) == 2
+    assert len(den.sieves_at("x")) == 2
     with pytest.raises(ClassificationError):
         classify_topology(cat, den)
 
@@ -126,6 +139,68 @@ def test_empty_covering_forces_everything(chain3):
     missing = Sieve("y", frozenset({"f"}))
     assert any(v.axiom == "transitivity" and v.sieve == missing
                for v in violations)
+
+
+# The categories on which every product of up-closed families is tried.
+PRODUCT_MEMBERS = [("chain3",), ("involution",), ("idem",), ("group", "C2"), ("orbit", "C2")]
+
+
+def _assert_agrees_with_the_sweep(cat, covering):
+    """check_topology gives the sweep's verdict on the assignment, and on
+    the topology of its intersections when each family is the set of
+    sieves containing its intersection; it names only swept violations."""
+    expected = set(topology_violations(cat, covering))
+    found = check_topology(cat, covering)
+    assert bool(found) == bool(expected) and set(found) <= expected, (cat.name, covering)
+    if not all(covering.values()):
+        return
+    least = {x: Sieve(x, frozenset.intersection(*(s.members for s in covering[x])))
+             for x in cat.objects}
+    if all(covering[x] == {s for s in subset_scan_sieves(cat, x) if least[x].members <= s.members}
+           for x in cat.objects):
+        found = check_topology(cat, GrothendieckTopology(cat, least))
+        assert bool(found) == bool(expected) and set(found) <= expected, (cat.name, least)
+
+
+@pytest.mark.parametrize("member", PRODUCT_MEMBERS, ids=lambda m: " ".join(m))
+def test_least_cover_check_agrees_with_the_sweep_on_every_product(member):
+    from finsite.gallery import category_by_name
+    cat = category_by_name(member[0], group=member[1] if len(member) > 1 else None)
+    sieves = {x: subset_scan_sieves(cat, x) for x in cat.objects}
+    coverings = list(up_closed_products(cat, sieves))
+    assert len(coverings) > 1
+    for covering in coverings:
+        _assert_agrees_with_the_sweep(cat, covering)
+
+
+def test_least_cover_check_agrees_with_the_sweep_on_random_assignments():
+    """Seeded random assignments: at each object a random set of sieves,
+    upward closed or not, with the maximal sieve most of the time. Many
+    have a family that is not upward closed, and many others an upward
+    closed family that is not closed under intersection."""
+    from finsite.gallery import category_by_name
+    rng = random.Random(16)
+    cats = [category_by_name(m[0], group=m[1] if len(m) > 1 else None)
+            for m in PRODUCT_MEMBERS] + random_concrete_categories(40, seed=16)
+    kinds = {"not up-closed": 0, "not meet-closed": 0}
+    for cat in cats:
+        sieves = {x: subset_scan_sieves(cat, x) for x in cat.objects}
+        for _ in range(25):
+            covering = {}
+            for x in cat.objects:
+                picked = {s for s in sieves[x] if rng.random() < 0.4}
+                if rng.random() < 0.9:
+                    picked.add(maximal_sieve(cat, x))
+                covering[x] = picked if rng.random() < 0.3 else \
+                    {r for r in sieves[x] if any(s.members <= r.members for s in picked)}
+            if any(s.members <= r.members and r not in covering[x]
+                   for x in cat.objects for s in covering[x] for r in sieves[x]):
+                kinds["not up-closed"] += 1
+            elif any(Sieve(x, s.members & r.members) not in covering[x]
+                     for x in cat.objects for s in covering[x] for r in covering[x]):
+                kinds["not meet-closed"] += 1
+            _assert_agrees_with_the_sweep(cat, covering)
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_enumeration_matches_unpruned_oracle(involution, group_c2, orbit_c2):
@@ -214,15 +289,16 @@ def test_minimal_covering_sieves(chain3):
     assert jyz.minimal_cover("x") == Sieve("x", frozenset())
 
 
-def test_minimal_cover_exists_across_census(chain3, involution, orbit_c2):
-    """Intersections of covering sieves stay covering, so the least cover
-    is well defined on every enumerated topology."""
+def test_covering_sieves_are_those_above_the_least(chain3, involution, orbit_c2):
+    """sieves_at lists the sieves of the subset scan that contain the
+    least cover, in the scan's order, the least cover first."""
     for cat in (chain3, involution, orbit_c2):
         for top in enumerate_topologies(cat):
             for x in cat.objects:
                 least = top.minimal_cover(x)
-                for s in top.covering[x]:
-                    assert least.members <= s.members
+                expected = tuple(s for s in subset_scan_sieves(cat, x)
+                                 if least.members <= s.members)
+                assert top.sieves_at(x) == expected and expected[0] == least
 
 
 def test_dense_topology(chain3, involution, group_c2, orbit_c2, orbit3_s3):
@@ -339,7 +415,7 @@ def test_census_matches_product_search_on_small_categories():
         assert set(census) == set(product_search_topologies(cat)), cat.name
         labels = subset_scan_labels(cat)
         for top in census:
-            key = tuple((x, frozenset(top.covering[x])) for x in cat.objects)
+            key = tuple((x, frozenset(top.sieves_at(x))) for x in cat.objects)
             assert top.label == labels.get(key), cat.name
 
 
@@ -362,6 +438,19 @@ def test_up_closed_families_match_the_subset_scan():
                                              if sieves[i] <= sieves[j])]
             assert [set(f) for f in up_closed_families(sieves)] == scan, (cat.name, x)
     assert largest > 20
+
+
+def test_dense_least_covers_match_the_definition():
+    """dense_topology finds L_x without listing sieves; by definition the
+    dense sieves are those meeting every f into x after a precomposition,
+    and they are exactly the sieves containing L_x."""
+    for cat in ORACLE_FAMILY:
+        den = dense_topology(cat)
+        for x in cat.objects:
+            dense = [s for s in subset_scan_sieves(cat, x)
+                     if all(any(cat.compose(f, g) in s.members for g in cat.into(cat.dom(f)))
+                            for f in cat.into(x))]
+            assert den.sieves_at(x) == tuple(dense), (cat.name, x)
 
 
 def test_karoubian_subcategories_match_the_union_scan():
