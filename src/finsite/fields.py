@@ -525,11 +525,14 @@ def block_diagonal(field, mats) -> Matrix:
 
 def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """The sum of c * a over the pairs (c, a) of coeffs and mats, all of
-    shape rows x cols. Over Q it is the product of the row of coefficients
-    with the matrices laid out as rows, on integer rows. Over F_p the
-    larger sums are packed (see _packed_combination); the others add rows
-    with axpy."""
+    shape rows x cols. A single coefficient one, as in the action of a
+    basis element, returns its matrix itself. Over Q it is the product of
+    the row of coefficients with the matrices laid out as rows, on integer
+    rows. Over F_p the larger sums are packed (see _packed_combination);
+    the others add rows with axpy."""
     pairs = [(c, a) for c, a in zip(coeffs, mats) if c]
+    if len(pairs) == 1 and pairs[0][0] == field.one:
+        return pairs[0][1]
     if isinstance(field, RationalField):
         flat = _rational_mat_mul(
             Matrix(1, len(pairs), (tuple(c for c, _ in pairs),)),
@@ -648,18 +651,22 @@ def null_space(field, a: Matrix) -> Matrix:
     return transpose(Matrix(len(cols), a.cols, tuple(cols)))
 
 
-def null_space_coordinates(field, basis: Matrix, y: Matrix) -> Matrix | None:
-    """The X with basis X = y for a basis made by null_space, or None when
-    a column of y leaves its span. Column j of such a basis is one at its
-    free variable, its last nonzero row, and zero at the other free
-    variables, so X is the rows of y at the free variables."""
+def basis_coordinates(field, basis: Matrix, y: Matrix) -> Matrix | None:
+    """The X with basis X = y, or None when a column of y leaves the span
+    of basis, for a basis in which every column j has a unit row, a row
+    equal to e_j: a null_space basis at each free variable, a col_space
+    basis at each pivot. X is the rows of y at the unit rows, checked by
+    one product; a basis with a column lacking one raises FieldError."""
     if basis.rows != y.rows:
         raise FieldError("solve shape mismatch")
-    free = [0] * basis.cols
+    unit = [None] * basis.cols
     for i, row in enumerate(basis.data):
-        for j in itertools.compress(range(basis.cols), row):
-            free[j] = i
-    x = Matrix(basis.cols, y.cols, tuple(y.data[i] for i in free))
+        support = list(itertools.compress(range(basis.cols), row))
+        if len(support) == 1 and row[support[0]] == field.one:
+            unit[support[0]] = i
+    if None in unit:
+        raise FieldError(f"basis column {unit.index(None)} has no unit row")
+    x = Matrix(basis.cols, y.cols, tuple(y.data[i] for i in unit))
     return x if mat_mul(field, basis, x) == y else None
 
 

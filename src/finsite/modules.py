@@ -13,9 +13,9 @@ from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
                        SkewCategoryAlgebra, skew_category_algebra)
 from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei
 from .errors import EngineError
-from .fields import (Matrix, block_diagonal, block_matrix, block_offsets, col_space,
-                     hstack, identity_matrix, is_invertible, mat_combination, mat_mul,
-                     null_space_coordinates, solve_matrix, unit_vec, vstack, zero_matrix)
+from .fields import (Matrix, basis_coordinates, block_diagonal, block_matrix, block_offsets,
+                     col_space, hstack, identity_matrix, is_invertible, mat_combination,
+                     mat_mul, unit_vec, vstack, zero_matrix)
 from .presheaves import (LinearPresheaf, Representation, _as_subcategory,
                          all_invertible, is_intertwiner)
 from .sheaves import kan_extension, sheaf_defect
@@ -214,7 +214,7 @@ def _unbundle(n: AlgebraModule, *, check: bool = True) -> _OmegaData:
     for mor in cat.morphisms:
         x, y = mor.dom, mor.cod
         t = n.act(skew.morphism_unit_element(mor.name))
-        sol = solve_matrix(k, bases[x], mat_mul(k, t, bases[y]))
+        sol = basis_coordinates(k, bases[x], mat_mul(k, t, bases[y]))
         if sol is None:
             raise ModuleError("idempotent images are not preserved; "
                               "module data is inconsistent")
@@ -226,7 +226,7 @@ def _unbundle(n: AlgebraModule, *, check: bool = True) -> _OmegaData:
         acts = []
         for bidx in range(alg.dim):
             elt = skew.element(cat.id_of(x), unit_vec(k, alg.dim, bidx))
-            sol = solve_matrix(k, bases[x], mat_mul(k, n.act(elt), bases[x]))
+            sol = basis_coordinates(k, bases[x], mat_mul(k, n.act(elt), bases[x]))
             if sol is None:
                 raise ModuleError("object action does not preserve the value")
             acts.append(sol)
@@ -280,7 +280,7 @@ def unbundle_bundle_witness(m: ModulePresheaf, skew: SkewCategoryAlgebra | None 
     for x, start in zip(cat.objects, starts):
         d = m.dim(x)
         inc = block_matrix(k, total, d, [(start, 0, identity_matrix(k, d))])
-        sol = solve_matrix(k, data.value_bases[x], inc)
+        sol = basis_coordinates(k, data.value_bases[x], inc)
         if sol is None:
             raise ModuleError("value basis does not span the object block")
         comps[x] = sol
@@ -402,7 +402,7 @@ def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub):
         for bidx in range(r.algebra(x).dim):
             big = block_diagonal(k, [m_d.act(cat.dom(t), r.mat(t).col(bidx))
                                      for t in fams.members])
-            sol = null_space_coordinates(k, fams.basis, mat_mul(k, big, fams.basis))
+            sol = basis_coordinates(k, fams.basis, mat_mul(k, big, fams.basis))
             if sol is None:
                 raise ModuleError("componentwise action left the family space")
             acts.append(sol)
@@ -426,7 +426,7 @@ def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory):
         blocks = [mat_mul(k, unit_comps[cat.dom(t)], m.space.mat(t))
                   for t in kan[x].members]
         stacked = vstack(k, blocks) if blocks else zero_matrix(k, 0, m.dim(x))
-        sol = null_space_coordinates(k, kan[x].basis, stacked)
+        sol = basis_coordinates(k, kan[x].basis, stacked)
         if sol is None:
             raise ModuleError("restriction family left the Kan space")
         comps[x] = sol

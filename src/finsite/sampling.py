@@ -17,9 +17,9 @@ from .algebras import AlgebraPresheaf, FiniteDimAlgebra, constant_algebra_preshe
     field_algebra, skew_category_algebra
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, block_diagonal, col_space, hstack, inverse, is_invertible,
-                     mat_mul, matrix, matrix_from_cols, solve_matrix,
-                     unit_vec, zero_matrix)
+from .fields import (Matrix, basis_coordinates, block_diagonal, col_space, hstack,
+                     identity_matrix, inverse, is_invertible, mat_mul, matrix,
+                     matrix_from_cols, rref, unit_vec, zero_matrix)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
     transport_module_back
 from .presheaves import LinearPresheaf, SetPresheaf
@@ -76,7 +76,7 @@ def submodule_closure(n: AlgebraModule, vectors) -> AlgebraModule:
     span = _span_closure(n, vectors)
     acts = []
     for a in n.actions:
-        sol = solve_matrix(k, span, mat_mul(k, a, span))
+        sol = basis_coordinates(k, span, mat_mul(k, a, span))
         if sol is None:
             raise EngineError("span closure is not action-stable")
         acts.append(sol)
@@ -84,29 +84,20 @@ def submodule_closure(n: AlgebraModule, vectors) -> AlgebraModule:
 
 
 def quotient_module(n: AlgebraModule, vectors) -> AlgebraModule:
-    """The quotient of n by the submodule generated by the vectors."""
+    """The quotient of n by the submodule generated by the vectors, on the
+    unit vectors that complete a basis of the submodule greedily: the
+    pivot columns of [span | I] past the span. That rref is [E span | E],
+    E the inverse of the completed basis, whose rows past the span project
+    n onto the quotient."""
     k = n.field
     span = _span_closure(n, vectors)
-    complement = []
-    current = span
-    for i in range(n.dim):
-        probe = hstack(k, [current,
-                           matrix_from_cols(k, [unit_vec(k, n.dim, i)], rows=n.dim)])
-        grown = col_space(k, probe)
-        if grown.cols > current.cols:
-            complement.append(i)
-            current = grown
-    basis_cols = [span.col(c) for c in range(span.cols)] + \
-                 [unit_vec(k, n.dim, i) for i in complement]
-    t = matrix_from_cols(k, basis_cols, rows=n.dim)
-    t_inv = inverse(k, t)
-    if t_inv is None:
-        raise EngineError("complement construction failed")
+    reduced, pivots = rref(k, hstack(k, [span, identity_matrix(k, n.dim)]))
+    complement = [c - span.cols for c in pivots[span.cols:]]
     q = len(complement)
-    proj_rows = t_inv.data[span.cols:]
-    proj = Matrix(q, n.dim, proj_rows)
-    inc = matrix_from_cols(k, [unit_vec(k, n.dim, i) for i in complement], rows=n.dim)
-    acts = [mat_mul(k, proj, mat_mul(k, a, inc)) for a in n.actions]
+    proj = Matrix(q, n.dim, tuple(row[span.cols:] for row in reduced.data[span.cols:]))
+    acts = [mat_mul(k, proj, Matrix(n.dim, q, tuple(tuple(row[i] for i in complement)
+                                                     for row in a.data)))
+            for a in n.actions]
     return AlgebraModule(n.algebra, q, acts, check=False)
 
 

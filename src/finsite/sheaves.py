@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, block_matrix, block_offsets, identity_matrix, mat_mul,
-                     null_space, null_space_coordinates, rank, vstack, zero_matrix)
+from .fields import (Matrix, basis_coordinates, block_matrix, block_offsets, identity_matrix,
+                     mat_mul, null_space, rank, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
 from .topology import GrothendieckTopology
@@ -134,7 +134,7 @@ def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
         src, dst = values[m.dom], values[m.cod]
         blocks = [dst.block(j) for j in positions(m)]
         pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
-        sol = null_space_coordinates(k, src.basis, pulled)
+        sol = basis_coordinates(k, src.basis, pulled)
         if sol is None:
             raise EngineError("pulled family left the family space")
         mats[m.name] = sol
@@ -220,7 +220,7 @@ def unit_into_half_sheafification(f, top: GrothendieckTopology):
     for x in cat.objects:
         space = linear_matching_families(f, top.minimal_cover(x))
         res = linear_restriction_matrix(f, top.minimal_cover(x))
-        sol = null_space_coordinates(k, space.basis, res)
+        sol = basis_coordinates(k, space.basis, res)
         if sol is None:
             raise EngineError("restriction family left the family space")
         comps[x] = sol
@@ -348,7 +348,7 @@ def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPr
             t = cat.compose(m.name, comp.orbit_rep)
             j, a = _match_component(cat, components[x], comp.class_index, t)
             moved = mat_mul(k, f.mat(a), bases[x][j])
-            block = null_space_coordinates(k, bases[w][i], moved)
+            block = basis_coordinates(k, bases[w][i], moved)
             if block is None:
                 raise EngineError("fixed subspace not preserved; "
                                   "stabilizer matching is inconsistent")

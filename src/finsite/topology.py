@@ -82,8 +82,8 @@ class GrothendieckTopology:
 
     def __repr__(self):
         label = self.label or "topology"
-        sizes = ",".join(str(len(self.sieves_at(x))) for x in self.cat.objects)
-        return f"<{label} with covering sizes [{sizes}]>"
+        sizes = ",".join(str(len(s.members)) for s in self.least.values())
+        return f"<{label} with least cover sizes [{sizes}]>"
 
 
 def check_topology(cat: FiniteCategory, top) -> list[TopologyViolation]:

@@ -18,7 +18,9 @@ textbook dense tables of the stock algebras, the skew category algebra
 with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
-the fields replaced, with the null space and inverse read off them, and primality by trial division.
+the fields replaced, with the null space and inverse read off them, the
+quotient module with its complement grown one unit vector at a time, and
+primality by trial division.
 Helpers the library has no use for (the elements, component generators
 and endomorphism algebras of the Grothendieck construction, the size of
 a set presheaf) live here too.
@@ -39,10 +41,12 @@ from finsite import serialize
 from finsite.algebras import FiniteDimAlgebra, GrMorphism, GrothendieckConstruction
 from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
                               iso_classes, strictly_full_karoubian_subcategories)
-from finsite.fields import (Matrix, mat_mul, matrix, matrix_from_cols,
-                            null_space, rank, solve, solve_matrix, unit_vec,
-                            vec_sub, zero_vec)
+from finsite.fields import (Matrix, col_space, hstack, inverse, mat_mul, matrix,
+                            matrix_from_cols, null_space, rank, solve, solve_matrix,
+                            unit_vec, vec_sub, zero_vec)
+from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
+from finsite.sampling import _span_closure
 from finsite.sheaves import (FamilySpace, _sieve_is_descent, linear_matching_families,
                              member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
@@ -920,6 +924,29 @@ def dense_verify(alg) -> list:
         if dense_mul(alg, alg.unit, e) != e or dense_mul(alg, e, alg.unit) != e:
             problems.append(f"unit fails on basis element {alg.labels[i]!r}")
     return problems
+
+
+def greedy_quotient_module(n, vectors) -> AlgebraModule:
+    """The quotient of n by the submodule the vectors generate: e_i joins
+    the complement when one more column space says it leaves the span so
+    far, and each action is multiplied by the inclusion of the complement."""
+    k = n.field
+    span = _span_closure(n, vectors)
+    complement = []
+    current = span
+    for i in range(n.dim):
+        grown = col_space(k, hstack(k, [current, matrix_from_cols(k, [unit_vec(k, n.dim, i)],
+                                                                  rows=n.dim)]))
+        if grown.cols > current.cols:
+            complement.append(i)
+            current = grown
+    t = matrix_from_cols(k, [span.col(c) for c in range(span.cols)]
+                         + [unit_vec(k, n.dim, i) for i in complement], rows=n.dim)
+    q = len(complement)
+    proj = Matrix(q, n.dim, inverse(k, t).data[span.cols:])
+    inc = matrix_from_cols(k, [unit_vec(k, n.dim, i) for i in complement], rows=n.dim)
+    return AlgebraModule(n.algebra, q, [mat_mul(k, proj, mat_mul(k, a, inc))
+                                        for a in n.actions], check=False)
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -1,6 +1,6 @@
 """The generating set of a category, and what is decided on it: compatible
 families and functoriality tried on generators only, and coordinates read
-off a null-space basis instead of solved for."""
+off a null-space or column-space basis instead of solved for."""
 
 import functools
 import math
@@ -12,17 +12,18 @@ import sys
 import pytest
 
 import finsite
-from finsite import modules, sheaves
+from finsite import modules, sampling, sheaves
 from finsite.algebras import constant_algebra_presheaf, field_algebra, skew_category_algebra
 from finsite.category import FullSubcategory, strictly_full_karoubian_subcategories
 from finsite.errors import EngineError
-from finsite.fields import (Matrix, PrimeField, RationalField, mat_mul, null_space,
-                            null_space_coordinates, solve_matrix)
+from finsite.fields import (FieldError, Matrix, PrimeField, RationalField, basis_coordinates,
+                            col_space, mat_mul, null_space, solve_matrix, unit_vec)
 from finsite.gallery import category_by_name
 from finsite.presheaves import (LinearPresheaf, PresheafError, SetPresheaf,
                                 representable_presheaf)
-from finsite.sampling import (random_algebra_module, random_linear_presheaf,
-                              random_set_presheaf, random_sheaf_module)
+from finsite.sampling import (free_module, random_algebra_module, random_linear_presheaf,
+                              random_module_presheaf, random_set_presheaf,
+                              random_sheaf_module)
 from finsite.sieves import sieves_on
 from finsite.topology import minimal_topology
 
@@ -233,7 +234,7 @@ def test_valid_presheaves_pass_the_full_scan():
         assert functoriality_scan(cat, g.maps) is None
 
 
-# -- coordinates in a null-space basis -----------------------------------------
+# -- coordinates in a basis with unit rows -------------------------------------
 
 
 def _random_matrix(k, rng, rows, cols, density):
@@ -242,25 +243,44 @@ def _random_matrix(k, rng, rows, cols, density):
         for _ in range(rows)))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELDS)
-def test_null_space_coordinates_equal_the_solver(field):
-    k = FIELDS[field]
-    rng = random.Random(field)
+COORDINATE_FIELDS = {"F2": PrimeField(2), "F5": PrimeField(5),
+                     "F(2^64-59)": PrimeField(2 ** 64 - 59), "Q": RationalField()}
+
+
+@pytest.mark.parametrize("kind", [null_space, col_space], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("field", COORDINATE_FIELDS)
+def test_basis_coordinates_equal_the_solver(field, kind):
+    k = COORDINATE_FIELDS[field]
+    rng = random.Random(field + kind.__name__)
     outside = inside = 0
     for trial in range(300):
         n = rng.randint(0, 7)
-        a = _random_matrix(k, rng, rng.randint(0, 6), n, rng.choice((0.2, 0.5, 0.9)))
-        basis = null_space(k, a)
+        shape = (rng.randint(0, 6), n)  # a col_space basis has n rows too
+        a = _random_matrix(k, rng, *(shape if kind is null_space else shape[::-1]),
+                           rng.choice((0.2, 0.5, 0.9)))
+        basis = kind(k, a)
         m = rng.randint(0, 3)
         x = _random_matrix(k, rng, basis.cols, m, 0.7)
         y = mat_mul(k, basis, x)
-        assert null_space_coordinates(k, basis, y) == solve_matrix(k, basis, y) == x
+        assert basis_coordinates(k, basis, y) == solve_matrix(k, basis, y) == x
         stray = _random_matrix(k, rng, n, m, 0.6)
         want = solve_matrix(k, basis, stray)
-        assert null_space_coordinates(k, basis, stray) == want
+        assert basis_coordinates(k, basis, stray) == want
         outside += want is None
         inside += want is not None and basis.cols < n
     assert outside > 50 and inside > 50
+
+
+@pytest.mark.parametrize("field", COORDINATE_FIELDS)
+def test_a_basis_column_without_a_unit_row_is_refused(field):
+    """Column 0 of [[1, 1], [0, 1]] has no row equal to e_0, though the
+    solver can still answer."""
+    k = COORDINATE_FIELDS[field]
+    basis = Matrix(2, 2, ((k.one, k.one), (k.zero, k.one)))
+    y = Matrix(2, 1, ((k.one,), (k.zero,)))
+    assert solve_matrix(k, basis, y) is not None
+    with pytest.raises(FieldError, match="basis column 0 has no unit row"):
+        basis_coordinates(k, basis, y)
 
 
 def _leave_the_span(k, basis: Matrix, y: Matrix) -> Matrix:
@@ -308,6 +328,27 @@ def _roundtrip_chain3(k):
     modules.transport_roundtrip_witness(random_sheaf_module(r, sub, random.Random(2)), sub)
 
 
+def _skew_chain3(k):
+    cat = member("chain3")
+    r = constant_algebra_presheaf(cat, field_algebra(k))
+    return r, skew_category_algebra(cat, r)
+
+
+def _unbundle_chain3(k):
+    _, skew = _skew_chain3(k)
+    modules.to_module_presheaf(random_algebra_module(skew, random.Random(2)))
+
+
+def _unbundle_witness_chain3(k):
+    r, skew = _skew_chain3(k)
+    modules.unbundle_bundle_witness(random_module_presheaf(r, random.Random(2), skew=skew), skew)
+
+
+def _submodule_chain3(k):
+    _, skew = _skew_chain3(k)
+    sampling.submodule_closure(free_module(skew, 1), [unit_vec(k, skew.dim, 0)])
+
+
 SITES = {
     "_precomposition": (sheaves, _sheafify_chain3, "pulled family left the family space"),
     "unit_into_half_sheafification": (sheaves, _unit_chain3,
@@ -318,7 +359,22 @@ SITES = {
                         "componentwise action left the family space"),
     "transport_roundtrip_witness": (modules, _roundtrip_chain3,
                                     "restriction family left the Kan space"),
+    "_unbundle/morphisms": (modules, _unbundle_chain3, "idempotent images are not preserved; "
+                            "module data is inconsistent"),
+    "_unbundle/actions": (modules, _unbundle_chain3,
+                          "object action does not preserve the value"),
+    "unbundle_bundle_witness": (modules, _unbundle_witness_chain3,
+                                "value basis does not span the object block"),
+    "submodule_closure": (sampling, _submodule_chain3, "span closure is not action-stable"),
 }
+
+
+def _called_from(site: str, frame) -> bool:
+    """site names a function, or _unbundle/morphisms and _unbundle/actions
+    the two loops of _unbundle, told apart by the action loop's bidx."""
+    name, _, loop = site.partition("/")
+    return frame.f_code.co_name == name and (
+        not loop or ("bidx" in frame.f_locals) == (loop == "actions"))
 
 
 @pytest.mark.parametrize("field", ["F5", "Q"])
@@ -329,11 +385,11 @@ def test_a_vector_leaving_the_span_gives_the_error_line(site, field, monkeypatch
     None and the site raises its own error line."""
     module, run, message = SITES[site]
     k = FIELDS[field]
-    real = null_space_coordinates
+    real = basis_coordinates
     moved = []
 
     def leaving(field, basis, y):
-        if sys._getframe(1).f_code.co_name == site and not moved:
+        if _called_from(site, sys._getframe(1)) and not moved:
             stray = _leave_the_span(field, basis, y)
             if stray is not y:
                 moved.append(stray)
@@ -342,7 +398,7 @@ def test_a_vector_leaving_the_span_gives_the_error_line(site, field, monkeypatch
         return real(field, basis, y)
 
     run(k)  # the site succeeds untouched
-    monkeypatch.setattr(module, "null_space_coordinates", leaving)
+    monkeypatch.setattr(module, "basis_coordinates", leaving)
     with pytest.raises(EngineError) as err:
         run(k)
     assert moved and str(err.value) == message

@@ -8,7 +8,8 @@ from finsite.algebras import (chain_diagonal_algebra_presheaf,
                               group_algebra, involution_group_algebra_presheaf,
                               skew_category_algebra, swap_action_presheaf)
 from finsite.category import FullSubcategory
-from finsite.fields import Matrix, identity_matrix, matrix, rank, zero_matrix
+from finsite.fields import (Matrix, PrimeField, RationalField, identity_matrix, matrix, rank,
+                            zero_matrix)
 from finsite.modules import (AlgebraModule, ModuleError, ModulePresheaf,
                              ALGEBRA_MODULE_KEY, bundle_unbundle_witness,
                              direct_sum_module_presheaves,
@@ -22,8 +23,10 @@ from finsite.modules import (AlgebraModule, ModuleError, ModulePresheaf,
 from finsite.presheaves import (LinearPresheaf, constant_linear_presheaf,
                                 intertwiner_basis, invertible_intertwiner,
                                 zero_presheaf)
-from finsite.sampling import (random_algebra_module, random_module_presheaf,
-                              random_sheaf_module, regular_module)
+from finsite.sampling import (free_module, quotient_module, random_algebra_module,
+                              random_module_presheaf, random_sheaf_module, regular_module)
+
+from oracles import greedy_quotient_module
 
 
 def zero_module_presheaf(r):
@@ -144,6 +147,28 @@ def test_one_object_group_bundling_is_plain_identification(f5):
     assert n2.dim == n.dim
     _, t = bundle_unbundle_witness(n)
     assert is_algebra_module_isomorphism(n2, n, t)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=["F5", "Q"])
+def test_quotient_module_equals_the_greedy_complement(field):
+    """On seeded random modules, free or themselves sampled, divided by
+    the submodule of one to three random vectors, the complement read off
+    the pivots of [span | I] gives the greedy oracle's quotient."""
+    rng = random.Random(f"quotient {field.label}")
+    proper = 0
+    for make_r in (chain_diagonal_algebra_presheaf, involution_group_algebra_presheaf):
+        r = make_r(field)
+        skew = skew_category_algebra(r.cat, r)
+        for trial in range(12):
+            n = (free_module(skew, rng.randint(1, 2)) if trial % 3
+                 else random_algebra_module(skew, rng))
+            vectors = [tuple(field.rand(rng) if rng.random() < 0.4 else field.zero
+                             for _ in range(n.dim)) for _ in range(rng.randint(1, 3))]
+            got = quotient_module(n, vectors)
+            want = greedy_quotient_module(n, vectors)
+            assert (got.dim, got.actions) == (want.dim, want.actions)
+            proper += 0 < got.dim < n.dim
+    assert proper >= 8
 
 
 def test_verify_equivalence_roundtrip_report(involution, f2):

@@ -289,6 +289,17 @@ def test_minimal_covering_sieves(chain3):
     assert jyz.minimal_cover("x") == Sieve("x", frozenset())
 
 
+def test_repr_prints_the_least_cover_sizes(chain3):
+    """The repr reads only L_x, so it prints past the sieve guard too."""
+    from finsite.gallery import category_by_name
+    assert repr(subcategory_topology(chain3, ("x",))) == \
+        "<J^{x} with least cover sizes [1,1,1]>"
+    s4 = category_by_name("group", group="S4")
+    with pytest.raises(EngineError, match="sieve enumeration refused"):
+        sieves_on(s4, "*")
+    assert repr(minimal_topology(s4)) == "<J_min with least cover sizes [24]>"
+
+
 def test_covering_sieves_are_those_above_the_least(chain3, involution, orbit_c2):
     """sieves_at lists the sieves of the subset scan that contain the
     least cover, in the scan's order, the least cover first."""
