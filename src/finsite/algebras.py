@@ -29,6 +29,10 @@ from .gallery import group_category
 from .groups import FiniteGroup
 from .presheaves import LinearPresheaf, _as_subcategory
 
+# The dense form of a dim-dimensional algebra, an alg skew document's table
+# or the regular module's dim right multiplications, holds dim^3 cells.
+MAX_SKEW_TABLE_CELLS = 2 ** 22
+
 
 class AlgebraError(EngineError):
     pass

@@ -12,7 +12,6 @@ composable triple), so downstream code can trust the table blindly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -335,20 +334,24 @@ class FiniteCategory:
         return f"<{label}: {len(self.objects)} objects, {len(self.morphisms)} morphisms>"
 
 
-@dataclass(frozen=True)
 class FullSubcategory:
     """A full subcategory of a fixed parent, determined by its object set."""
 
-    parent: FiniteCategory
-    objects: tuple[str, ...]
-
-    def __post_init__(self):
-        keep = set(self.objects)
-        unknown = keep - set(self.parent.objects)
+    def __init__(self, parent: FiniteCategory, objects: Iterable[str]):
+        keep = set(objects)
+        unknown = keep - set(parent.objects)
         if unknown:
             raise EngineError(f"unknown objects in subcategory: {sorted(unknown)}")
-        ordered = tuple(x for x in self.parent.objects if x in keep)
-        object.__setattr__(self, "objects", ordered)
+        self.parent = parent
+        self.objects = tuple(x for x in parent.objects if x in keep)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.objects) == (other.parent, other.objects)
+
+    def __hash__(self):
+        return hash((self.parent, self.objects))
 
     @cached_property
     def category(self) -> FiniteCategory:

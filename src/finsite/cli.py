@@ -11,11 +11,13 @@ one, a human-readable summary. Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import gallery
-from .algebras import (GrothendieckConstruction, constant_algebra_presheaf,
-                       field_algebra, skew_category_algebra, verify_algebra)
+from .algebras import (MAX_SKEW_TABLE_CELLS, GrothendieckConstruction,
+                       constant_algebra_presheaf, field_algebra, skew_category_algebra,
+                       verify_algebra)
 from .category import (FullSubcategory, InvalidCategoryError, is_ei, is_karoubian,
                        validate_category)
 from .errors import EngineError
@@ -263,10 +265,6 @@ def _cmd_sheaf_kan(args):
     return presheaf_to_doc(right_kan_extension(g, sub))
 
 
-# An alg skew document spells out the dense table: dim^3 cells.
-MAX_SKEW_TABLE_CELLS = 2 ** 22
-
-
 @_command("alg", "skew", *SOURCE, *FIELD)
 def _cmd_alg_skew(args):
     cat = _load_category(args)
@@ -364,7 +362,10 @@ def _cmd_mod_blocks(args):
     return {"blocks": out}, summary
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call to ``main``
+    and shared by later calls: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="finsite",
         description="Exact computations with topologies, sheaves, and skew "

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 
-from .algebras import AlgebraPresheaf, FiniteDimAlgebra, constant_algebra_presheaf, \
-    field_algebra, skew_category_algebra
+from .algebras import MAX_SKEW_TABLE_CELLS, AlgebraPresheaf, FiniteDimAlgebra, \
+    constant_algebra_presheaf, field_algebra, skew_category_algebra
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, block_diagonal, col_space, hstack,
@@ -46,6 +46,9 @@ def random_invertible_matrix(field, n: int, rng: random.Random) -> Matrix:
 
 
 def regular_module(algebra: FiniteDimAlgebra) -> AlgebraModule:
+    if algebra.dim ** 3 > MAX_SKEW_TABLE_CELLS:
+        raise EngineError(f"regular module too large: dim {algebra.dim} gives {algebra.dim ** 3:,} "
+                          f"dense action cells, limit {MAX_SKEW_TABLE_CELLS:,}")
     acts = [algebra.right_multiplication_matrix(unit_vec(algebra.field, algebra.dim, j))
             for j in range(algebra.dim)]
     return AlgebraModule(algebra, algebra.dim, acts, check=False)

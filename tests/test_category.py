@@ -9,6 +9,7 @@ from finsite.category import (EIRequiredError, FullSubcategory,
                               minimal_subcategory,
                               strictly_full_karoubian_subcategories,
                               validate_category)
+from finsite.errors import EngineError
 from finsite.gallery import (chain_poset, group_category, cyclic_group,
                              idempotent_pair_category, involution_category,
                              orbit_category, split_idempotent_category)
@@ -189,6 +190,24 @@ def test_co_ideal(chain3):
     assert sub.is_co_ideal()
     assert not FullSubcategory(chain3, ("y",)).is_co_ideal()
     assert minimal_subcategory(chain3).objects == ("x",)
+
+
+def test_full_subcategory_keeps_parent_order_equality_and_hash(chain3, involution):
+    sub = FullSubcategory(chain3, ("z", "x"))
+    assert sub.objects == ("x", "z")
+    assert sub.parent is chain3
+    assert repr(sub) == "FullSubcategory(['x', 'z'])"
+    again = FullSubcategory(chain3, ["x", "z", "x"])
+    assert sub == again and hash(sub) == hash(again)
+    assert len({sub, again, FullSubcategory(chain3, ("x",))}) == 2
+    assert sub != FullSubcategory(chain3, ("x",))
+    assert FullSubcategory(involution, ("x",)) != FullSubcategory(chain3, ("x",))
+    assert sub != ("x", "z")
+    assert sub.category is sub.category
+    assert sub.category.objects == ("x", "z")
+    with pytest.raises(EngineError) as exc:
+        FullSubcategory(chain3, ("x", "w", "v"))
+    assert str(exc.value) == "unknown objects in subcategory: ['v', 'w']"
 
 
 def test_full_subcategory_structure(chain3):

@@ -6,12 +6,12 @@ import time
 import pytest
 import yaml
 
-from finsite.cli import main
+from finsite.cli import build_parser, main
 from finsite.gallery import chain_poset
 from finsite.serialize import (category_to_doc, dump_text, presheaf_to_doc,
                                topology_to_doc)
 from finsite.presheaves import representable_presheaf, singleton_presheaf
-from finsite.topology import subcategory_topology
+from finsite.topology import dense_topology, subcategory_topology
 
 from oracles import pure_yaml
 
@@ -463,8 +463,8 @@ def test_characteristic_from_two_to_the_64_is_one_error_line(capsys):
     assert err == "error: characteristic 18446744073709551629 is not below the limit 2^64\n"
 
 
-def run_cli_process(*argv):
-    """The finsite CLI in a process of its own, stopped after 60 s."""
+def run_python(*argv):
+    """A Python process of its own that imports this finsite, stopped after 60 s."""
     import os
     import subprocess
     import sys
@@ -472,9 +472,14 @@ def run_cli_process(*argv):
     import finsite
     src = os.path.dirname(os.path.dirname(os.path.abspath(finsite.__file__)))
     path = [src] + [extra for extra in [os.environ.get("PYTHONPATH")] if extra]
-    return subprocess.run([sys.executable, "-m", "finsite.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                           capture_output=True, text=True, timeout=60)
+
+
+def run_cli_process(*argv):
+    """The finsite CLI in a process of its own."""
+    return run_python("-m", "finsite.cli", *argv)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -560,6 +565,19 @@ def test_skew_document_of_orbit_s4_is_refused_by_name_and_verify_answers(capsys)
                    "363,994,344 table cells, limit 4,194,304\n")
     code, out, err = run_cli(capsys, "alg", "verify", *source)
     assert (code, out, err) == (0, "valid: true\nproblems: []\n", "")
+
+
+def test_roundtrip_of_orbit_s4_is_refused_before_any_dense_action(capsys):
+    """The regular module of the skew algebra of O(S4) would be 714 dense
+    714x714 actions: the round trip refuses before sampling, by the limit
+    alg skew uses."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mod", "roundtrip", "--gallery", "orbit", "--group", "S4",
+                             "--constant-field", "5", "--seed", "1", "--count", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == ("error: regular module too large: dim 714 gives 363,994,344 "
+                   "dense action cells, limit 4,194,304\n")
 
 
 def test_skew_document_keeps_the_bytes_of_the_dense_builder(capsys):
@@ -784,3 +802,43 @@ def test_document_100000_levels_deep_exits_1_in_a_subprocess(tmp_path):
     done = run_cli_process("cat", "validate", "--category", str(path))
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: document nests collections deeper than the limit of 100 levels\n"
+
+
+def test_one_parser_serves_many_calls_without_carrying_state(capsys, involution):
+    """main builds its parser once; a usage error or a --format summary call
+    leaves nothing behind for the calls after it."""
+    assert build_parser() is build_parser()
+    dense = ["top", "dense", "--gallery", "involution"]
+    structured = dump_text(topology_to_doc(dense_topology(involution)))
+    for usage_error in (["top", "explode"], ["mod", "roundtrip", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(usage_error)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert run_cli(capsys, *dense) == (0, structured, "")
+    assert run_cli(capsys, "--format", "summary", *dense) == (0, SUMMARIES["top dense"][1], "")
+    assert run_cli(capsys, *dense) == (0, structured, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mod", "--help"], ["mod", "roundtrip", "--help"],
+                                  ["top", "explode"], ["mod", "roundtrip", "--seed", "x"],
+                                  ["--format", "yaml", "gallery", "list"]])
+def test_the_shared_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def printed(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert run_cli(capsys, "gallery", "list")[0] == 0
+    shared = printed(main)
+    assert shared == printed(build_parser.__wrapped__().parse_args)
+    assert shared[0] == (0 if "--help" in argv else 2)
+    assert shared[1].out.startswith("usage: finsite") == ("--help" in argv)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    run = run_python("-c", "import sys, finsite.cli; "
+                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
