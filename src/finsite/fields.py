@@ -6,10 +6,12 @@ canonicalised to ``0..p-1``) and the rationals (elements are
 
 Matrices are immutable ``Matrix(rows, cols, data)`` records so that
 zero-dimensional spaces keep their shape information.  All eliminations
-are plain Gauss-Jordan over the field, with pivots chosen in column
-order, so reduced forms and the bases derived from them are canonical.
+are Gauss-Jordan over the field, with pivot columns taken in order, so
+reduced forms and the bases derived from them are canonical.  Over F_p
+it runs on sparse rows, dicts from column to nonzero entry (see
+_sparse_rref), and ``sparse_null_space`` takes equations in that form.
 
-Over F_p the kernels work on whole rows through three primitives of the
+Over F_p the products work on whole rows through three primitives of the
 field: ``dot``, ``axpy`` and ``scale``, and a dot product is reduced once.
 The larger products and linear combinations pack each row into one
 Python int, with slots wide enough that no sum carries from one entry
@@ -568,32 +570,64 @@ def _packed_combination(p: int, pairs: list, rows: int, cols: int) -> Matrix | N
     return Matrix(rows, cols, tuple(zip(*[_unpacked(p, [total], rows * cols, width)] * cols)))
 
 
+def _sparse_rows(rows) -> list:
+    """The rows given as dicts from column to nonzero entry."""
+    return [dict(itertools.compress(enumerate(row), row)) for row in rows]
+
+
+def _dense_row(row: dict, cols: int, zero) -> tuple:
+    return tuple(map(row.get, range(cols), itertools.repeat(zero, cols)))
+
+
+def _sparse_rref(p: int, rows: list, cols: int) -> tuple[list, tuple[int, ...]]:
+    """Gauss-Jordan over F_p on the sparse rows given, reduced in place:
+    the nonzero rows of the reduced row echelon form and their pivot
+    columns. holders[j] is the set of rows with an entry in column j. The
+    columns are taken in order, and each pivots on the candidate row, one
+    not yet a pivot row, with the fewest entries, ties going to the lower
+    index (after Markowitz); every other row holding the column is cleared,
+    earlier pivot rows too. The reduced form is unique, so it does not
+    depend on the pivot rows chosen, nor on the order of the sets."""
+    holders = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    taken, out = set(), []
+    for c in range(cols):
+        here = holders[c] - taken
+        if not here:
+            continue
+        r = min(here, key=lambda i: (len(rows[i]), i))
+        taken.add(r)
+        inv = pow(rows[r][c], -1, p)
+        pivot = rows[r] = {j: x * inv % p for j, x in rows[r].items()}
+        terms = [(j, x) for j, x in pivot.items() if j != c]
+        for i in holders[c]:
+            if i == r:
+                continue
+            row = rows[i]
+            f = p - row.pop(c)
+            for j, x in terms:
+                y = row.get(j)
+                if y is None:
+                    row[j] = f * x % p
+                    holders[j].add(i)
+                elif y := (y + f * x) % p:
+                    row[j] = y
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        out.append((c, pivot))
+    return [row for _, row in out], tuple(c for c, _ in out)
+
+
 def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with the pivot columns, fully canonical."""
     if isinstance(field, RationalField):
         return _rational_rref(a)
-    rows = [list(r) for r in a.data]
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        pivot_row = None
-        for i in range(r, a.rows):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r] = field.scale(field.inv(rows[r][c]), rows[r])
-        for i in range(a.rows):
-            if i != r and rows[i][c] != zero:
-                rows[i] = field.axpy(field.neg(rows[i][c]), pivot, rows[i])
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    return Matrix(a.rows, a.cols, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
+    rows, pivots = _sparse_rref(field.p, _sparse_rows(a.data), a.cols)
+    data = [_dense_row(row, a.cols, 0) for row in rows] + [(0,) * a.cols] * (a.rows - len(rows))
+    return Matrix(a.rows, a.cols, tuple(data)), pivots
 
 
 def _rational_rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -636,19 +670,35 @@ def rank(field, a: Matrix) -> int:
     return len(rref(field, a)[1])
 
 
+def sparse_null_space(field, rows: Iterable[dict], cols: int) -> Matrix:
+    """The null_space of the matrix with cols columns whose rows are the
+    dicts of rows, from column to entry, zero entries left out or not; the
+    dicts are not changed. Over Q the rows are written out dense once.
+    The row of the n-th free column of the basis is e_n, and the row of
+    pivot column c minus the free entries of its row of the reduced form."""
+    if isinstance(field, RationalField):
+        rows = list(rows)
+        reduced, pivots = _rational_rref(Matrix(len(rows), cols, tuple(
+            _dense_row(row, cols, field.zero) for row in rows)))
+        reduced = _sparse_rows(reduced.data[:len(pivots)])
+    else:
+        reduced, pivots = _sparse_rref(
+            field.p, [{j: x for j, x in row.items() if x} for row in rows], cols)
+    free = {j: n for n, j in enumerate(sorted(set(range(cols)).difference(pivots)))}
+    zero = (field.zero,) * len(free)
+    data = {j: zero[:n] + (field.one,) + zero[n + 1:] for j, n in free.items()}
+    for c, row in zip(pivots, reduced):
+        out = list(zero)
+        for j, x in row.items():
+            if j != c:
+                out[free[j]] = field.neg(x)
+        data[c] = tuple(out)
+    return Matrix(cols, len(free), tuple(data[j] for j in range(cols)))
+
+
 def null_space(field, a: Matrix) -> Matrix:
     """Canonical kernel basis, one column per free variable in column order."""
-    r, pivots = rref(field, a)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [field.zero] * a.cols
-        v[j] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.neg(r.entry(i, j))
-        cols.append(tuple(v))
-    return transpose(Matrix(len(cols), a.cols, tuple(cols)))
+    return sparse_null_space(field, _sparse_rows(a.data), a.cols)
 
 
 def basis_coordinates(field, basis: Matrix, y: Matrix) -> Matrix | None:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
-                     mat_combination, mat_mul, null_space, zero_matrix)
+                     mat_combination, mat_mul, sparse_null_space, zero_matrix)
 
 
 class PresheafError(EngineError):
@@ -274,7 +274,8 @@ def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
     """A basis of the intertwiners src -> dst, as component dictionaries.
 
     The unknowns are the entries of every phi[x], row-major, in key
-    order; the basis is the canonical null space of their equations.
+    order; the equations are held as sparse rows, and the basis is their
+    canonical null space.
     """
     k = src.field
     starts, total = block_offsets(dst.dims[x] * d for x, d in src.dims.items())
@@ -282,21 +283,20 @@ def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
     rows = []
     for (x, y, s), (_, _, t) in zip(src.arrows, dst.arrows):
         dx, dy = src.dims[x], src.dims[y]
+        s_cols = [[(c, e) for c, e in enumerate(s.col(j)) if e] for j in range(dy)]
         # rows for phi[x] @ s - t @ phi[y] = 0, entry (i, j)
-        for i in range(dst.dims[x]):
-            for j in range(dy):
-                row = [k.zero] * total
-                for c in range(dx):
-                    row[offsets[x] + i * dx + c] = k.add(
-                        row[offsets[x] + i * dx + c], s.entry(c, j))
-                for c in range(dst.dims[y]):
-                    row[offsets[y] + c * dy + j] = k.sub(
-                        row[offsets[y] + c * dy + j], t.entry(i, c))
+        for i, t_row in enumerate(t.data):
+            lo = offsets[x] + i * dx
+            t_terms = [(c, e) for c, e in enumerate(t_row) if e]
+            for j, s_col in enumerate(s_cols):
+                row = {lo + c: e for c, e in s_col}
+                for c, e in t_terms:
+                    at = offsets[y] + c * dy + j
+                    row[at] = k.sub(row.get(at, k.zero), e)
                 rows.append(row)
-    basis = null_space(k, Matrix(len(rows), total, tuple(map(tuple, rows))))
+    basis = sparse_null_space(k, rows, total)
     out = []
-    for c in range(basis.cols):
-        v = basis.col(c)
+    for v in zip(*basis.data):
         comp = {}
         for x, d in src.dims.items():
             lo = offsets[x]

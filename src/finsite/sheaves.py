@@ -8,9 +8,11 @@ an element (or vector) over dom(u), compatibly with every precomposition:
 F(v)(m_u) = m_{uv}. Over the members of a sieve these are its matching
 families; over the morphisms from a subcategory D into x, compatible
 under D's morphisms, they are the value at x of the right Kan extension
-along D. ``families`` computes both. The sheaf condition asks the
-canonical map from F(x) into the matching families to be a bijection
-for every covering sieve.
+along D. ``families`` computes both; in the linear flavour its
+compatibility equations, like those of the fixed subspaces of the dense
+formula, are held as sparse rows and solved by ``sparse_null_space``.
+The sheaf condition asks the canonical map from F(x) into the matching
+families to be a bijection for every covering sieve.
 
 Half-sheafification is computed on the minimal covering sieve. On a
 finite site the covering sieves at an object are closed under
@@ -27,8 +29,8 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, basis_coordinates, block_matrix, block_offsets, identity_matrix,
-                     mat_mul, null_space, rank, vstack, zero_matrix)
+from .fields import (Matrix, basis_coordinates, block_matrix, block_offsets, mat_mul, rank,
+                     sparse_null_space, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
 from .topology import GrothendieckTopology
@@ -83,14 +85,11 @@ def families(f, cat: FiniteCategory, members: tuple):
     offsets, total = block_offsets(dims)
     rows = []
     for i, v, j in links:
-        lo = offsets[i]
         for at, entries in enumerate(f.mat(v).data, offsets[j]):
-            row = [k.zero] * total
-            row[lo:lo + len(entries)] = entries
-            row[at] = k.sub(row[at], k.one)
-            rows.append(tuple(row))
-    system = Matrix(len(rows), total, tuple(rows))
-    return FamilySpace(members, dims, offsets, null_space(k, system))
+            row = dict(itertools.compress(enumerate(entries, offsets[i]), entries))
+            row[at] = k.sub(row.get(at, k.zero), k.one)
+            rows.append(row)
+    return FamilySpace(members, dims, offsets, sparse_null_space(k, rows, total))
 
 
 def set_matching_families(f: SetPresheaf, s: Sieve) -> tuple[tuple, ...]:
@@ -319,16 +318,16 @@ def _dense_fixed_points_set(f: SetPresheaf, poset, components) -> SetPresheaf:
 
 
 def _fixed_subspace_basis(k, f: LinearPresheaf, obj: str, stabilizer) -> Matrix:
-    d = f.at(obj)
+    """The vectors fixed by F(h) for every h of the stabilizer."""
     rows = []
-    ident = identity_matrix(k, d)
     for h in stabilizer:
         if f.cat.is_identity(h):
             continue
-        fh = f.mat(h)
-        for r in range(d):
-            rows.append(tuple(k.sub(fh.entry(r, c), ident.entry(r, c)) for c in range(d)))
-    return null_space(k, Matrix(len(rows), d, tuple(rows)))
+        for r, entries in enumerate(f.mat(h).data):
+            row = dict(itertools.compress(enumerate(entries), entries))
+            row[r] = k.sub(row.get(r, k.zero), k.one)
+            rows.append(row)
+    return sparse_null_space(k, rows, f.at(obj))
 
 
 def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPresheaf:

@@ -19,6 +19,7 @@ with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
 the fields replaced, with the null space and inverse read off them, the
+dense Gauss-Jordan loop over F_p that the sparse elimination replaced, the
 quotient module with its complement grown one unit vector at a time, and
 primality by trial division.
 Helpers the library has no use for (the elements, component generators
@@ -857,6 +858,29 @@ def scalar_rref(field, a: Matrix):
             break
     return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
 
+
+def dense_rref(field, a: Matrix):
+    """Gauss-Jordan over F_p on whole dense rows with the row primitives
+    of the field, each pivot the first nonzero entry of its column: the
+    loop that the sparse elimination of the library replaced."""
+    rows = [list(r) for r in a.data]
+    zero = field.zero
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if rows[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r] = field.scale(field.inv(rows[r][c]), rows[r])
+        for i in range(a.rows):
+            if i != r and rows[i][c] != zero:
+                rows[i] = field.axpy(field.neg(rows[i][c]), pivot, rows[i])
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
 
 
 def scalar_null_space(field, a: Matrix) -> list:
