@@ -525,14 +525,8 @@ def minimal_subcategory(cat: FiniteCategory) -> FullSubcategory:
 
 
 def co_ideal_generated_by(cat: FiniteCategory, objects: Iterable[str]) -> FullSubcategory:
-    """Downward closure of an object set under "receives a morphism from"."""
-    keep = set(objects)
-    grew = True
-    while grew:
-        grew = False
-        for x in tuple(keep):
-            for y in cat.objects:
-                if y not in keep and cat.hom(y, x):
-                    keep.add(y)
-                    grew = True
-    return FullSubcategory(cat, tuple(x for x in cat.objects if x in keep))
+    """The objects with a morphism into a given one, identities included;
+    "maps into" is transitive, so one pass reaches them all."""
+    given = set(objects)
+    return FullSubcategory(cat, tuple(y for y in cat.objects
+                                      if any(cat.hom(y, x) for x in given)))

@@ -210,7 +210,7 @@ def field_by_label(label) -> PrimeField | RationalField:
         return RationalField()
     if text.upper().startswith("F"):
         text = text[1:]
-    if not text.isdigit():
+    if not text.isdecimal():
         raise FieldError(f"unrecognised field label {label!r}")
     return PrimeField(int(text))
 

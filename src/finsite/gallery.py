@@ -12,6 +12,11 @@ from .errors import EngineError
 from .fields import _is_prime
 from .groups import FiniteGroup
 
+# chain<n> and C<n> are refused before anything is built when their
+# composition table would hold more composable pairs than this: the checks
+# of FiniteCategory and FiniteGroup are cubic in the size.
+MAX_COMPOSABLE_PAIRS = 2 ** 15
+
 _CHAIN_OBJECTS = ("x", "y", "z", "w", "v", "u")
 _CHAIN_STEPS = ("f", "g", "h", "i", "j", "k", "l")
 
@@ -28,6 +33,12 @@ def _chain_step(k: int, n: int) -> str:
     return f"s{k}."
 
 
+def _check_pairs(name: str, pairs: int) -> None:
+    if pairs > MAX_COMPOSABLE_PAIRS:
+        raise EngineError(f"{name} too large: {pairs:,} composable pairs, "
+                          f"limit {MAX_COMPOSABLE_PAIRS:,}")
+
+
 def chain_poset(n: int) -> FiniteCategory:
     """The linear order with n objects, one morphism per ordered pair.
 
@@ -36,6 +47,7 @@ def chain_poset(n: int) -> FiniteCategory:
     """
     if n < 1:
         raise EngineError("a chain poset needs at least one object")
+    _check_pairs(f"chain{n}", n * (n + 1) * (n + 2) // 6)
     objects = [_chain_object(i, n) for i in range(1, n + 1)]
     names = {}
     morphisms = []
@@ -214,6 +226,7 @@ def reduced_p_orbit_category(group: FiniteGroup, p: int) -> OrbitCategory:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise EngineError("cyclic group order must be positive")
+    _check_pairs(f"C{n}", n * n)
     names = ["e"] + [("r" if i == 1 else f"r{i}") for i in range(1, n)]
     table = {}
     for i in range(n):
@@ -258,9 +271,9 @@ def group_by_name(name: str) -> FiniteGroup:
     text = name.strip()
     if text.lower() == "trivial":
         return cyclic_group(1)
-    if text.upper().startswith("C") and text[1:].isdigit():
+    if text.upper().startswith("C") and text[1:].isdecimal():
         return cyclic_group(int(text[1:]))
-    if text.upper().startswith("S") and text[1:].isdigit():
+    if text.upper().startswith("S") and text[1:].isdecimal():
         return symmetric_group(int(text[1:]))
     raise EngineError(f"unknown group name {name!r} (use trivial, C<n>, or S<n>)")
 
@@ -274,7 +287,7 @@ def category_by_name(name: str, *, group: str | FiniteGroup | None = None,
     """Resolve a gallery token like "chain3", "involution", or "orbit-p";
     group is a group name or a FiniteGroup."""
     text = name.strip().lower()
-    if text.startswith("chain") and text[5:].isdigit():
+    if text.startswith("chain") and text[5:].isdecimal():
         return chain_poset(int(text[5:]))
     if text == "involution":
         return involution_category()

@@ -2,11 +2,11 @@
 
 Random module-like objects are produced by free generation followed by
 closure: start from a free module over the relevant algebra, cut down to
-the span closure of random vectors (or divide by one), and twist the
-result by random basis changes. Everything stays exactly valid by
-construction, so no rejection sampling is needed. Random set presheaves
-are congruence quotients of coproducts of representables, which are
-functorial for the same reason.
+the submodule random vectors generate (or divide by it), and twist the
+result by random basis changes. Random set presheaves are congruence
+quotients of coproducts of representables. Both closures take one step and
+are valid by construction; only random_invertible_matrix redraws, until
+its matrix is invertible.
 """
 
 from __future__ import annotations
@@ -61,16 +61,12 @@ def free_module(algebra: FiniteDimAlgebra, rank: int) -> AlgebraModule:
 
 
 def _span_closure(n: AlgebraModule, vectors) -> Matrix:
-    """Canonical basis of the action-stable span of the given vectors."""
+    """Canonical basis of the submodule the vectors generate, the column space
+    of [V | a_1 V | ... | a_m V]: a product of basis elements acts as a
+    combination of basis actions, so that span is already action-stable."""
     k = n.field
-    span = matrix_from_cols(k, [tuple(v) for v in vectors], rows=n.dim)
-    span = col_space(k, span)
-    while True:
-        moved = [span] + [mat_mul(k, a, span) for a in n.actions]
-        bigger = col_space(k, hstack(k, moved))
-        if bigger.cols == span.cols:
-            return bigger
-        span = bigger
+    v = matrix_from_cols(k, [tuple(u) for u in vectors], rows=n.dim)
+    return col_space(k, hstack(k, [v] + [mat_mul(k, a, v) for a in n.actions]))
 
 
 def submodule_closure(n: AlgebraModule, vectors) -> AlgebraModule:
@@ -208,7 +204,9 @@ def random_set_presheaf(cat: FiniteCategory, rng: random.Random) -> SetPresheaf:
             return elem
         return ("rep", i, cat.compose(u, f))
 
-    # Random identifications, closed under precomposition (union-find).
+    # Each identification a ~ b at x is applied as the pairs (F(v)a, F(v)b),
+    # v into x; as F(w)F(v) = F(vw), their union-find closure is a congruence.
+    # A root is the least element of its class by repr, whatever the union order.
     parent = {}
 
     def find(a):
@@ -229,31 +227,17 @@ def random_set_presheaf(cat: FiniteCategory, rng: random.Random) -> SetPresheaf:
         if len(pool) < 2:
             continue
         a, b = rng.sample(pool, 2)
-        stack = [(x, a, b)]
-        while stack:
-            y, p, q = stack.pop()
-            if find((y, p)) == find((y, q)):
-                continue
-            union((y, p), (y, q))
-            for v in cat.morphisms:
-                if v.cod != y:
-                    continue
-                stack.append((v.dom, act(v.name, p), act(v.name, q)))
+        for v in cat.into(x):
+            y = cat.dom(v)
+            union((y, act(v, a)), (y, act(v, b)))
 
     values = {}
-    classes = {}
-    for x in cat.objects:
-        reps = []
-        for elem in elements(x):
-            root = find((x, elem))
-            if root not in classes:
-                classes[root] = f"{x}#{len(reps)}"
-                reps.append(root)
-        values[x] = tuple(classes[r] for r in reps)
     name_of = {}
     for x in cat.objects:
+        names = {}
         for elem in elements(x):
-            name_of[(x, elem)] = classes[find((x, elem))]
+            name_of[(x, elem)] = names.setdefault(find((x, elem)), f"{x}#{len(names)}")
+        values[x] = tuple(names.values())
     maps = {}
     for m in cat.morphisms:
         table = {}

@@ -277,7 +277,8 @@ def topology_from_doc(doc: dict, cat: FiniteCategory) -> GrothendieckTopology:
     for x, sieves in raw.items():
         fams = set()
         for members in _typed(sieves, list, f"topology: the covering at {x!r}"):
-            _typed(members, list, f"topology: each sieve at {x!r}")
+            _names(_typed(members, list, f"topology: each sieve at {x!r}"),
+                   f"topology: each sieve at {x!r}")
             for m in members:
                 if m not in cat.mor_index:
                     raise DocumentError(f"topology: unknown morphism {m!r} at {x!r}")

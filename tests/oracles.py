@@ -20,7 +20,9 @@ searched basis change onto the 2x2 matrix algebra, and the scalar-loop
 matrix kernels and dense associativity check that the row primitives of
 the fields replaced, with the null space and inverse read off them, the
 dense Gauss-Jordan loop over F_p that the sparse elimination replaced, the
-quotient module with its complement grown one unit vector at a time, and
+quotient module with its complement grown one unit vector at a time,
+the generated submodule, the congruence of a random set presheaf and the
+generated co-ideal each grown round by round until nothing grows, and
 primality by trial division.
 Helpers the library has no use for (the elements, component generators
 and endomorphism algebras of the Grothendieck construction, the size of
@@ -47,7 +49,7 @@ from finsite.fields import (Matrix, col_space, hstack, inverse, mat_mul, matrix,
                             unit_vec, vec_sub, zero_vec)
 from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
-from finsite.sampling import _span_closure
+from finsite.sampling import MAX_CONSTANTS, MAX_GENERATORS, MAX_RELATIONS
 from finsite.sheaves import (FamilySpace, _sieve_is_descent, linear_matching_families,
                              member_order, set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
@@ -955,7 +957,7 @@ def greedy_quotient_module(n, vectors) -> AlgebraModule:
     the complement when one more column space says it leaves the span so
     far, and each action is multiplied by the inclusion of the complement."""
     k = n.field
-    span = _span_closure(n, vectors)
+    span = fixpoint_span_closure(n, vectors)
     complement = []
     current = span
     for i in range(n.dim):
@@ -971,6 +973,89 @@ def greedy_quotient_module(n, vectors) -> AlgebraModule:
     inc = matrix_from_cols(k, [unit_vec(k, n.dim, i) for i in complement], rows=n.dim)
     return AlgebraModule(n.algebra, q, [mat_mul(k, proj, mat_mul(k, a, inc))
                                         for a in n.actions], check=False)
+
+
+# -- generated substructures grown round by round to a fixpoint -----------------
+
+
+def fixpoint_span_closure(n, vectors) -> Matrix:
+    """Canonical basis of the action-stable span of the vectors, grown one
+    round of actions at a time until a round adds nothing."""
+    k = n.field
+    span = col_space(k, matrix_from_cols(k, [tuple(v) for v in vectors], rows=n.dim))
+    while True:
+        bigger = col_space(k, hstack(k, [span] + [mat_mul(k, a, span) for a in n.actions]))
+        if bigger.cols == span.cols:
+            return bigger
+        span = bigger
+
+
+def propagated_set_presheaf(cat: FiniteCategory, rng) -> SetPresheaf:
+    """finsite.sampling.random_set_presheaf with the same draws, each
+    identification pushed along every morphism into its object, and on from
+    there, until the pairs it reaches are already identified."""
+    gens = [rng.choice(cat.objects) for _ in range(rng.randint(1, MAX_GENERATORS))]
+    constants = rng.randint(0, MAX_CONSTANTS)
+
+    def elements(x):
+        out = [("rep", i, u) for i, c in enumerate(gens) for u in cat.hom(x, c)]
+        out.extend(("const", s, None) for s in range(constants))
+        return out
+
+    def act(f, elem):
+        kind, i, u = elem
+        if kind == "const":
+            return elem
+        return ("rep", i, cat.compose(u, f))
+
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for _ in range(rng.randint(0, MAX_RELATIONS)):
+        x = rng.choice(cat.objects)
+        pool = elements(x)
+        if len(pool) < 2:
+            continue
+        stack = [(x, *rng.sample(pool, 2))]
+        while stack:
+            y, p, q = stack.pop()
+            rp, rq = find((y, p)), find((y, q))
+            if rp == rq:
+                continue
+            parent[rp] = rq
+            stack.extend((v.dom, act(v.name, p), act(v.name, q))
+                         for v in cat.morphisms if v.cod == y)
+
+    name_of = {}
+    values = {}
+    for x in cat.objects:
+        reps = []
+        for elem in elements(x):
+            root = find((x, elem))
+            if root not in reps:
+                reps.append(root)
+            name_of[(x, elem)] = f"{x}#{reps.index(root)}"
+        values[x] = tuple(f"{x}#{i}" for i in range(len(reps)))
+    maps = {m.name: {name_of[(m.cod, elem)]: name_of[(m.dom, act(m.name, elem))]
+                     for elem in elements(m.cod)}
+            for m in cat.morphisms}
+    return SetPresheaf(cat, values, maps)
+
+
+def fixpoint_co_ideal(cat: FiniteCategory, objects) -> FullSubcategory:
+    """The objects reached from the given ones by receiving a morphism, one
+    round at a time until a round adds nothing."""
+    keep = set(objects)
+    while True:
+        grown = keep | {y for x in keep for y in cat.objects if cat.hom(y, x)}
+        if grown == keep:
+            return FullSubcategory(cat, tuple(x for x in cat.objects if x in keep))
+        keep = grown
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -463,6 +463,36 @@ def test_characteristic_from_two_to_the_64_is_one_error_line(capsys):
     assert err == "error: characteristic 18446744073709551629 is not below the limit 2^64\n"
 
 
+# Name tokens with a digit that int() refuses ("²" is a digit to
+# str.isdigit), and gallery members above the limit of 2^15 composable pairs,
+# which are refused before anything is built (chain999999999 used to run
+# for ever).
+BAD_NAMES = {
+    "field ²": (["alg", "verify", "--gallery", "chain3", "--constant-field", "²"],
+                "error: unrecognised field label '²'\n"),
+    "field F²": (["alg", "verify", "--gallery", "chain3", "--constant-field", "F²"],
+                 "error: unrecognised field label 'F²'\n"),
+    "chain²": (["cat", "info", "--gallery", "chain²"], "error: unknown gallery name 'chain²'\n"),
+    "C²": (["cat", "info", "--gallery", "group", "--group", "C²"],
+           "error: unknown group name 'C²' (use trivial, C<n>, or S<n>)\n"),
+    "S²": (["cat", "info", "--gallery", "group", "--group", "S²"],
+           "error: unknown group name 'S²' (use trivial, C<n>, or S<n>)\n"),
+    "chain58": (["gallery", "show", "chain58"],
+                "error: chain58 too large: 34,220 composable pairs, limit 32,768\n"),
+    "chain999999999": (["gallery", "show", "chain999999999"],
+                       "error: chain999999999 too large: 166,666,666,666,666,666,500,000,000 "
+                       "composable pairs, limit 32,768\n"),
+    "C182": (["cat", "info", "--gallery", "orbit", "--group", "C182"],
+             "error: C182 too large: 33,124 composable pairs, limit 32,768\n"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAMES)
+def test_bad_name_is_one_error_line(capsys, case):
+    argv, expected = BAD_NAMES[case]
+    assert run_cli(capsys, *argv) == (1, "", expected)
+
+
 def run_python(*argv):
     """A Python process of its own that imports this finsite, stopped after 60 s."""
     import os
@@ -629,6 +659,16 @@ MALFORMED_CASES = [
      "algebra-presheaf", "algebras.x.table", [[[1, 0], [0]], [[0, 0], [0, 1]]]),
     (["alg", "verify", "--gallery", "chain3", "--algebra", "BAD"],
      "algebra-presheaf", "algebras.x.unit", [1]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "BAD", "--dense"],
+     "presheaf", "field", "F²"),
+    (["top", "classify", "--gallery", "chain3", "--topology", "BAD"],
+     "topology", "covering.x", [[["1x"]]]),
+    (["top", "classify", "--gallery", "chain3", "--topology", "BAD"],
+     "topology", "covering.x", [[{"a": "b"}]]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "PRESHEAF", "--topology", "BAD"],
+     "topology", "covering.x", [[["1x"]]]),
+    (["sheaf", "check", "--gallery", "chain3", "--presheaf", "PRESHEAF", "--topology", "BAD"],
+     "topology", "covering.x", [[{"a": "b"}]]),
 ]
 
 
@@ -660,9 +700,11 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
     bad = copy.deepcopy(genuine[kind])
     *path, key = field.split(".")
     functools.reduce(dict.__getitem__, path, bad)[key] = value
-    paths = {"BAD": tmp_path / "bad.yaml", "ALGEBRA": tmp_path / "algebra.yaml"}
+    paths = {"BAD": tmp_path / "bad.yaml", "ALGEBRA": tmp_path / "algebra.yaml",
+             "PRESHEAF": tmp_path / "presheaf.yaml"}
     paths["BAD"].write_text(dump_text(bad))
     paths["ALGEBRA"].write_text(dump_text(genuine["algebra-presheaf"]))
+    paths["PRESHEAF"].write_text(dump_text(genuine["presheaf"]))
     code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
     assert code == 1
     if argv[:2] == ["cat", "validate"]:

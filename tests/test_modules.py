@@ -149,7 +149,8 @@ def test_one_object_group_bundling_is_plain_identification(f5):
     assert is_algebra_module_isomorphism(n2, n, t)
 
 
-@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=["F5", "Q"])
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), RationalField()],
+                         ids=["F2", "F5", "Q"])
 def test_quotient_module_equals_the_greedy_complement(field):
     """On seeded random modules, free or themselves sampled, divided by
     the submodule of one to three random vectors, the complement read off
