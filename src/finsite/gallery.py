@@ -10,7 +10,7 @@ import warnings
 from .category import FiniteCategory, Morphism
 from .errors import EngineError
 from .fields import _is_prime
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_subgroup_order
 
 # chain<n> and C<n> are refused before anything is built when their
 # composition table would hold more composable pairs than this: the checks
@@ -282,6 +282,18 @@ def _as_group(group: str | FiniteGroup) -> FiniteGroup:
     return group if isinstance(group, FiniteGroup) else group_by_name(group)
 
 
+def _subgroups_group(group: str | FiniteGroup) -> FiniteGroup:
+    """_as_group for the orbit categories, which enumerate the subgroups:
+    a C<n> too large for that is refused before it is built."""
+    if isinstance(group, str):
+        text = group.strip()
+        if text.upper().startswith("C") and text[1:].isdecimal():
+            n = int(text[1:])
+            _check_pairs(f"C{n}", n * n)
+            check_subgroup_order(f"C{n}", n)
+    return _as_group(group)
+
+
 def category_by_name(name: str, *, group: str | FiniteGroup | None = None,
                      p: int | None = None) -> FiniteCategory:
     """Resolve a gallery token like "chain3", "involution", or "orbit-p";
@@ -303,12 +315,12 @@ def category_by_name(name: str, *, group: str | FiniteGroup | None = None,
         if group is None:
             raise EngineError("gallery 'orbit' needs a group name")
         if p is not None:
-            return p_orbit_category(_as_group(group), p)
-        return orbit_category(_as_group(group))
+            return p_orbit_category(_subgroups_group(group), p)
+        return orbit_category(_subgroups_group(group))
     if text == "orbit-p":
         if group is None or p is None:
             raise EngineError("gallery 'orbit-p' needs a group name and a prime")
-        return reduced_p_orbit_category(_as_group(group), p)
+        return reduced_p_orbit_category(_subgroups_group(group), p)
     raise EngineError(f"unknown gallery name {name!r}")
 
 

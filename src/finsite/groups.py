@@ -7,6 +7,10 @@ from typing import Iterable
 
 from .errors import EngineError
 
+# Subgroups, and with them orbit categories, are enumerated for groups of
+# at most this order.
+MAX_SUBGROUP_ORDER = 24
+
 
 class InvalidGroupError(EngineError):
     def __init__(self, problems):
@@ -113,10 +117,9 @@ class FiniteGroup:
 
         Every subgroup arises by adding generators one at a time starting
         from the trivial group, so this enumeration is complete. Intended
-        for the desk scale (|G| <= 24).
+        for the desk scale (|G| <= MAX_SUBGROUP_ORDER).
         """
-        if len(self.elements) > 24:
-            raise EngineError("subgroup enumeration is limited to |G| <= 24")
+        check_subgroup_order(self.name, len(self.elements))
         found = {frozenset({self.identity})}
         frontier = list(found)
         while frontier:
@@ -166,3 +169,10 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"<FiniteGroup {self.name}: order {len(self.elements)}>"
+
+
+def check_subgroup_order(name: str, order: int) -> None:
+    """Refuse subgroup enumeration on a group of this order above the limit."""
+    if order > MAX_SUBGROUP_ORDER:
+        raise EngineError(f"subgroup enumeration is limited to |G| <= {MAX_SUBGROUP_ORDER}, "
+                          f"and {name} has order {order}")

@@ -8,21 +8,34 @@ construction order, never alphabetical, so golden files are byte-stable.
 Field elements are written as integers when possible and as "n/d"
 strings for non-integral rationals.
 
-Documents are read and written by libyaml when PyYAML was built with it,
-and by PyYAML's pure-Python classes otherwise. The bytes written are the
-same, since a document holding a string on which the two emitters differ
-is written by the pure one, and so are the data read back from them.
-A text holding a tab or a block scalar, which libyaml's parser reads
-more laxly, is read by the pure loader; a scalar with the non-specific
-tag "!", which the two read differently, is refused by both.
-Diagnostics are the pure loader's wording. A document nesting collections
-deeper than MAX_DEPTH is refused before it is composed: libyaml's composer
-recurses without limit and crashes the process at 30,000 levels, and the
-pure one raises RecursionError at about 500.
+Each text is parsed once, by libyaml when PyYAML was built with it and
+by PyYAML's pure parser otherwise, and the data are built straight from
+its event stream, plain scalars by PyYAML's resolver and constructors.
+The same walk refuses a document nesting collections deeper than
+MAX_DEPTH before it is built: libyaml's composer recurses without limit
+and crashes the process at 30,000 levels, and the pure one raises
+RecursionError at about 500. A text holding a tab or a block scalar,
+which libyaml's parser reads more laxly, is read by the pure parser; a
+scalar with the non-specific tag "!", which the two read differently, is
+refused by both. A text with an anchor, an alias, an explicit tag, a
+merge key, a collection as a key or a second document is read by
+yaml.load once the walk has passed it. Diagnostics are the pure loader's
+wording.
+
+Documents are written by one emitter for finsite's document family:
+mappings with string keys, lists, integers, booleans, None and printable
+ASCII strings, each collection in flow style when it holds no collection
+and in block style otherwise, wrapped at width 100. It writes the bytes
+of PyYAML's pure SafeDumper, which writes every document outside the
+family: one holding a string that is not printable ASCII, an empty key
+or a key of 123 characters or more in a block mapping (written in the
+explicit "? key" form), or a collection that occurs twice (written with
+an anchor).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import yaml
@@ -44,38 +57,17 @@ MAX_DEPTH = 100
 # implicit scalar: a date 2001-13-45, !!int "0x", !!int "", !!bool x,
 # !!timestamp x.
 _NOT_YAML = (yaml.YAMLError, ValueError, LookupError, AttributeError)
-_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
-_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
 _BLOCK = ("|", ">")
-
-
-class _NotPlain(Exception):
-    """A string that libyaml's emitter may write otherwise than PyYAML's."""
-
-
-class _LibyamlDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    """libyaml's emitter, on documents where it writes PyYAML's bytes: every
-    string printable ASCII, and no key empty or 123 to 128 characters long.
-    PyYAML writes such keys in the explicit "? key" form and libyaml does
-    not, and the two fold long escaped text differently."""
-
-    def represent_str(self, data):
-        if not (data.isascii() and data.isprintable()):
-            raise _NotPlain
-        return super().represent_str(data)
-
-    def represent_dict(self, data):
-        for key in data:
-            n = len(key if isinstance(key, str) else str(key))
-            if n == 0 or 123 <= n <= 128:
-                raise _NotPlain
-        return super().represent_dict(data)
-
-
-_LibyamlDumper.add_representer(str, _LibyamlDumper.represent_str)
-_LibyamlDumper.add_representer(dict, _LibyamlDumper.represent_dict)
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-_DUMPER = _LibyamlDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+_STR = "tag:yaml.org,2002:str"
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+# Data that yaml.load builds from the whole text: those with an anchor, an
+# alias, an explicit tag, a merge key or a collection as a key, a second
+# document, or a scalar that its constructor refuses (yaml.load then
+# words the refusal).
+_WHOLE = object()
+_ABSENT = object()  # a key not read yet, or a scalar not in the cache
 
 
 class DocumentError(EngineError):
@@ -93,35 +85,120 @@ def _expect(doc: dict, required: set, optional: set, where: str):
         raise DocumentError(f"{where}: missing field {sorted(missing)[0]!r}")
 
 
-def _load(text: str, loader):
-    """The data of text, read by loader once the parser's event stream has
-    shown that no collection nests deeper than MAX_DEPTH and that no
-    scalar has the non-specific tag "!" (`a: !` reads as '' with libyaml
-    and as None without). libyaml hands PyYAML's loader every text with a
-    tab, which PyYAML refuses outside quotes, block scalars and comments,
-    and every block scalar, whose header libyaml reads more laxly (`|#`),
-    by raising YAMLError, so that both backends read or refuse such a text
-    alike."""
-    libyaml = loader is not yaml.SafeLoader
-    if libyaml and "\t" in text:
-        raise yaml.YAMLError("a tab")
-    depth = 0
-    for event in yaml.parse(text, Loader=loader):
-        if isinstance(event, yaml.ScalarEvent):
-            if event.tag == "!":
-                mark = event.start_mark
-                raise yaml.YAMLError(f"the non-specific tag '!' on a scalar, at line "
-                                     f"{mark.line + 1}, column {mark.column + 1}")
+def _tag(value: str) -> str:
+    """The tag of the plain scalar value. The resolver tries only the
+    patterns listed under value's first character."""
+    if value[:1] not in _RESOLVER.yaml_implicit_resolvers:
+        return _STR
+    return _RESOLVER.resolve(yaml.ScalarNode, value, (True, False))
+
+
+def _plain(value: str):
+    """The data of the plain scalar value, or _WHOLE."""
+    tag = _tag(value)
+    if tag == _STR:
+        return value
+    construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+    if construct is None:
+        return _WHOLE
+    try:
+        # Called directly, not through construct_object, which would keep
+        # every node it built.
+        return construct(_CONSTRUCTOR, yaml.ScalarNode(tag, value))
+    except _NOT_YAML:
+        return _WHOLE
+
+
+def _build(parser, libyaml: bool):
+    """The data of the parser's event stream, or _WHOLE where yaml.load
+    must build them, once the stream has shown that no collection nests
+    deeper than MAX_DEPTH and that no scalar has the non-specific tag "!"
+    (`a: !` reads as '' with libyaml and as None without). Under libyaml
+    a block scalar, whose header libyaml reads more laxly (`|#`), raises
+    YAMLError, so that the pure parser reads or refuses it."""
+    root = top = None  # the document, and the innermost open collection
+    in_list = False  # whether top is a list
+    key = _ABSENT  # the key of top's next value, when top is a mapping
+    outer = []  # (top, in_list, key) of the collections around top
+    cache = {}  # plain scalar -> its data, within this document
+    depth = documents = 0
+    whole = False
+    get = parser.get_event
+    while True:
+        event = get()
+        kind = event.__class__
+        if kind is yaml.ScalarEvent:
+            if event.tag is not None:
+                if event.tag == "!":
+                    mark = event.start_mark
+                    raise yaml.YAMLError(f"the non-specific tag '!' on a scalar, at line "
+                                         f"{mark.line + 1}, column {mark.column + 1}")
+                whole = True
             if libyaml and event.style in _BLOCK:
                 raise yaml.YAMLError("a block scalar")
-        elif isinstance(event, _OPEN):
+            if whole or event.anchor is not None:
+                whole = True
+                continue
+            value = event.value
+            if event.implicit[0]:
+                data = cache.get(value, _ABSENT)
+                if data is _ABSENT:
+                    data = cache[value] = _plain(value)
+                if data is _WHOLE:
+                    whole = True
+                    continue
+                value = data
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
             depth += 1
             if depth > MAX_DEPTH:
                 raise DocumentError(f"document nests collections deeper than "
                                     f"the limit of {MAX_DEPTH} levels")
-        elif isinstance(event, _CLOSE):
+            if whole or event.anchor is not None or event.tag is not None \
+                    or (top is not None and not in_list and key is _ABSENT):
+                whole = True
+                continue
+            value = {} if kind is yaml.MappingStartEvent else []
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             depth -= 1
-    return yaml.load(text, Loader=loader)
+            if not whole:
+                top, in_list, key = outer.pop()
+            continue
+        elif kind is yaml.StreamEndEvent:
+            return _WHOLE if whole else root
+        else:
+            if kind is yaml.AliasEvent:
+                whole = True
+            elif kind is yaml.DocumentStartEvent:
+                documents += 1
+                whole = whole or documents > 1
+            continue
+        if in_list:
+            top.append(value)
+        elif top is None:
+            root = value
+        elif key is _ABSENT:
+            key = value
+        else:
+            top[key] = value
+            key = _ABSENT
+        if kind is not yaml.ScalarEvent:
+            outer.append((top, in_list, key))
+            top, in_list, key = value, kind is yaml.SequenceStartEvent, _ABSENT
+
+
+def _load(text: str, loader):
+    """The data of text, read by loader as _build says. libyaml hands
+    the pure parser every text with a tab, which PyYAML refuses outside
+    quotes, block scalars and comments, by raising YAMLError."""
+    libyaml = loader is not yaml.SafeLoader
+    if libyaml and "\t" in text:
+        raise yaml.YAMLError("a tab")
+    parser = loader(text)
+    try:
+        data = _build(parser, libyaml)
+    finally:
+        parser.dispose()
+    return yaml.load(text, Loader=loader) if data is _WHOLE else data
 
 
 def load_text(text: str) -> dict:
@@ -146,12 +223,198 @@ def load_text(text: str) -> dict:
     return doc
 
 
-def dump_text(doc: dict) -> str:
-    style = {"sort_keys": False, "default_flow_style": None, "width": 100}
+# -- the emitter ------------------------------------------------------------
+
+_WIDTH = 100
+_WORDS = re.compile(r" +|[^ ]+").findall
+_FLOW_INDICATOR = re.compile(r"[,?\[\]{}:]").search
+_COLLECTIONS = frozenset((dict, list, tuple))
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+class _Outside(Exception):
+    """The document holds a value outside the family that _Emitter writes."""
+
+
+def _texts(s: str) -> tuple:
+    """s as SafeDumper writes it in a block and in a flow context: plain,
+    or single-quoted. The rules of PyYAML's Emitter.analyze_scalar, for
+    printable ASCII."""
+    if not (s.isascii() and s.isprintable()):
+        raise _Outside
+    quoted = "'" + s.replace("'", "''") + "'"
+    if not s or s[0] in "#,[]{}&*!|>'\"%@` " or s[-1] == " " \
+            or s.startswith(("---", "...")) or " #" in s or _tag(s) != _STR:
+        return quoted, quoted
+    spaced = len(s) == 1 or s[1] == " "
+    if (s[0] == "-" and spaced) or ": " in s or (s[-1] == ":" and len(s) > 1):
+        return quoted, quoted
+    block = quoted if s[0] in "?:" and spaced else s
+    return block, quoted if _FLOW_INDICATOR(s) else s
+
+
+class _Emitter:
+    """PyYAML's Emitter as SafeDumper drives it with sort_keys=False,
+    default_flow_style=None and width=100, on finsite's document family.
+    column, whitespace and indention are the Emitter's own state: the
+    column, whether the last character written was a space or a break, and
+    whether the line so far holds only indentation and indicators."""
+
+    def __init__(self):
+        self.out = []
+        self.column = 0
+        self.whitespace = self.indention = True
+        self.seen = set()  # the collections written, by id
+        self.texts = {}  # string -> _texts
+
+    def indicator(self, text: str, need_space: bool, whitespace=False, indention=False):
+        if need_space and not self.whitespace:
+            text = " " + text
+        self.whitespace = whitespace
+        self.indention = self.indention and indention
+        self.column += len(text)
+        self.out.append(text)
+
+    def indent(self, indent: int):
+        if not self.indention or self.column > indent or \
+                (self.column == indent and not self.whitespace):
+            self.out.append("\n")
+            self.column = 0
+            self.whitespace = self.indention = True
+        if self.column < indent:
+            self.out.append(" " * (indent - self.column))
+            self.column = indent
+            self.whitespace = True
+
+    def scalar(self, value, flow: bool, indent: int, split=True):
+        """value at the scalar indent indent; with split it folds at a
+        single space past the width."""
+        kind = value.__class__
+        if kind is int:
+            text = str(value)
+        elif kind is str:
+            texts = self.texts.get(value)
+            if texts is None:
+                texts = self.texts[value] = _texts(value)
+            text = texts[flow]
+            if split and " " in text:
+                return self.fold(text, indent)
+        elif kind is bool or value is None:
+            text = _SCALARS[value]
+        else:
+            raise _Outside
+        if not self.whitespace:
+            text = " " + text
+        self.out.append(text)
+        self.column += len(text)
+        self.whitespace = self.indention = False
+
+    def fold(self, text: str, indent: int):
+        """text, plain or single-quoted, broken at a single space past the
+        width onto a line at indent."""
+        plain = text[0] != "'"
+        if plain:
+            self.indicator("", True)
+        else:
+            self.indicator("'", True)
+            text = text[1:-1]
+        words = _WORDS(text)
+        last = len(words) - 1
+        for i, word in enumerate(words):
+            if word == " " and self.column > _WIDTH and 0 < i < last:
+                self.indent(indent)
+                if plain:
+                    self.whitespace = self.indention = False
+            else:
+                self.out.append(word)
+                self.column += len(word)
+        self.indicator("" if plain else "'", False)
+
+    def key(self, key, flow: bool, indent: int):
+        """key and its ":" in a mapping at indent. An empty key, or one of
+        123 characters or more, takes the explicit "? key" form, written
+        here in flow mappings only: the Emitter counts the key's tag !!str
+        in its limit of 128 characters."""
+        if key.__class__ is not str:
+            raise _Outside
+        if 0 < len(key) < 123:
+            self.scalar(key, flow, indent + 2, split=False)
+            self.indicator(":", False)
+        elif flow:
+            self.indicator("?", True)
+            self.scalar(key, True, indent + 2)
+            if self.column > _WIDTH:
+                self.indent(indent)
+            self.indicator(":", True)
+        else:
+            raise _Outside
+
+    def node(self, node, indent: int, in_mapping: bool):
+        """A value in a block collection at indent."""
+        kind = node.__class__
+        if kind not in _COLLECTIONS:
+            return self.scalar(node, False, indent + 2)
+        if node != () and id(node) in self.seen:
+            raise _Outside
+        self.seen.add(id(node))
+        if _COLLECTIONS.isdisjoint(map(type, node.values() if kind is dict else node)):
+            self.flow(node, indent + 2)
+        elif kind is dict:
+            self.block_mapping(node, indent + 2)
+        else:
+            self.block_sequence(node, indent if in_mapping else indent + 2)
+
+    def flow(self, node, indent: int):
+        """A collection of scalars in flow style, at indent."""
+        mapping = node.__class__ is dict
+        self.indicator("{" if mapping else "[", True, whitespace=True)
+        for i, item in enumerate(node):
+            if i:
+                self.indicator(",", False)
+            if self.column > _WIDTH:
+                self.indent(indent)
+            if mapping:
+                self.key(item, True, indent)
+                item = node[item]
+            self.scalar(item, True, indent + 2)
+        self.indicator("}" if mapping else "]", False)
+
+    def block_mapping(self, node: dict, indent: int):
+        for key, value in node.items():
+            self.indent(indent)
+            self.key(key, False, indent)
+            self.node(value, indent, True)
+
+    def block_sequence(self, node, indent: int):
+        for item in node:
+            self.indent(indent)
+            self.indicator("-", True, indention=True)
+            self.node(item, indent, False)
+
+
+def _emit(doc) -> str | None:
+    """doc as SafeDumper writes it, or None outside the family."""
+    if doc.__class__ is not dict:
+        return None
+    emitter = _Emitter()
+    emitter.seen.add(id(doc))
     try:
-        return yaml.dump(doc, Dumper=_DUMPER, **style)
-    except _NotPlain:
-        return yaml.dump(doc, Dumper=yaml.SafeDumper, **style)
+        if _COLLECTIONS.isdisjoint(map(type, doc.values())):
+            emitter.flow(doc, 2)
+        else:
+            emitter.block_mapping(doc, 0)
+    except _Outside:
+        return None
+    emitter.indent(0)
+    return "".join(emitter.out)
+
+
+def dump_text(doc: dict) -> str:
+    text = _emit(doc)
+    if text is None:
+        text = yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
+                         default_flow_style=None, width=100)
+    return text
 
 
 def _scalar_out(value):

@@ -27,8 +27,8 @@ primality by trial division.
 Helpers the library has no use for (the elements, component generators
 and endomorphism algebras of the Grothendieck construction, the size of
 a set presheaf) live here too.
-PyYAML's pure-Python classes are the reference of the libyaml backend of
-finsite.serialize.
+PyYAML's pure-Python parser and SafeDumper are the reference of the
+libyaml parser and of the emitter of finsite.serialize.
 """
 
 from __future__ import annotations
@@ -1073,10 +1073,17 @@ def trial_division_is_prime(n: int) -> bool:
 # -- the pure-Python YAML classes ----------------------------------------------
 
 
+def pure_dump(doc) -> str:
+    """doc as PyYAML's pure SafeDumper writes it with finsite's style."""
+    return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=None, width=100)
+
+
 @contextlib.contextmanager
 def pure_yaml():
-    """finsite.serialize on PyYAML's pure-Python loader and dumper."""
+    """finsite.serialize on PyYAML's pure-Python parser, and writing every
+    document with the pure SafeDumper instead of its own emitter."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(serialize, "_LOADER", yaml.SafeLoader)
-        patch.setattr(serialize, "_DUMPER", yaml.SafeDumper)
+        patch.setattr(serialize, "_emit", lambda doc: None)
         yield

@@ -358,28 +358,44 @@ HASH_SEED_ARGV = {"orbit S3": ["top", "enumerate", "--gallery", "orbit", "--grou
                   "sheaf check": ["sheaf", "check", *S3, "--presheaf", "{presheaf}",
                                   "--objects", "{objects}"],
                   "mod transport": ["mod", "transport", *S3_F5, "--module", "{module}",
-                                    "--objects", "{objects}"]}
+                                    "--objects", "{objects}"],
+                  "cat validate": ["cat", "validate", "--category", "{category}"],
+                  "cat info": ["cat", "info", *S3],
+                  "gallery list": ["gallery", "list"],
+                  "gallery show": ["gallery", "show", "orbit", "--group", "S3"],
+                  "top subcat": ["top", "subcat", *S3, "--objects", "{objects}"],
+                  "top classify": ["top", "classify", *S3, "--topology", "{topology}"],
+                  "top dense": ["top", "dense", *S3],
+                  "alg gr": ["alg", "gr", *S3_F5],
+                  "mod theta": ["mod", "theta", *S3_F5, "--module", "{module}"],
+                  "mod omega": ["mod", "omega", *S3_F5, "--algebra-module", "{algebra_module}"],
+                  "mod roundtrip": ["mod", "roundtrip", *S3_F5, "--seed", "1", "--count", "1"]}
 
 
 @pytest.fixture(scope="module")
 def s3_f5_documents(tmp_path_factory):
-    """An F5 presheaf on orbit S3, one on D = S3/1 and the subgroups of
-    order 2, and a sheaf module for J^D."""
+    """The category orbit S3, an F5 presheaf on it, one on D = S3/1 and the
+    subgroups of order 2, J^D, and a sheaf module for J^D with its bundled
+    module."""
     import random
 
     from finsite.algebras import constant_algebra_presheaf, field_algebra
     from finsite.category import FullSubcategory
     from finsite.fields import PrimeField
     from finsite.gallery import orbit_category, symmetric_group
+    from finsite.modules import to_algebra_module
     from finsite.sampling import random_linear_presheaf, random_sheaf_module
-    from finsite.serialize import module_presheaf_to_doc
+    from finsite.serialize import algebra_module_to_doc, module_presheaf_to_doc
     cat, k = orbit_category(symmetric_group(3)), PrimeField(5)
     sub = FullSubcategory(cat, ("S3/1", "S3/{e,(23)}", "S3/{e,(12)}", "S3/{e,(13)}"))
     rng = random.Random(3)
-    docs = {"presheaf": presheaf_to_doc(random_linear_presheaf(cat, k, rng)),
+    module = random_sheaf_module(constant_algebra_presheaf(cat, field_algebra(k)), sub, rng)
+    docs = {"category": category_to_doc(cat),
+            "presheaf": presheaf_to_doc(random_linear_presheaf(cat, k, rng)),
             "on_d": presheaf_to_doc(random_linear_presheaf(sub.category, k, rng)),
-            "module": module_presheaf_to_doc(random_sheaf_module(
-                constant_algebra_presheaf(cat, field_algebra(k)), sub, rng))}
+            "topology": topology_to_doc(subcategory_topology(cat, sub.objects)),
+            "module": module_presheaf_to_doc(module),
+            "algebra_module": algebra_module_to_doc(to_algebra_module(module))}
     out = tmp_path_factory.mktemp("s3-f5")
     paths = {"objects": ",".join(sub.objects)}
     for name, doc in docs.items():
@@ -426,6 +442,27 @@ def test_large_prime_p_answers_at_once():
     large = run_cli_process(*argv, "1000000000000000003")
     assert (large.returncode, large.stderr) == (0, "")
     assert large.stdout == run_cli_process(*argv, "7").stdout
+
+
+@pytest.mark.parametrize("source", [["orbit", "--group", "C180"],
+                                    ["orbit-p", "--group", "C120", "--p", "2"]],
+                         ids=["orbit C180", "orbit-p C120"])
+def test_oversized_orbit_groups_are_refused_before_they_are_built(source):
+    # building and checking C180 took 2.4 s before subgroups() refused it
+    from finsite.groups import MAX_SUBGROUP_ORDER
+    start = time.perf_counter()
+    run = run_cli_process("cat", "info", "--gallery", *source)
+    elapsed = time.perf_counter() - start
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert f"|G| <= {MAX_SUBGROUP_ORDER}," in run.stderr
+    assert elapsed < 1.0
+
+
+def test_group_gallery_is_not_held_to_the_subgroup_limit(capsys):
+    # C25 rather than C180, whose one-object category takes seconds to build
+    code, out, err = run_cli(capsys, "cat", "info", "--gallery", "group", "--group", "C25")
+    assert (code, err) == (0, "") and yaml.safe_load(out)["morphisms"] == 25
 
 
 @pytest.mark.parametrize("argv", [["top", "enumerate", "--gallery", "orbit", "--group", "S3"],

@@ -1,3 +1,5 @@
+import functools
+import os
 import random
 
 import pytest
@@ -25,7 +27,7 @@ from finsite.serialize import (DocumentError, algebra_module_from_doc,
                                topology_to_doc)
 from finsite.topology import enumerate_topologies, subcategory_topology
 
-from oracles import pure_yaml
+from oracles import pure_dump, pure_yaml
 
 
 def roundtrip(doc):
@@ -176,7 +178,7 @@ def test_bad_scalar_strings_rejected(chain3, f5, rationals, raw):
 
 class TestWithThePureClasses:
     """Every test above, with finsite.serialize on PyYAML's pure-Python
-    loader and dumper instead of libyaml."""
+    parser and SafeDumper instead of libyaml and its own emitter."""
 
     pytestmark = pytest.mark.usefixtures("pure_yaml_backend")
 
@@ -186,7 +188,7 @@ for _name, _test in list(globals().items()):
         setattr(TestWithThePureClasses, _name, staticmethod(_test))
 
 
-# -- the libyaml backend against the pure-Python classes ----------------------
+# -- the emitter and the libyaml parser against PyYAML's pure classes ---------
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML was built without libyaml")
@@ -195,63 +197,96 @@ BACKENDS = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 # Scalars that need quoting or look like other types, and a leading "-".
 AWKWARD = ["1/2", "yes", "null", "S3/{e,(23)}", "-x", "- a", "-1/3", "~", "a: b", "#x",
-           "'", '"', "on", "1e3", "0x1F", "2001-01-01", " padded ", "[a]", "{b}"]
+           "'", '"', "on", "1e3", "0x1F", "2001-01-01", " padded ", "[a]", "{b}", "?x",
+           "? x", ":x", "a:", "a #b", "a#b", "---x", "...", "<<", "=", "!x", "a, b"]
 PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+# Object names of the orbit categories, and element names of sheafified set
+# presheaves: tuples of names, quoted and spaced, longer than a line.
+OBJECT_NAMES = st.builds(lambda g, es: f"{g}/{{{','.join(es)}}}",
+                         st.sampled_from(["S3", "S4", "C2"]),
+                         st.lists(st.sampled_from(["e", "(12)", "(23)", "(123)", "r2"]),
+                                  min_size=1, max_size=4))
+SPACED = st.lists(st.one_of(OBJECT_NAMES, st.text(PRINTABLE, max_size=8)), min_size=2,
+                  max_size=40).map(lambda names: "(" + ", ".join(map(repr, names)) + ")")
 PLAIN_SCALARS = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.none(),
-                          st.sampled_from(AWKWARD + [""]), st.text(PRINTABLE, max_size=300))
-# libyaml writes empty keys and keys of 123 to 128 characters otherwise
-PLAIN_KEYS = st.one_of(st.sampled_from(AWKWARD), st.text(PRINTABLE, min_size=1, max_size=12),
-                       st.text(PRINTABLE, min_size=129, max_size=200))
+                          st.sampled_from(AWKWARD + [""]), st.text(PRINTABLE, max_size=300),
+                          OBJECT_NAMES, SPACED)
+# keys the Emitter writes in the simple "key:" form
+SIMPLE_KEYS = st.one_of(st.sampled_from(AWKWARD), st.text(PRINTABLE, min_size=1, max_size=12),
+                        st.text(PRINTABLE, min_size=100, max_size=122), OBJECT_NAMES)
+PLAIN_KEYS = st.one_of(SIMPLE_KEYS, st.text(PRINTABLE, min_size=123, max_size=200), SPACED)
 NON_ASCII = st.one_of(st.sampled_from(["é", "Ωmega", "日本", "S3/{e,(23)}→x"]),
                       st.text(max_size=40), st.text(min_size=40, max_size=120))
 ANY_KEYS = st.one_of(PLAIN_KEYS, NON_ASCII, st.just(""),
                      st.text(PRINTABLE, min_size=120, max_size=131))
 # flow lists of integers wider than the 100 columns of the dump
 WIDE_LISTS = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=30, max_size=60)
+# structure constant tables, as in alg skew
+TABLES = st.lists(st.lists(st.lists(st.integers(-3, 10 ** 4), max_size=8), min_size=1,
+                           max_size=5), min_size=1, max_size=5)
 
 
 def documents(scalars, keys):
     nodes = st.recursive(scalars, lambda inner: st.one_of(
-        st.lists(inner, max_size=5), st.dictionaries(keys, inner, max_size=4), WIDE_LISTS),
-        max_leaves=25)
-    return st.dictionaries(keys, nodes, min_size=1, max_size=5)
+        st.lists(inner, max_size=5), st.dictionaries(keys, inner, max_size=4), WIDE_LISTS,
+        TABLES), max_leaves=25)
+    # a flat top-level mapping, such as {sheaf: true}, is written in flow style
+    return st.one_of(st.dictionaries(keys, nodes, min_size=1, max_size=5),
+                     st.dictionaries(keys, scalars, min_size=1, max_size=8))
 
 
-def _pure_dump(doc) -> str:
-    with pure_yaml():
-        return dump_text(doc)
+def shared(docs, scalars):
+    """docs with one list in three places, which SafeDumper writes once,
+    with an anchor, and then as aliases."""
+    return st.builds(lambda doc, row: {**doc, "rows": [row, row], "row": row},
+                     docs, st.lists(scalars, max_size=6))
+
+
+def _pure_load(text: str):
+    return serialize._load(text, yaml.SafeLoader)
 
 
 @needs_libyaml
 @BACKENDS
-@given(documents(PLAIN_SCALARS, PLAIN_KEYS))
-def test_libyaml_writes_the_pure_bytes_on_plain_documents(doc):
-    """On printable ASCII with no key empty or 123 to 128 long, libyaml's own
-    emitter already writes the pure bytes, so no document is rewritten."""
-    expected = _pure_dump(doc)
+@given(documents(PLAIN_SCALARS, SIMPLE_KEYS))
+def test_the_emitter_writes_the_pure_bytes_on_family_documents(doc):
+    """On printable ASCII with no key in a block mapping empty or 123
+    characters long, the emitter writes SafeDumper's bytes itself."""
+    expected = pure_dump(doc)
+    assert serialize._emit(doc) == expected
     assert dump_text(doc) == expected
-    assert yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=False,
-                     default_flow_style=None, width=100) == expected
-    assert serialize._load(expected, yaml.CSafeLoader) == \
-        serialize._load(expected, yaml.SafeLoader) == doc
+    assert serialize._load(expected, yaml.CSafeLoader) == _pure_load(expected) == doc
 
 
 @needs_libyaml
 @BACKENDS
-@given(documents(st.one_of(PLAIN_SCALARS, NON_ASCII), ANY_KEYS))
+@given(st.one_of(documents(st.one_of(PLAIN_SCALARS, NON_ASCII), ANY_KEYS),
+                 shared(documents(PLAIN_SCALARS, PLAIN_KEYS), PLAIN_SCALARS)))
 def test_both_backends_write_the_same_bytes(doc):
-    expected = _pure_dump(doc)
+    expected = pure_dump(doc)
     assert dump_text(doc) == expected
-    assert serialize._load(expected, yaml.CSafeLoader) == \
-        serialize._load(expected, yaml.SafeLoader) == doc
+    with pure_yaml():
+        assert dump_text(doc) == expected
+    assert serialize._load(expected, yaml.CSafeLoader) == _pure_load(expected) == doc
 
 
-@needs_libyaml
-@pytest.mark.parametrize("doc", [{"": 1}, {"k": {"a" * 125: [1]}}, {"k": "é" * 40},
-                                 {"k": ["x\ty" * 30]}], ids=["empty key", "key of 125",
-                                                             "escaped text", "tabs"])
-def test_documents_libyaml_writes_otherwise_are_written_by_the_pure_dumper(doc):
-    assert dump_text(doc) == _pure_dump(doc)
+OUTSIDE = {"empty key": {"": [1]}, "key of 123": {"k": {"a" * 123: [1]}},
+           "escaped text": {"k": "é" * 40}, "tabs": {"k": ["x\ty" * 30]},
+           "a line break": {"k": [["a\nb"]]}, "a shared list": {"k": [[1], [2]]}}
+OUTSIDE["a shared list"]["again"] = OUTSIDE["a shared list"]["k"][0]
+
+
+@pytest.mark.parametrize("doc", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_documents_outside_the_family_are_written_by_the_pure_dumper(doc):
+    assert serialize._emit(doc) is None
+    assert dump_text(doc) == pure_dump(doc)
+
+
+@pytest.mark.parametrize("doc", [{"k": {"": 1, "b": 2}}, {"k": {"a" * 200: "x"}, "v": [[]]},
+                                 {"k": {"a" * 122: [1]}}],
+                         ids=["empty key", "long key", "key of 122"])
+def test_explicit_keys_of_flow_mappings_and_keys_of_122_are_in_the_family(doc):
+    assert serialize._emit(doc) == pure_dump(doc)
 
 
 HOSTILE = {
@@ -307,3 +342,134 @@ def test_nesting_up_to_the_limit_is_read():
     assert v == []
     with pytest.raises(DocumentError, match="limit of 100 levels"):
         load_text(_nested(serialize.MAX_DEPTH + 1))
+
+
+HEADER = "format: finsite/1\nkind: x\n"
+HANDED_TO_YAML_LOAD = {
+    "anchor and alias": "a: &r [1, 2]\nb: *r\n",
+    "anchor alone": "a: &r [1, 2]\n",
+    "merge key": "base: &b {p: 1}\nd:\n  <<: *b\n  q: 2\n",
+    "explicit tags": 'a: !!int "3"\nb: !!str 4\nc: !!float 1\n',
+    "collection as a key": "? [a, b]\n: 1\n",
+    "flow mapping as a key": "{a: 1}: 2\n",
+    "tagged collection": "s: !!set {a, b}\n",
+}
+
+
+@pytest.mark.parametrize("text", HANDED_TO_YAML_LOAD.values(), ids=HANDED_TO_YAML_LOAD.keys())
+def test_constructs_finsite_never_writes_are_read_as_safe_load_reads_them(text):
+    text = HEADER + text
+    try:
+        expected = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        with pytest.raises(DocumentError) as got:
+            load_text(text)
+        assert str(got.value) == f"not valid YAML: {exc}"
+    else:
+        assert load_text(text) == expected
+        with pure_yaml():
+            assert load_text(text) == expected
+
+
+# -- the one-pass loader against the pure loader, on mutated documents --------
+
+
+@functools.cache
+def _fuzz_bases() -> list:
+    """Texts of the shapes the workloads read: a category, a topology on
+    orbit names, a linear presheaf, a set presheaf with long spaced names,
+    and a skew algebra's nested table."""
+    from finsite.fields import PrimeField
+    from finsite.gallery import orbit_category, symmetric_group
+    chain3, f2 = chain_poset(3), PrimeField(2)
+    orbit = orbit_category(symmetric_group(3))
+    name = "(" + ", ".join(["'S3/1#0'", "'S3/1#1'"] * 12) + ")"
+    spaced = {"format": "finsite/1", "kind": "presheaf", "flavor": "set",
+              "values": {"S3/1": [name, "a b"]}, "maps": {"1": {name: name, "a b": "a b"}}}
+    return [dump_text(doc) for doc in (
+        category_to_doc(chain3),
+        topology_to_doc(subcategory_topology(
+            orbit, ("S3/1", "S3/{e,(23)}", "S3/{e,(12)}", "S3/{e,(13)}"))),
+        presheaf_to_doc(constant_linear_presheaf(chain3, PrimeField(5), 2)),
+        spaced,
+        skew_algebra_to_doc(skew_category_algebra(
+            chain3, constant_algebra_presheaf(chain3, field_algebra(f2)))))]
+
+
+# YAML's indicators and the constructs the one-pass builder hands to yaml.load
+FUZZ_TOKENS = ["\t", "!", "! ", "!!int ", "!!str ", "!foo ", "&a ", "*a", "&a [1]", "<<: ",
+               "<<: *a", "? ", "[" * 3, "[" * 101, ": ", "- ", "'", '"', "#", "{", "}", ",",
+               "\n", " ", "|", ">", "|#\n", "---\n", "...\n", "%YAML 1.1\n---\n", "~", "=",
+               "1e3", ".nan", "2001-13-45", "0x"]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(st.sampled_from(_fuzz_bases()))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        token = draw(st.one_of(st.sampled_from(FUZZ_TOKENS),
+                               st.text(PRINTABLE, min_size=1, max_size=3)))
+        cut = draw(st.sampled_from((0, len(token))))  # insert, or replace
+        if draw(st.booleans()):
+            token = ""  # delete
+        text = text[:at] + token + text[at + cut:]
+    return text
+
+
+def _read(text: str) -> str:
+    try:
+        return repr(load_text(text))  # repr, since nan != nan
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+@needs_libyaml
+@settings(max_examples=250, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents())
+def test_the_one_pass_loader_reads_mutated_documents_as_the_pure_loader(text):
+    got = _read(text)
+    with pure_yaml():
+        assert got == _read(text)
+    if not got.startswith("DocumentError: "):
+        assert got == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+LADDERBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "ladderbench")
+
+
+def test_workload_documents_take_neither_yaml_load_nor_the_pure_dumper(tmp_path, monkeypatch):
+    """Every document that the four benchmark workloads write at set-up,
+    and that their commands read and write in one pass, is built from one
+    parse and written by the emitter."""
+    import contextlib
+    import io
+
+    from finsite import cli
+    monkeypatch.syspath_prepend(LADDERBENCH)
+    import workloads
+    counts = {"emitted": 0, "dumped": 0, "built": 0, "loaded": 0}
+    emit, build = serialize._emit, serialize._build
+
+    def counting_emit(doc):
+        text = emit(doc)
+        counts["emitted" if text is not None else "dumped"] += 1
+        return text
+
+    def counting_build(parser, libyaml):
+        data = build(parser, libyaml)
+        counts["loaded" if data is serialize._WHOLE else "built"] += 1
+        return data
+
+    monkeypatch.setattr(serialize, "_emit", counting_emit)
+    monkeypatch.setattr(serialize, "_build", counting_build)
+    for name in workloads.WORKLOADS:
+        (tmp_path / name).mkdir()
+        for op in workloads.BUILDERS[name](workloads.Builder(str(tmp_path / name), 5)):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(list(op.argv))
+    assert counts["dumped"] == counts["loaded"] == 0
+    assert counts["emitted"] > 200 and counts["built"] > 150
