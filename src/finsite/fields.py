@@ -2,23 +2,23 @@
 
 Two coefficient fields are supported: prime fields (elements are ints
 canonicalised to ``0..p-1``) and the rationals (elements are
-``fractions.Fraction``).  Floating point never appears anywhere.
+``fractions.Fraction``).  Floating point never appears anywhere.  The
+field classes hold scalar arithmetic only.
 
 Matrices are immutable ``Matrix(rows, cols, data)`` records so that
-zero-dimensional spaces keep their shape information.  All eliminations
-are Gauss-Jordan over the field, with pivot columns taken in order, so
-reduced forms and the bases derived from them are canonical.  Over F_p
-it runs on sparse rows, dicts from column to nonzero entry (see
-_sparse_rref), and ``sparse_null_space`` takes equations in that form.
+zero-dimensional spaces keep their shape information.  Two kernels do
+the matrix work, and every other operation here is one of them:
 
-Over F_p the products work on whole rows through three primitives of the
-field: ``dot``, ``axpy`` and ``scale``, and a dot product is reduced once.
-The larger products and linear combinations pack each row into one
-Python int, with slots wide enough that no sum carries from one entry
-into the next, so a row of the result is one C-level sum, reduced once
-per entry at the end (delayed reduction, as in FFLAS-FFPACK).  Over Q,
-``mat_mul`` and ``rref`` clear the denominators of each row once, compute
-on Python ints, and build one ``Fraction`` per output entry at the end.
+* ``mat_mul``, the product: over Q on integer rows, over F_p packed for
+  the larger products (each row in one Python int, reduced once per
+  entry at the end, delayed reduction as in FFLAS-FFPACK) and on rows
+  for the others.  Matrix-vector products, sums, scalings and linear
+  combinations are products too.
+* ``rref``, Gauss-Jordan with pivot columns taken in order, so reduced
+  forms and the bases derived from them are canonical: over F_p on
+  sparse rows, dicts from column to nonzero entry (see _sparse_rref;
+  ``sparse_null_space`` takes equations in that form), over Q
+  fraction-free on Python ints.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class PrimeField:
     enumerable = True
     zero = 0
     one = 1
-    row_sum_ratio = 4  # see mat_mul
 
     def __init__(self, p: int):
         if p >= 2 ** 64:
@@ -114,18 +113,6 @@ class PrimeField:
         if a % self.p == 0:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def dot(self, a, b):
-        return sum(map(operator.mul, a, b)) % self.p
-
-    def axpy(self, c, x, y) -> list:
-        """y + c x, entrywise."""
-        p = self.p
-        return [(b + c * a) % p for a, b in zip(x, y)]
-
-    def scale(self, c, x) -> list:
-        p = self.p
-        return [c * a % p for a in x]
 
     def elements(self):
         return range(self.p)
@@ -175,17 +162,6 @@ class RationalField:
         if a == 0:
             raise FieldError("division by zero")
         return 1 / Fraction(a)
-
-    def dot(self, a, b):
-        return sum((x * y for x, y in zip(a, b) if x and y), self.zero)
-
-    def axpy(self, c, x, y) -> list:
-        """y + c x, entrywise."""
-        return [b + c * a if a else b for a, b in zip(x, y)]
-
-    def scale(self, c, x) -> list:
-        zero = self.zero
-        return [c * a if a else zero for a in x]
 
     def elements(self):
         raise FieldError("the rationals are not enumerable")
@@ -266,10 +242,6 @@ def zero_matrix(field, rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, ((field.zero,) * cols,) * rows)
 
 
-def zero_vec(field, n: int) -> tuple:
-    return (field.zero,) * n
-
-
 def unit_vec(field, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
@@ -278,14 +250,10 @@ def vec(field, seq) -> tuple:
     return tuple(field.of(x) for x in seq)
 
 
-def vec_sub(field, a, b) -> tuple:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
 def mat_vec(field, a: Matrix, v: Sequence) -> tuple:
     if a.cols != len(v):
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {len(v)}")
-    return tuple(field.dot(row, v) for row in a.data)
+    return tuple(r[0] for r in mat_mul(field, a, Matrix(len(v), 1, tuple((x,) for x in v))).data)
 
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -334,36 +302,39 @@ def _unpacked(p: int, sums: list, size: int, width: int):
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
     """A B. Over Q see _rational_mat_mul. Over F_p the larger products are
-    packed (see _packed_mat_mul) and the others stay on the row primitives:
-    where at most 1/row_sum_ratio of the entries of a row of A are nonzero
-    and face a nonzero row of B, that row of the product adds up those rows
-    of B; otherwise it takes one dot product per column. The ratio is 4:
-    rows alone or dot products alone took 15-50% more time on the products
-    of the bundle and sheafify benchmark workloads, and any ratio from 2 to
-    8 is as fast as 4. The zero of the field is its only falsy element."""
+    packed (see _packed_mat_mul) and the others run on rows: where at most
+    a quarter of the entries of a row of A are nonzero and face a nonzero
+    row of B, that row of the product adds up those rows of B, reduced at
+    each step; otherwise it takes one dot product per column of B, reduced
+    once. The ratio is 4: rows alone or dot products alone took 15-50% more
+    time on the products of the bundle and sheafify benchmark workloads,
+    and any ratio from 2 to 8 is as fast as 4. The zero of the field is its
+    only falsy element."""
     if a.cols != b.rows:
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     if isinstance(field, RationalField):
         return _rational_mat_mul(a, b)
-    product = _packed_mat_mul(field.p, a, b)
+    p = field.p
+    product = _packed_mat_mul(p, a, b)
     if product is not None:
         return product
-    zero = field.zero
     live = [j for j, r in enumerate(b.data) if any(r)]
     bt = None
     out = []
     for row in a.data:
         support = list(itertools.compress(live, map(row.__getitem__, live)))
         if not support:
-            out.append((zero,) * b.cols)
-        elif field.row_sum_ratio * len(support) <= a.cols:
-            acc = field.scale(row[support[0]], b.data[support[0]])
+            out.append((0,) * b.cols)
+        elif 4 * len(support) <= a.cols:
+            c = row[support[0]]
+            acc = [c * x % p for x in b.data[support[0]]]
             for j in support[1:]:
-                acc = field.axpy(row[j], b.data[j], acc)
+                c = row[j]
+                acc = [(y + c * x) % p for x, y in zip(b.data[j], acc)]
             out.append(tuple(acc))
         else:
             bt = bt or tuple(zip(*b.data))
-            out.append(tuple(map(field.dot, itertools.repeat(row), bt)))
+            out.append(tuple([sum(map(operator.mul, row, col)) % p for col in bt]))
     return Matrix(a.rows, b.cols, tuple(out))
 
 
@@ -382,7 +353,7 @@ def _packed_mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix | None:
     products are turned down after a few row counts. On a grid of 1,200
     shapes from 2x2 by 2x1 to 90x34 by 34x16, with A and B from 5% to 100%
     dense, mat_mul packed 247 of them over F_5 and 166 at p = 2^64-59 and
-    ran them in a median 0.51 and 0.63 of the time of the row primitives
+    ran them in a median 0.51 and 0.63 of the time of the route on rows
     alone; the others paid for the check, a median 4% and 3% more."""
     if a.rows < 4 or a.rows * b.cols < 16 or a.rows * a.cols * b.cols < 256:
         return None
@@ -457,19 +428,17 @@ def _rational_mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_add(field, a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise FieldError("shape mismatch in addition")
-    return Matrix(a.rows, a.cols, tuple(tuple(field.add(x, y) for x, y in zip(ra, rb))
-                                        for ra, rb in zip(a.data, b.data)))
+    return mat_combination(field, (field.one, field.one), (a, b), a.rows, a.cols)
 
 
 def mat_sub(field, a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise FieldError("shape mismatch in subtraction")
-    return Matrix(a.rows, a.cols, tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb))
-                                        for ra, rb in zip(a.data, b.data)))
+    return mat_combination(field, (field.one, field.neg(field.one)), (a, b), a.rows, a.cols)
 
 
 def mat_scale(field, c, a: Matrix) -> Matrix:
-    return Matrix(a.rows, a.cols, tuple(tuple(field.scale(c, r)) for r in a.data))
+    return mat_combination(field, (c,), (a,), a.rows, a.cols)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -527,47 +496,16 @@ def block_diagonal(field, mats) -> Matrix:
 
 def mat_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """The sum of c * a over the pairs (c, a) of coeffs and mats, all of
-    shape rows x cols. A single coefficient one, as in the action of a
-    basis element, returns its matrix itself. Over Q it is the product of
-    the row of coefficients with the matrices laid out as rows, on integer
-    rows. Over F_p the larger sums are packed (see _packed_combination);
-    the others add rows with axpy."""
+    shape rows x cols: the product of the row of nonzero coefficients with
+    the matrices, each flattened into a row. A single coefficient one, as
+    in the action of a basis element, returns its matrix itself."""
     pairs = [(c, a) for c, a in zip(coeffs, mats) if c]
     if len(pairs) == 1 and pairs[0][0] == field.one:
         return pairs[0][1]
-    if isinstance(field, RationalField):
-        flat = _rational_mat_mul(
-            Matrix(1, len(pairs), (tuple(c for c, _ in pairs),)),
-            Matrix(len(pairs), rows * cols,
-                   tuple(tuple(itertools.chain.from_iterable(a.data)) for _, a in pairs)),
-        ).data[0]
-        return Matrix(rows, cols, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
-    combination = _packed_combination(field.p, pairs, rows, cols)
-    if combination is not None:
-        return combination
-    acc = zero_matrix(field, rows, cols).data
-    for c, a in pairs:
-        acc = [field.axpy(c, ar, er) for er, ar in zip(acc, a.data)]
-    return Matrix(rows, cols, tuple(map(tuple, acc)))
-
-
-def _packed_combination(p: int, pairs: list, rows: int, cols: int) -> Matrix | None:
-    """The sum of c * a over pairs over F_p with each matrix a packed into
-    one int (see _pack_rows) in slots of _slot_bytes(t * (p - 1)^2) bytes
-    for the t pairs, and the sum unpacked once. None when the matrices
-    have fewer than 16 rows in all, or the slots are wider than 8 bytes:
-    on a grid of 600 sums of 1 to 16 terms from 1x1 to 34x34 over F_5 and
-    F_65537, these bounds packed 360, none more than 6% slower than axpy
-    (in the median half its time), while 129 of the other 240 ran more
-    than 10% slower packed; at p = 2^61-1 and 2^64-59 even sums of 16 rows
-    or more were, 28 of 360."""
-    width = _slot_bytes(len(pairs) * (p - 1) ** 2)
-    if width > 8 or len(pairs) * rows < 16 or not cols:
-        return None
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(a.data) for _, a in pairs)
-    packed = _pack_rows(p, entries, len(pairs), rows * cols, width)
-    total = sum(map(operator.mul, [c for c, _ in pairs], packed))
-    return Matrix(rows, cols, tuple(zip(*[_unpacked(p, [total], rows * cols, width)] * cols)))
+    flat = mat_mul(field, Matrix(1, len(pairs), (tuple(c for c, _ in pairs),)),
+                   Matrix(len(pairs), rows * cols, tuple(
+                       tuple(itertools.chain.from_iterable(a.data)) for _, a in pairs))).data[0]
+    return Matrix(rows, cols, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
 
 
 def _sparse_rows(rows) -> list:

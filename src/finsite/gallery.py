@@ -112,12 +112,14 @@ def split_idempotent_category() -> FiniteCategory:
 
 
 def group_category(group: FiniteGroup) -> FiniteCategory:
-    """A group as a one-object category; compose(g, f) is the product gf."""
+    """A group as a one-object category; compose(g, f) is the product gf.
+    The group has checked its table for the category axioms: totality,
+    associativity and the identity."""
     obj = "*"
     morphisms = [Morphism(e, obj, obj) for e in group.elements]
     identity = {obj: group.identity}
     compose = {(g, f): group.mult(g, f) for g in group.elements for f in group.elements}
-    return FiniteCategory([obj], morphisms, identity, compose, name=f"B{group.name}")
+    return FiniteCategory._trusted([obj], morphisms, identity, compose, name=f"B{group.name}")
 
 
 class OrbitCategory(FiniteCategory):

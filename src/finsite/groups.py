@@ -30,14 +30,6 @@ class FiniteGroup:
         if problems:
             raise InvalidGroupError(problems)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.identity = next(e for e in self.elements
-                             if all(self.table[(e, b)] == b for b in self.elements))
-        self._inv = {}
-        for a in self.elements:
-            for b in self.elements:
-                if self.table[(a, b)] == self.identity and self.table[(b, a)] == self.identity:
-                    self._inv[a] = b
-                    break
 
     @classmethod
     def from_rows(cls, elements, rows, *, name="G"):
@@ -50,6 +42,8 @@ class FiniteGroup:
         return cls(elements, table, name=name)
 
     def _check(self) -> list[str]:
+        """Every violation of the group axioms; on a group, the identity
+        and the inverses found are kept as self.identity and self._inv."""
         problems = []
         if len(set(self.elements)) != len(self.elements):
             problems.append("duplicate element names")
@@ -73,11 +67,14 @@ class FiniteGroup:
         if len(idents) != 1:
             problems.append("no two-sided identity element")
             return problems
-        e = idents[0]
+        e = self.identity = idents[0]
+        self._inv = {}
         for a in self.elements:
-            if not any(self.table[(a, b)] == e and self.table[(b, a)] == e
-                       for b in self.elements):
+            b = next((b for b in self.elements
+                      if self.table[(a, b)] == e and self.table[(b, a)] == e), None)
+            if b is None:
                 problems.append(f"no inverse for {a!r}")
+            self._inv[a] = b
         return problems
 
     def mult(self, a: str, b: str) -> str:

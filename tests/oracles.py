@@ -17,9 +17,9 @@ coset maps for orbit categories, a direct category-algebra table,
 textbook dense tables of the stock algebras, the skew category algebra
 with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
-matrix kernels and dense associativity check that the row primitives of
-the fields replaced, with the null space and inverse read off them, the
-dense Gauss-Jordan loop over F_p that the sparse elimination replaced, the
+matrix kernels and dense associativity check that the kernels of the
+fields replaced, with the null space and inverse read off them (the
+Gauss-Jordan loop is also the oracle of the sparse elimination), the
 quotient module with its complement grown one unit vector at a time,
 the generated submodule, the congruence of a random set presheaf and the
 generated co-ideal each grown round by round until nothing grows, and
@@ -46,7 +46,7 @@ from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubi
                               iso_classes, strictly_full_karoubian_subcategories)
 from finsite.fields import (Matrix, col_space, hstack, inverse, mat_mul, matrix,
                             matrix_from_cols, null_space, rank, solve, solve_matrix,
-                            unit_vec, vec_sub, zero_vec)
+                            unit_vec)
 from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
 from finsite.sampling import MAX_CONSTANTS, MAX_GENERATORS, MAX_RELATIONS
@@ -743,7 +743,7 @@ def searched_matrix_algebra_isomorphism(skew, target):
     k = skew.field
     assert skew.dim == 4 and target.dim == 4
     elements = [tuple(c) for c in itertools.product(k.elements(), repeat=4)]
-    zero = zero_vec(k, 4)
+    zero = (k.zero,) * 4
     idempotents = [v for v in elements
                    if target.mul(v, v) == v and v != zero and v != target.unit]
     square_zero = [v for v in elements if target.mul(v, v) == zero and v != zero]
@@ -792,7 +792,7 @@ def searched_matrix_algebra_isomorphism(skew, target):
         return sol
 
     for p in idempotents:
-        base = {0: p, 1: vec_sub(k, target.unit, p)}
+        base = {0: p, 1: tuple(map(k.sub, target.unit, p))}
         if not committed_ok(base):
             continue
         for q in square_zero:
@@ -861,30 +861,6 @@ def scalar_rref(field, a: Matrix):
     return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
 
 
-def dense_rref(field, a: Matrix):
-    """Gauss-Jordan over F_p on whole dense rows with the row primitives
-    of the field, each pivot the first nonzero entry of its column: the
-    loop that the sparse elimination of the library replaced."""
-    rows = [list(r) for r in a.data]
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        pivot_row = next((i for i in range(r, a.rows) if rows[i][c] != zero), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r] = field.scale(field.inv(rows[r][c]), rows[r])
-        for i in range(a.rows):
-            if i != r and rows[i][c] != zero:
-                rows[i] = field.axpy(field.neg(rows[i][c]), pivot, rows[i])
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    return Matrix(a.rows, a.cols, tuple(tuple(x) for x in rows)), tuple(pivots)
-
-
 def scalar_null_space(field, a: Matrix) -> list:
     """The kernel basis from scalar_rref, one column tuple per free variable."""
     r, pivots = scalar_rref(field, a)
@@ -909,6 +885,20 @@ def scalar_inverse(field, a: Matrix) -> Matrix | None:
     return Matrix(n, n, tuple(row[n:] for row in reduced.data))
 
 
+def scalar_solve(field, a: Matrix, v) -> tuple | None:
+    """The solution of A x = v with the free variables zero, read off the
+    scalar_rref of [A | v], or None when v leaves the column space of A."""
+    n = a.cols
+    reduced, pivots = scalar_rref(field, Matrix(a.rows, n + 1, tuple(
+        row + (x,) for row, x in zip(a.data, v))))
+    if n in pivots:
+        return None
+    x = [field.zero] * n
+    for row, c in zip(reduced.data, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
 def scalar_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """The sum of c a over the pairs of coeffs and mats, entry by entry."""
     c = Matrix(1, len(coeffs), (tuple(coeffs),))
@@ -920,7 +910,7 @@ def scalar_combination(field, coeffs, mats, rows: int, cols: int) -> Matrix:
 def dense_mul(alg, u, v) -> tuple:
     """u v by the dense structure-constant table."""
     k = alg.field
-    out = list(zero_vec(k, alg.dim))
+    out = [k.zero] * alg.dim
     v_nonzero = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
         if not a:

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from finsite.fields import (FieldError, PrimeField, RationalField, _is_prime,
+from finsite.fields import (FieldError, Matrix, PrimeField, RationalField, _is_prime,
                             block_diagonal, block_offsets, col_space,
-                            field_by_label, hstack, identity_matrix,
-                            inverse, mat_mul, mat_vec, matrix, matrix_from_cols,
-                            null_space, rank, rref, solve, solve_matrix,
-                            transpose, vstack, zero_matrix)
-from oracles import trial_division_is_prime
+                            field_by_label, hstack, identity_matrix, in_column_span,
+                            inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
+                            matrix, matrix_from_cols, null_space, rank, rref, solve,
+                            solve_matrix, transpose, vstack, zero_matrix)
+from oracles import scalar_combination, scalar_mat_vec, scalar_solve, trial_division_is_prime
+
+HELPER_FIELDS = [PrimeField(2), PrimeField(5), PrimeField(2 ** 64 - 59), RationalField()]
 
 
 def test_prime_field_arithmetic():
@@ -156,3 +158,59 @@ def test_block_layout_on_empty_and_zero_size_blocks():
                               [0, 0, 0, 0, 0],
                               [0, 0, 0, 0, 3],
                               [0, 0, 0, 0, 4]])
+
+
+def _random(field, rng, rows, cols):
+    return Matrix(rows, cols, tuple(tuple(field.rand(rng) if rng.random() < 0.6 else field.zero
+                                          for _ in range(cols)) for _ in range(rows)))
+
+
+def _elements(field, m: Matrix) -> bool:
+    kind = Fraction if not field.char else int
+    return all(type(x) is kind and (not field.char or 0 <= x < field.char)
+               for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=lambda k: k.label)
+def test_sums_scalings_and_solves_equal_the_scalar_oracles(field):
+    """mat_add, mat_sub and mat_scale against the entrywise combination,
+    solve and in_column_span against Gauss-Jordan on [A | v], with right
+    sides inside the column space and random ones, on empty shapes too."""
+    rng = random.Random(23)
+    one = field.one
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 6))
+                                         for _ in range(20)]
+    for rows, cols in shapes:
+        a, b = _random(field, rng, rows, cols), _random(field, rng, rows, cols)
+        for got, coeffs in ((mat_add(field, a, b), (one, one)),
+                            (mat_sub(field, a, b), (one, field.neg(one)))):
+            assert got == scalar_combination(field, coeffs, (a, b), rows, cols)
+            assert (got.rows, got.cols) == (rows, cols) and _elements(field, got)
+        for c in (field.rand(rng), field.zero, one):
+            got = mat_scale(field, c, a)
+            assert got == scalar_combination(field, (c,), (a,), rows, cols)
+            assert (got.rows, got.cols) == (rows, cols) and _elements(field, got)
+        inside = scalar_mat_vec(field, a, tuple(field.rand(rng) for _ in range(cols)))
+        for v in (inside, tuple(field.rand(rng) for _ in range(rows))):
+            want = scalar_solve(field, a, v)
+            assert solve(field, a, v) == want
+            assert in_column_span(field, a, v) == (want is not None)
+        assert scalar_mat_vec(field, a, scalar_solve(field, a, inside)) == inside
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=lambda k: k.label)
+def test_sums_and_solves_refuse_mismatched_shapes(field):
+    for a, b in ((zero_matrix(field, 2, 3), zero_matrix(field, 3, 2)),
+                 (zero_matrix(field, 0, 3), zero_matrix(field, 0, 2)),
+                 (zero_matrix(field, 3, 0), zero_matrix(field, 2, 0))):
+        with pytest.raises(FieldError, match="shape mismatch in addition"):
+            mat_add(field, a, b)
+        with pytest.raises(FieldError, match="shape mismatch in subtraction"):
+            mat_sub(field, a, b)
+        v = (field.one,) * (a.rows + 1)
+        with pytest.raises(FieldError):
+            solve(field, a, v)
+        with pytest.raises(FieldError):
+            in_column_span(field, a, v)
+    with pytest.raises(FieldError, match="shape mismatch 2x3 @ 2"):
+        mat_vec(field, zero_matrix(field, 2, 3), (field.one,) * 2)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
-from finsite.category import is_ei
+from finsite import category
+from finsite.category import FiniteCategory, is_ei
 from finsite.errors import EngineError
 from finsite.gallery import (category_by_name, chain_poset, cyclic_group,
                              group_by_name, group_category, involution_category,
@@ -19,8 +22,28 @@ def test_cyclic_group_table():
 
 
 def test_group_validation_catches_bad_table():
-    with pytest.raises(InvalidGroupError):
+    with pytest.raises(InvalidGroupError, match="no inverse for 'a'"):
         FiniteGroup.from_rows(["e", "a"], [["e", "a"], ["a", "a"]])
+
+
+@pytest.mark.parametrize("name", ["trivial", "C2", "C3", "C4", "C5", "C6", "S3", "S4"])
+def test_group_category_trusts_the_table_the_group_checked(name):
+    """The one-object category of a group skips the category check, and is
+    the category the checked build makes; the identity and inverses the
+    group check found are the group's."""
+    group = group_by_name(name)
+    e = group.identity
+    assert all(group.mult(e, a) == a == group.mult(a, e) for a in group.elements)
+    assert all(group.mult(a, group.inv(a)) == e == group.mult(group.inv(a), a)
+               for a in group.elements)
+    with mock.patch.object(category, "_table_problems",
+                           wraps=category._table_problems) as check:
+        trusted = group_category(group)
+        assert not check.called
+        checked = FiniteCategory(trusted.objects, trusted.morphisms, trusted.identity,
+                                 trusted.compose_table, name=trusted.name)
+        assert check.call_count == 1
+    assert trusted.same_as(checked) and trusted.name == checked.name == f"B{group.name}"
 
 
 def test_symmetric_group_s3():
