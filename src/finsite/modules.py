@@ -99,12 +99,16 @@ def check_action(algebra: FiniteDimAlgebra, dim: int, actions, where: str = ""):
     the algebra, the unit acts as the identity, and b_i b_j acts as the
     action of b_i followed by that of b_j. where ends each message."""
     k = algebra.field
+    if dim < 0:
+        raise ModuleError(f"negative module dimension {dim}{where}")
     if len(actions) != algebra.dim:
         raise ModuleError(f"need one action matrix per basis element{where}")
     for a in actions:
         if (a.rows, a.cols) != (dim, dim):
             raise ModuleError(f"action matrix{where} has the wrong shape")
-    if mat_combination(k, algebra.unit, actions, dim, dim) != identity_matrix(k, dim):
+    # The unit of the zero algebra acts as zero: no matrix need be built.
+    if (dim and not algebra.dim) or \
+            mat_combination(k, algebra.unit, actions, dim, dim) != identity_matrix(k, dim):
         raise ModuleError(f"unit does not act as identity{where}")
     for i in range(algebra.dim):
         for j in range(algebra.dim):

@@ -3,16 +3,21 @@ the sheaf condition, sheafification, the dense-site fixed-point formula
 for EI categories, and right Kan extension along full subcategory
 inclusions.
 
-A family over a tuple of morphisms u into one object assigns to each u
-an element (or vector) over dom(u), compatibly with every precomposition:
-F(v)(m_u) = m_{uv}. Over the members of a sieve these are its matching
-families; over the morphisms from a subcategory D into x, compatible
-under D's morphisms, they are the value at x of the right Kan extension
-along D. ``families`` computes both; in the linear flavour its
-compatibility equations, like those of the fixed subspaces of the dense
-formula, are held as sparse rows and solved by ``sparse_null_space``.
-The sheaf condition asks the canonical map from F(x) into the matching
-families to be a bijection for every covering sieve.
+A family over members, morphisms into one object, assigns to member i an
+element (or vector) of F at its domain. Links tie the entries: (i, v, j)
+asks F(v)(m_i) = m_j. One solver, ``_linked_families``, finds the
+families for any links: the filtered product of the pools in the set
+flavour, a FamilySpace solved by ``sparse_null_space`` in the linear one.
+It serves three constructions. The matching families over a sieve, and
+the value at x of the right Kan extension along D, link member u to
+"v then u" for each generator v into dom(u), of the site or of D. The
+value at x of the dense fixed-point formula links each orbit
+representative to itself under every element of its stabilizer.
+
+One pull, ``_pull``, makes a presheaf of such values. One unit,
+``_unit``, restricts F(x) into the matching families over a sieve on x:
+the sheaf condition asks it to be bijective for every covering sieve,
+and on the minimal covering sieves it is the unit of half-sheafification.
 
 Half-sheafification is computed on the minimal covering sieve. On a
 finite site the covering sieves at an object are closed under
@@ -29,8 +34,8 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, basis_coordinates, block_matrix, block_offsets, mat_mul, rank,
-                     sparse_null_space, vstack, zero_matrix)
+from .fields import (Matrix, basis_coordinates, block_offsets, mat_mul, rank, sparse_null_space,
+                     vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
 from .topology import GrothendieckTopology
@@ -61,27 +66,18 @@ class FamilySpace(NamedTuple):
                       self.basis.data[lo:lo + self.block_dims[i]])
 
 
-def families(f, cat: FiniteCategory, members: tuple):
-    """The families over members, morphisms of cat into one object, that
-    are compatible under f.cat: F(v)(m_u) = m_{uv} for every member u and
-    every f.cat-morphism v into dom(u). For a sieve f.cat is cat; for a
-    right Kan extension along D it is D, whose morphisms keep cat's names.
+def _linked_families(f, members: tuple, doms, links):
+    """The families over members, entry i over F(doms[i]), with
+    F(v)(m_i) = m_j for every link (i, v, j).
 
-    Set flavour: the compatible tuples, in product order of the pools.
-    Linear flavour: the FamilySpace solving the compatibility equations.
+    Set flavour: the linked tuples, in product order of the pools.
+    Linear flavour: the FamilySpace solving the link equations.
     """
-    d = f.cat
-    index = {u: i for i, u in enumerate(members)}
-    # (i, v, j): member i precomposed with v is member j. Generators v are
-    # enough: F(vw)(m_u) = F(w)(m_uv) = m_uvw by induction on word length.
-    links = [(i, v, index[cat.compose(u, v)]) for i, u in enumerate(members)
-             for v in d.into(cat.dom(u)) if v in d.generators]
     if f.flavor == "set":
-        pools = [f.at(cat.dom(u)) for u in members]
-        return tuple(combo for combo in itertools.product(*pools)
+        return tuple(combo for combo in itertools.product(*map(f.at, doms))
                      if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
     k = f.field
-    dims = tuple(f.at(cat.dom(u)) for u in members)
+    dims = tuple(map(f.at, doms))
     offsets, total = block_offsets(dims)
     rows = []
     for i, v, j in links:
@@ -90,6 +86,21 @@ def families(f, cat: FiniteCategory, members: tuple):
             row[at] = k.sub(row.get(at, k.zero), k.one)
             rows.append(row)
     return FamilySpace(members, dims, offsets, sparse_null_space(k, rows, total))
+
+
+def families(f, cat: FiniteCategory, members: tuple):
+    """The families over members, morphisms of cat into one object, that
+    are compatible under f.cat: F(v)(m_u) = m_{uv} for every member u and
+    every f.cat-morphism v into dom(u). For a sieve f.cat is cat; for a
+    right Kan extension along D it is D, whose morphisms keep cat's names.
+    """
+    d = f.cat
+    index = {u: i for i, u in enumerate(members)}
+    # (i, v, j): member i precomposed with v is member j. Generators v are
+    # enough: F(vw)(m_u) = F(w)(m_uv) = m_uvw by induction on word length.
+    links = [(i, v, index[cat.compose(u, v)]) for i, u in enumerate(members)
+             for v in d.into(cat.dom(u)) if v in d.generators]
+    return _linked_families(f, members, [cat.dom(u) for u in members], links)
 
 
 def set_matching_families(f: SetPresheaf, s: Sieve) -> tuple[tuple, ...]:
@@ -108,30 +119,24 @@ def matching_families(f, s: Sieve):
     return linear_matching_families(f, s)
 
 
-def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
+def _pull(f, cat: FiniteCategory, values: dict, plan):
     """The presheaf on cat whose value at x is values[x], families over
-    members[x]; m: w -> x sends a family to its entries at "v then m" for
-    the members v at w."""
-    index = {x: {u: i for i, u in enumerate(members[x])} for x in cat.objects}
-
-    def positions(m):
-        try:
-            return [index[m.cod][cat.compose(m.name, v)] for v in members[m.dom]]
-        except KeyError:
-            raise EngineError("stability violated: a pulled member escapes "
-                              "the members of its family") from None
-
+    the members at x. plan(m) gives one (j, a) per member at dom m: m sends
+    a family to the one whose entry there is F(a) of its entry j, or entry
+    j itself when a is None."""
     if f.flavor == "set":
         maps = {}
         for m in cat.morphisms:
-            pos = positions(m)
-            maps[m.name] = {fam: tuple(fam[j] for j in pos) for fam in values[m.cod]}
+            steps = plan(m)
+            maps[m.name] = {fam: tuple(fam[j] if a is None else f.apply(a, fam[j])
+                                       for j, a in steps) for fam in values[m.cod]}
         return SetPresheaf(cat, values, maps)
     k = f.field
     mats = {}
     for m in cat.morphisms:
         src, dst = values[m.dom], values[m.cod]
-        blocks = [dst.block(j) for j in positions(m)]
+        blocks = [dst.block(j) if a is None else mat_mul(k, f.mat(a), dst.block(j))
+                  for j, a in plan(m)]
         pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
         sol = basis_coordinates(k, src.basis, pulled)
         if sol is None:
@@ -140,34 +145,46 @@ def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
     return LinearPresheaf(cat, k, {x: values[x].dim for x in cat.objects}, mats)
 
 
-def set_restriction_map(f: SetPresheaf, s: Sieve) -> dict:
-    """a in F(x) goes to the family u -> F(u)(a)."""
-    cat = f.cat
-    members = member_order(cat, s)
-    return {a: tuple(f.apply(u, a) for u in members) for a in f.at(s.target)}
+def _precomposition(f, cat: FiniteCategory, members: dict, values: dict):
+    """The pull of values, families over members[x]; m: w -> x sends a
+    family to its entries at "v then m" for the members v at w."""
+    index = {x: {u: i for i, u in enumerate(members[x])} for x in cat.objects}
+
+    def plan(m):
+        try:
+            return [(index[m.cod][cat.compose(m.name, v)], None) for v in members[m.dom]]
+        except KeyError:
+            raise EngineError("stability violated: a pulled member escapes "
+                              "the members of its family") from None
+
+    return _pull(f, cat, values, plan)
 
 
-def linear_restriction_matrix(f: LinearPresheaf, s: Sieve) -> Matrix:
-    cat, k = f.cat, f.field
-    members = member_order(cat, s)
+def _unit(f, s: Sieve):
+    """The matching families over s, and the restriction sending a in F(x)
+    to the family u -> F(u)(a): a dictionary in the set flavour, the
+    coordinate matrix over the family basis in the linear one."""
+    members = member_order(f.cat, s)
+    if f.flavor == "set":
+        return set_matching_families(f, s), {
+            a: tuple(f.apply(u, a) for u in members) for a in f.at(s.target)}
+    k = f.field
+    space = linear_matching_families(f, s)
     blocks = [f.mat(u) for u in members]
-    if not blocks:
-        return zero_matrix(k, 0, f.at(s.target))
-    return vstack(k, blocks)
+    res = vstack(k, blocks) if blocks else zero_matrix(k, 0, f.at(s.target))
+    coords = basis_coordinates(k, space.basis, res)
+    if coords is None:
+        raise EngineError("restriction family left the family space")
+    return space, coords
 
 
 def _sieve_is_descent(f, s: Sieve) -> bool:
+    """Whether the unit into the matching families over s is bijective."""
+    fams, res = _unit(f, s)
     if f.flavor == "set":
-        fams = set_matching_families(f, s)
-        images = list(set_restriction_map(f, s).values())
-        return len(set(images)) == len(images) == len(fams) \
-            and set(images) == set(fams)
-    k = f.field
-    space = linear_matching_families(f, s)
-    res = linear_restriction_matrix(f, s)
-    dx = f.at(s.target)
-    # The image always consists of families, so bijectivity is a rank count.
-    return space.dim == dx and rank(k, res) == dx
+        images = set(res.values())
+        return len(images) == len(res) and images == set(fams)
+    return res.rows == res.cols and rank(f.field, res) == res.cols
 
 
 def sheaf_defect(f, top: GrothendieckTopology):
@@ -211,19 +228,7 @@ def unit_into_half_sheafification(f, top: GrothendieckTopology):
     Set flavour: a dictionary per object sending a to its restriction
     family. Linear flavour: the coordinate matrix of the same map.
     """
-    cat = f.cat
-    if f.flavor == "set":
-        return {x: set_restriction_map(f, top.minimal_cover(x)) for x in cat.objects}
-    k = f.field
-    comps = {}
-    for x in cat.objects:
-        space = linear_matching_families(f, top.minimal_cover(x))
-        res = linear_restriction_matrix(f, top.minimal_cover(x))
-        sol = basis_coordinates(k, space.basis, res)
-        if sol is None:
-            raise EngineError("restriction family left the family space")
-        comps[x] = sol
-    return comps
+    return {x: _unit(f, top.minimal_cover(x))[1] for x in f.cat.objects}
 
 
 # -- dense topology on EI categories: fixed point formula ----------------
@@ -279,81 +284,28 @@ def dense_sheafify_fixed_points(f):
 
     The value at x is the product, over minimal classes below x and
     orbits of morphisms from their representatives, of the points (or
-    the subspace) fixed by the orbit stabilizer. Morphisms act by
-    matching orbits through composition and restricting between fixed
-    parts. This route is independent of the generic sheafification and
-    is checked against it.
+    the subspace) fixed by the orbit stabilizer: the families over the
+    orbit representatives, each linked to itself by its stabilizer.
+    Morphisms match orbits through composition and move entries by the
+    automorphism that matched them. This route uses no sieve and is
+    checked against the generic sheafification.
     """
     cat = f.cat
     poset = iso_class_poset(cat)
     components = {x: dense_components(cat, poset, x) for x in cat.objects}
-    if f.flavor == "set":
-        return _dense_fixed_points_set(f, poset, components)
-    return _dense_fixed_points_linear(f, poset, components)
+    values = {}
+    for x, comps in components.items():
+        links = [(i, h, i) for i, comp in enumerate(comps) for h in comp.stabilizer
+                 if not cat.is_identity(h)]
+        values[x] = _linked_families(f, tuple(comp.orbit_rep for comp in comps),
+                                     [comp.rep_object for comp in comps], links)
 
+    def plan(m):
+        found = [_match_component(cat, components[m.cod], c.class_index,
+                                  cat.compose(m.name, c.orbit_rep)) for c in components[m.dom]]
+        return [(j, None if cat.is_identity(a) else a) for j, a in found]
 
-def _dense_fixed_points_set(f: SetPresheaf, poset, components) -> SetPresheaf:
-    cat = f.cat
-    fixed = {}
-    for x in cat.objects:
-        pools = []
-        for comp in components[x]:
-            pool = tuple(m for m in f.at(comp.rep_object)
-                         if all(f.apply(h, m) == m for h in comp.stabilizer))
-            pools.append(pool)
-        fixed[x] = tuple(itertools.product(*pools))
-    maps = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        plan = []
-        for comp in components[w]:
-            t = cat.compose(m.name, comp.orbit_rep)
-            j, a = _match_component(cat, components[x], comp.class_index, t)
-            plan.append((j, a))
-        table = {}
-        for val in fixed[x]:
-            table[val] = tuple(f.apply(a, val[j]) for j, a in plan)
-        maps[m.name] = table
-    return SetPresheaf(cat, fixed, maps)
-
-
-def _fixed_subspace_basis(k, f: LinearPresheaf, obj: str, stabilizer) -> Matrix:
-    """The vectors fixed by F(h) for every h of the stabilizer."""
-    rows = []
-    for h in stabilizer:
-        if f.cat.is_identity(h):
-            continue
-        for r, entries in enumerate(f.mat(h).data):
-            row = dict(itertools.compress(enumerate(entries), entries))
-            row[r] = k.sub(row.get(r, k.zero), k.one)
-            rows.append(row)
-    return sparse_null_space(k, rows, f.at(obj))
-
-
-def _dense_fixed_points_linear(f: LinearPresheaf, poset, components) -> LinearPresheaf:
-    cat, k = f.cat, f.field
-    bases = {}
-    dims = {}
-    offsets = {}
-    for x in cat.objects:
-        bases[x] = [_fixed_subspace_basis(k, f, comp.rep_object, comp.stabilizer)
-                    for comp in components[x]]
-        offsets[x], dims[x] = block_offsets(b.cols for b in bases[x])
-    mats = {}
-    for m in cat.morphisms:
-        w, x = m.dom, m.cod
-        blocks = []
-        for i, comp in enumerate(components[w]):
-            t = cat.compose(m.name, comp.orbit_rep)
-            j, a = _match_component(cat, components[x], comp.class_index, t)
-            moved = mat_mul(k, f.mat(a), bases[x][j])
-            block = basis_coordinates(k, bases[w][i], moved)
-            if block is None:
-                raise EngineError("fixed subspace not preserved; "
-                                  "stabilizer matching is inconsistent")
-            blocks.append((offsets[w][i], offsets[x][j], block))
-        mats[m.name] = block_matrix(k, dims[w], dims[x], blocks)
-    return LinearPresheaf(cat, k, dims, mats)
+    return _pull(f, cat, values, plan)
 
 
 # -- right Kan extension --------------------------------------------------
@@ -415,21 +367,11 @@ def extend_by_default(g, sub: FullSubcategory):
     if not g.cat.same_as(sub.category):
         raise EngineError("presheaf does not live on the chosen subcategory")
     keep = set(sub.objects)
-    if g.flavor == "set":
-        values = {x: (g.at(x) if x in keep else ()) for x in cat.objects}
-        maps = {}
-        for m in cat.morphisms:
-            if m.cod in keep and m.dom in keep:
-                maps[m.name] = dict(g.maps[m.name])
-            else:
-                maps[m.name] = {}
-        return SetPresheaf(cat, values, maps)
-    k = g.field
-    dims = {x: (g.at(x) if x in keep else 0) for x in cat.objects}
-    mats = {}
-    for m in cat.morphisms:
-        if m.cod in keep and m.dom in keep:
-            mats[m.name] = g.mat(m.name)
-        else:
-            mats[m.name] = zero_matrix(k, dims[m.dom], dims[m.cod])
-    return LinearPresheaf(cat, k, dims, mats)
+    linear = g.flavor == "linear"
+    values = {x: g.at(x) if x in keep else (0 if linear else ()) for x in cat.objects}
+    # On a co-ideal, cod m in D puts dom m in D: g acts on m, or else m
+    # leaves the empty value.
+    acts = {m.name: (g.mat(m.name) if linear else g.maps[m.name]) if m.cod in keep
+            else (zero_matrix(g.field, values[m.dom], 0) if linear else {})
+            for m in cat.morphisms}
+    return LinearPresheaf(cat, g.field, values, acts) if linear else SetPresheaf(cat, values, acts)

@@ -288,13 +288,12 @@ def classify_topology(cat: FiniteCategory, top: GrothendieckTopology) -> FullSub
         "the ambient category is likely not Karoubian")
 
 
-def finest_topology_for(presheaf, cat: FiniteCategory | None = None) -> GrothendieckTopology:
-    """The finest topology for which the presheaf satisfies the sheaf
-    condition; uniqueness is verified per instance, not assumed."""
+def finest_topology_for(presheaf) -> GrothendieckTopology:
+    """The finest topology on presheaf.cat for which the presheaf satisfies
+    the sheaf condition; uniqueness is verified per instance, not assumed."""
     from .sheaves import is_sheaf  # local import to avoid a cycle
 
-    if cat is None:
-        cat = presheaf.cat
+    cat = presheaf.cat
     good = [t for t in enumerate_topologies(cat) if is_sheaf(presheaf, t)]
     maximal = [t for t in good if not any(t is not u and t.le(u) for u in good)]
     if not maximal:

@@ -6,7 +6,8 @@ colimits for half-sheafification, the sheaf condition on least covering
 sieves only, compatible families with a condition for every morphism and
 functoriality on every composable pair (the library tries a generating
 set), composites grown one letter at a time, right Kan extension with its own
-family solver, sieves by a
+family solver, the dense fixed-point formula with a pool or a fixed
+subspace solved per orbit and its morphisms built block by block, sieves by a
 scan of every subset, the topology axioms by a sweep over every covering
 sieve and every sieve, the topology census by a product search and
 unpruned, with labels found by a scan of every object subset, the
@@ -43,15 +44,18 @@ import yaml
 from finsite import serialize
 from finsite.algebras import FiniteDimAlgebra, GrMorphism, GrothendieckConstruction
 from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
-                              iso_classes, strictly_full_karoubian_subcategories)
-from finsite.fields import (Matrix, col_space, hstack, inverse, mat_mul, matrix,
-                            matrix_from_cols, null_space, rank, solve, solve_matrix,
+                              iso_class_poset, iso_classes,
+                              strictly_full_karoubian_subcategories)
+from finsite.fields import (Matrix, basis_coordinates, block_matrix, block_offsets,
+                            col_space, hstack, inverse, mat_mul, matrix, matrix_from_cols,
+                            null_space, rank, solve, solve_matrix, sparse_null_space,
                             unit_vec)
 from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
 from finsite.sampling import MAX_CONSTANTS, MAX_GENERATORS, MAX_RELATIONS
-from finsite.sheaves import (FamilySpace, _sieve_is_descent, linear_matching_families,
-                             member_order, set_matching_families)
+from finsite.sheaves import (FamilySpace, _match_component, _sieve_is_descent,
+                             dense_components, linear_matching_families, member_order,
+                             set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
 from finsite.sieves import Sieve, is_sieve, maximal_sieve, sieve_sort_key
 from finsite.topology import GrothendieckTopology, TopologyViolation, subcategory_topology
@@ -350,6 +354,62 @@ def kan_extension_oracle(g, sub):
         comps[w] = Matrix(dims[i], basis.cols, basis.data[off[i]:off[i] + dims[i]])
     rk = LinearPresheaf(cat, k, {x: spaces[x][2].cols for x in cat.objects}, mats)
     return rk, comps
+
+
+# -- the dense fixed-point formula, pool by pool and subspace by subspace ------
+
+
+def dense_fixed_points_oracle(f):
+    """The fixed-point formula of dense_sheafify_fixed_points on its own
+    route: set values as the product of the pools fixed by each stabilizer,
+    linear values as the fixed subspaces of each orbit representative, each
+    solved alone, with morphisms built block by block."""
+    cat = f.cat
+    poset = iso_class_poset(cat)
+    components = {x: dense_components(cat, poset, x) for x in cat.objects}
+    plans = {}
+    for m in cat.morphisms:
+        plans[m.name] = [_match_component(cat, components[m.cod], comp.class_index,
+                                          cat.compose(m.name, comp.orbit_rep))
+                         for comp in components[m.dom]]
+    if f.flavor == "set":
+        fixed = {x: tuple(itertools.product(*[
+            tuple(v for v in f.at(comp.rep_object)
+                  if all(f.apply(h, v) == v for h in comp.stabilizer))
+            for comp in components[x]])) for x in cat.objects}
+        maps = {m.name: {val: tuple(f.apply(a, val[j]) for j, a in plans[m.name])
+                         for val in fixed[m.cod]} for m in cat.morphisms}
+        return SetPresheaf(cat, fixed, maps)
+    k = f.field
+    bases, dims, offsets = {}, {}, {}
+    for x in cat.objects:
+        bases[x] = [_fixed_subspace_basis(f, comp.rep_object, comp.stabilizer)
+                    for comp in components[x]]
+        offsets[x], dims[x] = block_offsets(b.cols for b in bases[x])
+    mats = {}
+    for m in cat.morphisms:
+        blocks = []
+        for i, (j, a) in enumerate(plans[m.name]):
+            moved = mat_mul(k, f.mat(a), bases[m.cod][j])
+            block = basis_coordinates(k, bases[m.dom][i], moved)
+            assert block is not None, "fixed subspace not preserved"
+            blocks.append((offsets[m.dom][i], offsets[m.cod][j], block))
+        mats[m.name] = block_matrix(k, dims[m.dom], dims[m.cod], blocks)
+    return LinearPresheaf(cat, k, dims, mats)
+
+
+def _fixed_subspace_basis(f, obj: str, stabilizer) -> Matrix:
+    """The vectors of F(obj) fixed by F(h) for every h of the stabilizer."""
+    k = f.field
+    rows = []
+    for h in stabilizer:
+        if f.cat.is_identity(h):
+            continue
+        for r, entries in enumerate(f.mat(h).data):
+            row = dict(itertools.compress(enumerate(entries), entries))
+            row[r] = k.sub(row.get(r, k.zero), k.one)
+            rows.append(row)
+    return sparse_null_space(k, rows, f.at(obj))
 
 
 # -- sieves by subset scan, and the census by product search ------------------

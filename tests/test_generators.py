@@ -350,11 +350,9 @@ def _submodule_chain3(k):
 
 
 SITES = {
-    "_precomposition": (sheaves, _sheafify_chain3, "pulled family left the family space"),
-    "unit_into_half_sheafification": (sheaves, _unit_chain3,
-                                      "restriction family left the family space"),
-    "_dense_fixed_points_linear": (sheaves, _dense_orbit_c2, "fixed subspace not preserved; "
-                                   "stabilizer matching is inconsistent"),
+    "_pull/sheafify": (sheaves, _sheafify_chain3, "pulled family left the family space"),
+    "_pull/dense": (sheaves, _dense_orbit_c2, "pulled family left the family space"),
+    "_unit": (sheaves, _unit_chain3, "restriction family left the family space"),
     "_transport_back": (modules, _transport_back_chain3,
                         "componentwise action left the family space"),
     "transport_roundtrip_witness": (modules, _roundtrip_chain3,
@@ -371,7 +369,9 @@ SITES = {
 
 def _called_from(site: str, frame) -> bool:
     """site names a function, or _unbundle/morphisms and _unbundle/actions
-    the two loops of _unbundle, told apart by the action loop's bidx."""
+    the two loops of _unbundle, told apart by the action loop's bidx. In
+    _pull/sheafify and _pull/dense the part after the slash names the
+    route that reaches _pull, which only the run tells apart."""
     name, _, loop = site.partition("/")
     return frame.f_code.co_name == name and (
         not loop or ("bidx" in frame.f_locals) == (loop == "actions"))

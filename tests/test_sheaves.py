@@ -4,7 +4,8 @@ import pytest
 
 from finsite.category import iso_class_poset
 from finsite.errors import EngineError
-from finsite.gallery import reduced_p_orbit_category, symmetric_group
+from finsite.fields import PrimeField, RationalField
+from finsite.gallery import category_by_name, reduced_p_orbit_category, symmetric_group
 from finsite.presheaves import (SetPresheaf,
                                 constant_linear_presheaf, constant_set_presheaf,
                                 invertible_intertwiner, representable_presheaf,
@@ -19,7 +20,8 @@ from finsite.topology import (dense_topology, enumerate_topologies,
                               maximal_topology, minimal_topology,
                               subcategory_topology)
 
-from oracles import colimit_dimension_linear, colimit_families_set, least_sieve_defect
+from oracles import (colimit_dimension_linear, colimit_families_set, dense_fixed_points_oracle,
+                     least_sieve_defect)
 from representables import linearised_representables
 
 
@@ -255,6 +257,32 @@ def test_fixed_point_route_matches_generic_on_random(chain3, involution,
             # one half pass already lands on a sheaf over a dense EI site
             assert is_sheaf(half_sheafify(l, den), den)
             assert is_sheaf(half_sheafify(s, den), den)
+
+
+EI_CENSUS = [("chain3",), ("chain4",), ("involution",), ("group", "C2"), ("group", "S3"),
+             ("orbit", "C2"), ("orbit", "S3"), ("orbit", "S3", 2), ("orbit-p", "S3", 3)]
+FLAVOURS = {"set": None, "F2": PrimeField(2), "F5": PrimeField(5), "Q": RationalField()}
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@pytest.mark.parametrize("spec", EI_CENSUS, ids=lambda spec: " ".join(map(str, spec)))
+def test_fixed_point_formula_equals_the_orbitwise_oracle(spec, flavour):
+    """The fixed points solved as linked families and pulled equal, value
+    for value and table for table (or dim for dim and matrix for matrix),
+    the pools and fixed subspaces solved one orbit at a time."""
+    cat = category_by_name(spec[0], group=spec[1] if len(spec) > 1 else None,
+                           p=spec[2] if len(spec) > 2 else None)
+    k = FLAVOURS[flavour]
+    for seed in range(6):
+        rng = random.Random(seed)
+        f = random_set_presheaf(cat, rng) if k is None else random_linear_presheaf(cat, k, rng)
+        got, want = dense_sheafify_fixed_points(f), dense_fixed_points_oracle(f)
+        if k is None:
+            assert got.values == want.values
+            assert {n: list(t.items()) for n, t in got.maps.items()} == \
+                {n: list(t.items()) for n, t in want.maps.items()}
+        else:
+            assert (got.dims, got.mats) == (want.dims, want.mats)
 
 
 def test_sheafify_at_s4_scale_matches_the_fixed_points(f5):
