@@ -196,15 +196,20 @@ def group_algebra(field, group: FiniteGroup) -> FiniteDimAlgebra:
 class AlgebraPresheaf:
     """Contravariant functor to unital algebras: an algebra per object and
     a unital algebra homomorphism matrix per morphism. The matrices form
-    the underlying linear presheaf ``space``, which is validated as such."""
+    the underlying linear presheaf ``space``, which is validated as such.
+    The coefficient field is that of the algebras, or field, which a
+    category without objects needs."""
 
-    def __init__(self, cat: FiniteCategory, at: dict, maps: dict, *, name=None):
+    def __init__(self, cat: FiniteCategory, at: dict, maps: dict, *, name=None, field=None):
         self.cat = cat
         self.at = {x: at[x] for x in cat.objects}
         self.name = name
-        if len({a.field for a in self.at.values()}) > 1:
+        fields = {a.field for a in self.at.values()} | ({field} if field is not None else set())
+        if len(fields) > 1:
             raise AlgebraError("mixed coefficient fields")
-        self.field = (self.at[cat.objects[0]].field if cat.objects else None)
+        if not fields:
+            raise AlgebraError("an algebra presheaf on no objects needs its field")
+        self.field = fields.pop()
         self.space = LinearPresheaf(cat, self.field, {x: a.dim for x, a in self.at.items()},
                                     maps)
         self._check()
@@ -238,7 +243,7 @@ class AlgebraPresheaf:
         d = sub.category
         return AlgebraPresheaf(d, {x: self.at[x] for x in d.objects},
                                {m.name: self.mat(m.name) for m in d.morphisms},
-                               name=self.name)
+                               name=self.name, field=self.field)
 
     def __repr__(self):
         dims = ",".join(str(self.at[x].dim) for x in self.cat.objects)
@@ -249,7 +254,8 @@ def constant_algebra_presheaf(cat: FiniteCategory, algebra: FiniteDimAlgebra) ->
     at = {x: algebra for x in cat.objects}
     ident = identity_matrix(algebra.field, algebra.dim)
     maps = {m.name: ident for m in cat.morphisms}
-    return AlgebraPresheaf(cat, at, maps, name=f"const {algebra.name or ''}".strip())
+    return AlgebraPresheaf(cat, at, maps, name=f"const {algebra.name or ''}".strip(),
+                           field=algebra.field)
 
 
 def swap_action_presheaf(field) -> AlgebraPresheaf:
@@ -399,9 +405,6 @@ def skew_category_algebra(cat: FiniteCategory, r: AlgebraPresheaf) -> SkewCatego
     index). The empty category yields the null ring.
     """
     k = r.field
-    if k is None:
-        from .fields import RationalField
-        k = RationalField()
     labels = [(m.name, label) for m in cat.morphisms for label in r.algebra(m.dom).labels]
     starts, dim = block_offsets(r.algebra(m.dom).dim for m in cat.morphisms)
     offsets = {m.name: start for m, start in zip(cat.morphisms, starts)}

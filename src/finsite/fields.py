@@ -9,11 +9,12 @@ Matrices are immutable ``Matrix(rows, cols, data)`` records so that
 zero-dimensional spaces keep their shape information.  Two kernels do
 the matrix work, and every other operation here is one of them:
 
-* ``mat_mul``, the product: over Q on integer rows, over F_p packed for
-  the larger products (each row in one Python int, reduced once per
-  entry at the end, delayed reduction as in FFLAS-FFPACK) and on rows
-  for the others.  Matrix-vector products, sums, scalings and linear
-  combinations are products too.
+* ``mat_mul``, the product: one row of B per row of A when A holds at
+  most one nonzero entry per row, else over Q on integer rows, over F_p
+  packed for the larger products (each row in one Python int, reduced
+  once per entry at the end, delayed reduction as in FFLAS-FFPACK) and
+  on rows for the others.  Matrix-vector products, sums, scalings and
+  linear combinations are products too.
 * ``rref``, Gauss-Jordan with pivot columns taken in order, so reduced
   forms and the bases derived from them are canonical: over F_p on
   sparse rows, dicts from column to nonzero entry (see _sparse_rref;
@@ -301,17 +302,29 @@ def _unpacked(p: int, sums: list, size: int, width: int):
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
-    """A B. Over Q see _rational_mat_mul. Over F_p the larger products are
-    packed (see _packed_mat_mul) and the others run on rows: where at most
-    a quarter of the entries of a row of A are nonzero and face a nonzero
-    row of B, that row of the product adds up those rows of B, reduced at
-    each step; otherwise it takes one dot product per column of B, reduced
-    once. The ratio is 4: rows alone or dot products alone took 15-50% more
-    time on the products of the bundle and sheafify benchmark workloads,
-    and any ratio from 2 to 8 is as fast as 4. The zero of the field is its
-    only falsy element."""
+    """A B. When each row of A holds at most one nonzero entry c, at
+    column j, as the maps of linearised representables and their products
+    do, each row of A B is row j of B scaled by c (row j itself when c is
+    one). Otherwise, over Q see _rational_mat_mul; over F_p the larger
+    products are packed (see _packed_mat_mul) and the rest run on rows:
+    where at most a quarter of the entries of a row of A are nonzero and
+    face a nonzero row of B, that row of the product adds up those rows of
+    B, reduced at each step; otherwise it takes one dot product per column
+    of B, reduced once. The ratio is 4: rows alone or dot products alone
+    took 15-50% more time on the products of the bundle and sheafify
+    benchmark workloads, and any ratio from 2 to 8 is as fast as 4. The
+    zero of the field is its only falsy element."""
     if a.cols != b.rows:
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    zero, out = (field.zero,) * b.cols, []
+    for row in a.data:
+        if row.count(0) + 1 < a.cols:
+            break
+        j = next(itertools.compress(range(a.cols), row), None)
+        out.append(zero if j is None else b.data[j] if row[j] == field.one
+                   else tuple([field.mul(row[j], x) for x in b.data[j]]))
+    else:
+        return Matrix(a.rows, b.cols, tuple(out))
     if isinstance(field, RationalField):
         return _rational_mat_mul(a, b)
     p = field.p
@@ -514,7 +527,10 @@ def _sparse_rows(rows) -> list:
 
 
 def _dense_row(row: dict, cols: int, zero) -> tuple:
-    return tuple(map(row.get, range(cols), itertools.repeat(zero, cols)))
+    out = [zero] * cols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def _sparse_rref(p: int, rows: list, cols: int) -> tuple[list, tuple[int, ...]]:
@@ -639,23 +655,74 @@ def null_space(field, a: Matrix) -> Matrix:
     return sparse_null_space(field, _sparse_rows(a.data), a.cols)
 
 
-def basis_coordinates(field, basis: Matrix, y: Matrix) -> Matrix | None:
-    """The X with basis X = y, or None when a column of y leaves the span
-    of basis, for a basis in which every column j has a unit row, a row
-    equal to e_j: a null_space basis at each free variable, a col_space
-    basis at each pivot. X is the rows of y at the unit rows, checked by
-    one product; a basis with a column lacking one raises FieldError."""
-    if basis.rows != y.rows:
-        raise FieldError("solve shape mismatch")
+def bottom_up_basis(field, w: Matrix) -> Matrix:
+    """W (W_F)^-1 for W of independent columns: the basis null_space gives
+    of their span as a kernel. F is the set of rows of W each outside the
+    span of the rows below it, the free variables, read as the pivots of
+    the reduced form of W^T with its columns reversed, whose rows, their
+    entries reversed back, are the columns of W (W_F)^-1 from the last."""
+    if not (w.rows and w.cols):
+        return zero_matrix(field, w.rows, w.cols)
+    reduced = rref(field, Matrix(w.cols, w.rows, tuple(zip(*w.data[::-1]))))[0]
+    return Matrix(w.rows, w.cols, tuple(zip(*[row[::-1] for row in reversed(reduced.data)])))
+
+
+class BasisRows(NamedTuple):
+    """The rows of a basis as basis_coordinates reads them: the unit row of
+    each column, the zero rows, the other rows (i, s, c) holding one entry
+    c at column s, and the rows of two entries or more with their indices."""
+    unit: tuple
+    zero: tuple
+    single: tuple
+    dense: tuple
+    dense_rows: Matrix
+
+
+def basis_rows(field, basis: Matrix) -> BasisRows:
+    """The BasisRows of a basis in which every column j has a unit row, a
+    row equal to e_j: a null_space basis at each free variable, a
+    col_space basis at each pivot. A column lacking one raises
+    FieldError."""
     unit = [None] * basis.cols
+    zero, single, dense = [], [], []
     for i, row in enumerate(basis.data):
         support = list(itertools.compress(range(basis.cols), row))
-        if len(support) == 1 and row[support[0]] == field.one:
+        if len(support) > 1:
+            dense.append(i)
+        elif not support:
+            zero.append(i)
+        elif row[support[0]] == field.one and unit[support[0]] is None:
             unit[support[0]] = i
+        else:
+            single.append((i, support[0], row[support[0]]))
     if None in unit:
         raise FieldError(f"basis column {unit.index(None)} has no unit row")
-    x = Matrix(basis.cols, y.cols, tuple(y.data[i] for i in unit))
-    return x if mat_mul(field, basis, x) == y else None
+    return BasisRows(tuple(unit), tuple(zero), tuple(single), tuple(dense),
+                     Matrix(len(dense), basis.cols, tuple(basis.data[i] for i in dense)))
+
+
+def basis_coordinates(field, basis: Matrix, y: Matrix, rows: BasisRows | None = None
+                      ) -> Matrix | None:
+    """The X with basis X = y, or None when a column of y leaves the span
+    of basis, for a basis with a unit row per column (see basis_rows;
+    rows, when given, are its BasisRows). X is the rows of y at the unit
+    rows, checked row by row: a zero row of the basis asks a zero row of
+    y, a row c e_s asks c X[s] (X[s] itself when c is one), and the rows
+    of two entries or more are checked by one product."""
+    if basis.rows != y.rows:
+        raise FieldError("solve shape mismatch")
+    rows = rows or basis_rows(field, basis)
+    got = y.data
+    x = Matrix(basis.cols, y.cols, tuple(got[i] for i in rows.unit))
+    if any(any(got[i]) for i in rows.zero):
+        return None
+    for i, s, c in rows.single:
+        xs = x.data[s]
+        if got[i] != (xs if c == field.one else tuple([field.mul(c, e) for e in xs])):
+            return None
+    if rows.dense and mat_mul(field, rows.dense_rows, x).data != tuple(got[i] for i in rows.dense):
+        return None
+    return x
 
 
 def col_space(field, a: Matrix) -> Matrix:

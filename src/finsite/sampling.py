@@ -5,8 +5,8 @@ closure: start from a free module over the relevant algebra, cut down to
 the submodule random vectors generate (or divide by it), and twist the
 result by random basis changes. Random set presheaves are congruence
 quotients of coproducts of representables. Both closures take one step and
-are valid by construction; only random_invertible_matrix redraws, until
-its matrix is invertible.
+are valid by construction; only the random invertible matrices are
+redrawn, until they are invertible.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .algebras import MAX_SKEW_TABLE_CELLS, AlgebraPresheaf, FiniteDimAlgebra, \
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, block_diagonal, col_space, hstack,
-                     identity_matrix, inverse, is_invertible, mat_mul, matrix,
-                     matrix_from_cols, rref, unit_vec, zero_matrix)
+                     identity_matrix, inverse, mat_mul, matrix,
+                     matrix_from_cols, rref, unit_vec)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
     transport_module_back
 from .presheaves import LinearPresheaf, SetPresheaf
@@ -34,12 +34,24 @@ MAX_RELATIONS = 2
 
 
 def random_invertible_matrix(field, n: int, rng: random.Random) -> Matrix:
+    return _random_twist(field, n, rng)[0]
+
+
+def _random_twist(field, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """A random invertible n x n matrix A, redrawn until it is one, and its
+    inverse, from one rref of [A | I]: A is invertible when its pivots are
+    0..n-1, and the right half is then its inverse."""
+    ident = identity_matrix(field, n)
     if n == 0:
-        return zero_matrix(field, 0, 0)
+        return ident, ident
     while True:
         cand = matrix(field, [[field.rand(rng) for _ in range(n)] for _ in range(n)])
-        if is_invertible(field, cand):
-            return cand
+        reduced, pivots = rref(field, hstack(field, [cand, ident]))
+        if pivots[n - 1] == n - 1:
+            inv = Matrix(n, n, tuple(row[n:] for row in reduced.data))
+            if mat_mul(field, cand, inv) != ident:
+                raise EngineError("twist matrix is not invertible")
+            return cand, inv
 
 
 # -- algebra modules ------------------------------------------------------
@@ -56,6 +68,8 @@ def regular_module(algebra: FiniteDimAlgebra) -> AlgebraModule:
 
 def free_module(algebra: FiniteDimAlgebra, rank: int) -> AlgebraModule:
     reg = regular_module(algebra)
+    if rank == 1:
+        return reg
     acts = [block_diagonal(algebra.field, [a] * rank) for a in reg.actions]
     return AlgebraModule(algebra, algebra.dim * rank, acts, check=False)
 
@@ -100,9 +114,11 @@ def quotient_module(n: AlgebraModule, vectors) -> AlgebraModule:
     return AlgebraModule(n.algebra, q, acts, check=False)
 
 
-def twist_algebra_module(n: AlgebraModule, p: Matrix) -> AlgebraModule:
+def twist_algebra_module(n: AlgebraModule, p: Matrix, p_inv: Matrix | None = None
+                         ) -> AlgebraModule:
+    """n in the basis p, p_inv the inverse of p when known."""
     k = n.field
-    p_inv = inverse(k, p)
+    p_inv = p_inv or inverse(k, p)
     if p_inv is None:
         raise EngineError("twist matrix is not invertible")
     acts = [mat_mul(k, p, mat_mul(k, a, p_inv)) for a in n.actions]
@@ -127,18 +143,20 @@ def random_algebra_module(algebra: FiniteDimAlgebra, rng: random.Random) -> Alge
             else quotient_module(free, vectors)
         if base.dim == 0:
             base = free
-    return twist_algebra_module(base, random_invertible_matrix(k, base.dim, rng))
+    return twist_algebra_module(base, *_random_twist(k, base.dim, rng))
 
 
 # -- module presheaves ----------------------------------------------------
 
 
-def twist_module_presheaf(m: ModulePresheaf, twists: dict) -> ModulePresheaf:
-    """Conjugate every value by an invertible matrix per object."""
+def twist_module_presheaf(m: ModulePresheaf, twists: dict, inverses: dict | None = None
+                          ) -> ModulePresheaf:
+    """Conjugate every value by an invertible matrix per object; inverses,
+    when given, holds their inverses."""
     k = m.field
     invs = {}
     for x, p in twists.items():
-        p_inv = inverse(k, p)
+        p_inv = inverses[x] if inverses else inverse(k, p)
         if p_inv is None:
             raise EngineError(f"twist at {x!r} is not invertible")
         invs[x] = p_inv
@@ -153,15 +171,20 @@ def twist_module_presheaf(m: ModulePresheaf, twists: dict) -> ModulePresheaf:
     return ModulePresheaf(m.r, space, actions, check=False)
 
 
+def _random_twists(m: ModulePresheaf, rng: random.Random) -> ModulePresheaf:
+    """m twisted by a random invertible matrix per object, in object order."""
+    pairs = {x: _random_twist(m.field, m.dim(x), rng) for x in m.cat.objects}
+    return twist_module_presheaf(m, {x: p for x, (p, _) in pairs.items()},
+                                 {x: inv for x, (_, inv) in pairs.items()})
+
+
 def random_module_presheaf(r: AlgebraPresheaf, rng: random.Random,
                            *, skew=None) -> ModulePresheaf:
     if skew is None:
         skew = skew_category_algebra(r.cat, r)
     n = random_algebra_module(skew, rng)
     m = to_module_presheaf(n, check=False)
-    twists = {x: random_invertible_matrix(r.field, m.dim(x), rng)
-              for x in r.cat.objects}
-    return twist_module_presheaf(m, twists)
+    return _random_twists(m, rng)
 
 
 def random_sheaf_module(r: AlgebraPresheaf, sub: FullSubcategory,
@@ -171,10 +194,7 @@ def random_sheaf_module(r: AlgebraPresheaf, sub: FullSubcategory,
     subcategory."""
     skew_d = skew_category_algebra(sub.category, r.restrict(sub))
     n = random_algebra_module(skew_d, rng)
-    m = transport_module_back(n, r, sub)
-    twists = {x: random_invertible_matrix(r.field, m.dim(x), rng)
-              for x in r.cat.objects}
-    return twist_module_presheaf(m, twists)
+    return _random_twists(transport_module_back(n, r, sub), rng)
 
 
 def random_linear_presheaf(cat: FiniteCategory, field, rng: random.Random) -> LinearPresheaf:

@@ -652,7 +652,8 @@ def algebra_presheaf_from_doc(doc: dict, cat: FiniteCategory) -> AlgebraPresheaf
     at = {x: _algebra_from_doc(algebras[x], field, f"algebra-presheaf at {x!r}")
           for x in cat.objects}
     dims = {x: a.dim for x, a in at.items()}
-    return AlgebraPresheaf(cat, at, _maps_in(doc, cat, field, dims, "algebra-presheaf"))
+    return AlgebraPresheaf(cat, at, _maps_in(doc, cat, field, dims, "algebra-presheaf"),
+                           field=field)
 
 
 # -- modules -------------------------------------------------------------------

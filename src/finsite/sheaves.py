@@ -7,15 +7,23 @@ A family over members, morphisms into one object, assigns to member i an
 element (or vector) of F at its domain. Links tie the entries: (i, v, j)
 asks F(v)(m_i) = m_j. One solver, ``_linked_families``, finds the
 families for any links: the filtered product of the pools in the set
-flavour, a FamilySpace solved by ``sparse_null_space`` in the linear one.
-It serves three constructions. The matching families over a sieve, and
-the value at x of the right Kan extension along D, link member u to
-"v then u" for each generator v into dom(u), of the site or of D. The
-value at x of the dense fixed-point formula links each orbit
+flavour, a FamilySpace in the linear one. There a small system is solved
+whole by ``sparse_null_space``, and a larger one on the roots of its link
+graph: one member per top strongly connected component, the others
+reached along a spanning forest as path products of their root's block,
+the links off the forest giving the only equations; its kernel is written
+out in the same canonical layout.
+
+The solver serves three constructions. The matching families over a
+sieve, and the value at x of the right Kan extension along D, link
+member u to "v then u" for each generator v into dom(u), of the site or
+of D. The value at x of the dense fixed-point formula links each orbit
 representative to itself under every element of its stabilizer.
 
-One pull, ``_pull``, makes a presheaf of such values. One unit,
-``_unit``, restricts F(x) into the matching families over a sieve on x:
+One pull, ``_pull``, makes a presheaf of such values, reading each
+morphism's matrix off the family basis of its domain, whose row
+structure it reads once (see ``basis_rows``). One unit, ``_unit``,
+restricts F(x) into the matching families over a sieve on x:
 the sheaf condition asks it to be bijective for every covering sieve,
 and on the minimal covering sieves it is the unit of half-sheafification.
 
@@ -34,8 +42,8 @@ from typing import NamedTuple
 
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
-from .fields import (Matrix, basis_coordinates, block_offsets, mat_mul, rank, sparse_null_space,
-                     vstack, zero_matrix)
+from .fields import (Matrix, basis_coordinates, basis_rows, block_offsets, bottom_up_basis,
+                     identity_matrix, mat_mul, rank, sparse_null_space, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
 from .topology import GrothendieckTopology
@@ -76,16 +84,117 @@ def _linked_families(f, members: tuple, doms, links):
     if f.flavor == "set":
         return tuple(combo for combo in itertools.product(*map(f.at, doms))
                      if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
-    k = f.field
     dims = tuple(map(f.at, doms))
     offsets, total = block_offsets(dims)
+    basis = (_root_solve(f, dims, links) if total >= ROOT_SOLVE_MIN
+             else _full_solve(f, offsets, total, links))
+    return FamilySpace(members, dims, offsets, basis)
+
+
+# The unknowns from which the root solve takes over. It pays for its
+# forest and for writing its kernel out: over the family systems of one
+# sheafify benchmark pass over F5 (seeds 5 and 23, best of 5 per system),
+# it took 2.1-2.4 times as long as the whole-system solve below 8
+# unknowns, 1.5-1.7 times at 8-15 and 1.2 times at 16-19, about as long
+# at 20-27, and 0.6-0.7 and 0.33 times as long at 36-47 and 90 unknowns;
+# over Q, on a rational pass, 1.1-1.5 times below 12 and 0.33 times at
+# 36-39 unknowns. Any bound from 20 to 32 gives the same pass time.
+ROOT_SOLVE_MIN = 20
+
+
+def _full_solve(f, offsets, total, links) -> Matrix:
+    """The canonical null space of the link equations, one sparse row per
+    row of each F(v), over every unknown at once."""
+    k = f.field
     rows = []
     for i, v, j in links:
         for at, entries in enumerate(f.mat(v).data, offsets[j]):
             row = dict(itertools.compress(enumerate(entries, offsets[i]), entries))
             row[at] = k.sub(row.get(at, k.zero), k.one)
             rows.append(row)
-    return FamilySpace(members, dims, offsets, sparse_null_space(k, rows, total))
+    return sparse_null_space(k, rows, total)
+
+
+def _spanning_forest(n: int, links) -> tuple[list, list]:
+    """One root in each top strongly connected component of the graph with
+    an edge i -> j per link (i, v, j), and the links of a spanning forest
+    from the roots, each (t, j): links[t] reaches member j, in an order
+    in which every link starts at a root or at a member reached before.
+    The roots are the members left unreached when breadth-first search
+    starts from each member in the reverse of the order depth-first search
+    finishes them (the first pass of Kosaraju's algorithm)."""
+    out = [[] for _ in range(n)]
+    for t, (i, _, j) in enumerate(links):
+        out[i].append((t, j))
+    finished, seen = [], [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(out[s]))]
+        while stack:
+            node, edges = stack[-1]
+            for _, j in edges:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append((j, iter(out[j])))
+                    break
+            else:
+                stack.pop()
+                finished.append(node)
+    roots, tree, reached = [], [], [False] * n
+    for s in reversed(finished):
+        if reached[s]:
+            continue
+        roots.append(s)
+        reached[s] = True
+        queue = [s]
+        for node in queue:
+            for t, j in out[node]:
+                if not reached[j]:
+                    reached[j] = True
+                    tree.append((t, j))
+                    queue.append(j)
+    return sorted(roots), tree
+
+
+def _root_solve(f, dims, links) -> Matrix:
+    """The canonical null space of the link equations, solved over the
+    roots of _spanning_forest only. A member j reached along the forest
+    has the block P_j M_r, P_j the product of the maps on the path from
+    its root r; the links off the forest ask F(v) P_i M_r - P_j M_r' = 0
+    of the root blocks, with kernel K. The families are W = (P_j K_r)_j,
+    and W (W_F)^-1 is their canonical basis (see bottom_up_basis)."""
+    k = f.field
+    roots, tree = _spanning_forest(len(dims), links)
+    starts, width = block_offsets(dims[r] for r in roots)
+    start = dict(zip(roots, starts))
+    path = {r: (r, None) for r in roots}   # member -> (root, P), None for I
+    for t, j in tree:
+        i, v, _ = links[t]
+        r, p = path[i]
+        path[j] = (r, f.mat(v) if p is None else mat_mul(k, f.mat(v), p))
+    in_tree = {t for t, _ in tree}
+    rows = []
+    for t, (i, v, j) in enumerate(links):
+        if t in in_tree:
+            continue
+        (ri, pi), (rj, pj) = path[i], path[j]
+        lhs = f.mat(v) if pi is None else mat_mul(k, f.mat(v), pi)
+        rhs = identity_matrix(k, dims[j]) if pj is None else pj
+        for a, b in zip(lhs.data, rhs.data):
+            row = dict(itertools.compress(enumerate(a, start[ri]), a))
+            for c, x in itertools.compress(enumerate(b, start[rj]), b):
+                row[c] = k.sub(row.get(c, k.zero), x)
+            rows.append(row)
+    kernel = sparse_null_space(k, rows, width)
+    if len(roots) == len(dims):
+        return kernel   # the root unknowns are all the unknowns
+    blocks = []
+    for r, p in map(path.get, range(len(dims))):
+        kr = Matrix(dims[r], kernel.cols, kernel.data[start[r]:start[r] + dims[r]])
+        blocks.append(kr if p is None else mat_mul(k, p, kr))
+    return bottom_up_basis(k, vstack(k, blocks))
 
 
 def families(f, cat: FiniteCategory, members: tuple):
@@ -132,13 +241,14 @@ def _pull(f, cat: FiniteCategory, values: dict, plan):
                                        for j, a in steps) for fam in values[m.cod]}
         return SetPresheaf(cat, values, maps)
     k = f.field
+    rows = {x: basis_rows(k, values[x].basis) for x in cat.objects}
     mats = {}
     for m in cat.morphisms:
         src, dst = values[m.dom], values[m.cod]
         blocks = [dst.block(j) if a is None else mat_mul(k, f.mat(a), dst.block(j))
                   for j, a in plan(m)]
         pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
-        sol = basis_coordinates(k, src.basis, pulled)
+        sol = basis_coordinates(k, src.basis, pulled, rows[m.dom])
         if sol is None:
             raise EngineError("pulled family left the family space")
         mats[m.name] = sol

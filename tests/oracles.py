@@ -5,7 +5,9 @@ library: word reduction for the involution presentation, long-form
 colimits for half-sheafification, the sheaf condition on least covering
 sieves only, compatible families with a condition for every morphism and
 functoriality on every composable pair (the library tries a generating
-set), composites grown one letter at a time, right Kan extension with its own
+set), the families of any link system solved over every unknown at once
+(the library solves the larger ones over the roots of the link graph),
+composites grown one letter at a time, right Kan extension with its own
 family solver, the dense fixed-point formula with a pool or a fixed
 subspace solved per orbit and its morphisms built block by block, sieves by a
 scan of every subset, the topology axioms by a sweep over every covering
@@ -239,8 +241,15 @@ def all_links_families(f, cat: FiniteCategory, members: tuple):
     if f.flavor == "set":
         return tuple(combo for combo in itertools.product(*[f.at(cat.dom(u)) for u in members])
                      if all(f.apply(v, combo[i]) == combo[j] for i, v, j in links))
+    return link_system_families(f, members, [cat.dom(u) for u in members], links)
+
+
+def link_system_families(f, members: tuple, doms, links) -> FamilySpace:
+    """The FamilySpace of a linear f over members, entry i over F(doms[i]),
+    with F(v)(m_i) = m_j for every link (i, v, j): the null_space of the
+    whole system, one dense row per row of each F(v), over every unknown."""
     k = f.field
-    dims = tuple(f.at(cat.dom(u)) for u in members)
+    dims = tuple(f.at(x) for x in doms)
     offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
     total = sum(dims)
     rows = []

@@ -136,13 +136,19 @@ def test_involution_group_algebra_presheaf(involution, f5):
     assert verify_algebra(skew) == []
 
 
-def test_empty_category_gives_null_ring(f5):
+def test_empty_category_gives_null_ring(f5, rationals):
+    """The null ring over the field of the coefficients, which the
+    presheaf on no objects is given."""
     empty = validate_category({"objects": [], "morphisms": [],
                                "identities": {}, "compose": []})
-    r = AlgebraPresheaf(empty, {}, {})
-    skew = skew_category_algebra(empty, r)
-    assert skew.dim == 0
-    assert verify_algebra(skew) == []
+    for k in (rationals, f5):
+        for r in (AlgebraPresheaf(empty, {}, {}, field=k),
+                  constant_algebra_presheaf(empty, field_algebra(k))):
+            skew = skew_category_algebra(empty, r)
+            assert (skew.dim, skew.field) == (0, k)
+            assert verify_algebra(skew) == []
+    with pytest.raises(AlgebraError, match="on no objects needs its field"):
+        AlgebraPresheaf(empty, {}, {})
 
 
 def test_skew_group_algebra_convention(f5):

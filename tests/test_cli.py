@@ -549,21 +549,24 @@ def run_cli_process(*argv):
     return run_python("-m", "finsite.cli", *argv)
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
 @pytest.mark.parametrize("dim,message", [(-1, "negative module dimension -1"),
                                          (1000000, "unit does not act as identity")])
-def test_module_over_the_zero_algebra_is_refused_by_its_dim(tmp_path, capsys, dim, message):
-    """Over the empty category the skew algebra has dim 0 and a module
-    document lists no action: a negative dim is refused by name, and a
-    positive one before any dim x dim matrix is built."""
+def test_module_over_the_zero_algebra_is_refused_by_its_dim(tmp_path, capsys, dim, message,
+                                                            field):
+    """Over the empty category the skew algebra has dim 0, over the field
+    asked for, and a module document lists no action: a negative dim is
+    refused by name, and a positive one before any dim x dim matrix is
+    built."""
     cat = tmp_path / "empty.yaml"
     cat.write_text("format: finsite/1\nkind: category\nobjects: []\nmorphisms: []\n"
                    "identities: {}\ncompose: []\n")
     module = tmp_path / "module.yaml"
-    module.write_text(f"format: finsite/1\nkind: algebra-module\nfield: Q\ndim: {dim}\n"
+    module.write_text(f"format: finsite/1\nkind: algebra-module\nfield: {field}\ndim: {dim}\n"
                       "actions: []\n")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "mod", "omega", "--category", str(cat),
-                             "--algebra-module", str(module))
+                             "--algebra-module", str(module), "--constant-field", field)
     assert time.perf_counter() - start < 5
     assert (code, out, err) == (1, "", f"error: {message}\n")
 

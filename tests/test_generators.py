@@ -17,7 +17,7 @@ from finsite.algebras import constant_algebra_presheaf, field_algebra, skew_cate
 from finsite.category import FullSubcategory, strictly_full_karoubian_subcategories
 from finsite.errors import EngineError
 from finsite.fields import (FieldError, Matrix, PrimeField, RationalField, basis_coordinates,
-                            col_space, mat_mul, null_space, solve_matrix, unit_vec)
+                            basis_rows, col_space, mat_mul, null_space, solve_matrix, unit_vec)
 from finsite.gallery import category_by_name
 from finsite.presheaves import (LinearPresheaf, PresheafError, SetPresheaf,
                                 representable_presheaf)
@@ -247,28 +247,61 @@ COORDINATE_FIELDS = {"F2": PrimeField(2), "F5": PrimeField(5),
                      "F(2^64-59)": PrimeField(2 ** 64 - 59), "Q": RationalField()}
 
 
+def _with_single_entry_rows(k, rng, basis: Matrix) -> tuple[Matrix, list]:
+    """basis with a repeated unit row and a row c e_s, c neither zero nor
+    one where the field allows, inserted at random places, and the
+    indices of the two rows; basis itself when it has no column."""
+    if not basis.cols:
+        return basis, []
+    scale = k.of(rng.choice((2, 3, -1))) if k.char != 2 else k.one
+    rows = [(row, False) for row in basis.data]
+    for c in (k.one, scale):
+        s = rng.randrange(basis.cols)
+        rows.insert(rng.randint(0, len(rows)),
+                    (tuple(c if j == s else k.zero for j in range(basis.cols)), True))
+    return (Matrix(len(rows), basis.cols, tuple(row for row, _ in rows)),
+            [i for i, (_, new) in enumerate(rows) if new])
+
+
+def _bumped(k, y: Matrix, i: int) -> Matrix:
+    """y with one added to the first entry of row i."""
+    rows = [list(r) for r in y.data]
+    rows[i][0] = k.add(rows[i][0], k.one)
+    return Matrix(y.rows, y.cols, tuple(map(tuple, rows)))
+
+
 @pytest.mark.parametrize("kind", [null_space, col_space], ids=lambda kind: kind.__name__)
 @pytest.mark.parametrize("field", COORDINATE_FIELDS)
 def test_basis_coordinates_equal_the_solver(field, kind):
+    """On null_space and col_space bases, and on the same bases with a
+    repeated unit row and a scaled unit row put in, whose strays differ
+    from a vector of the span in one of those rows; the basis rows read
+    once give the same answers."""
     k = COORDINATE_FIELDS[field]
     rng = random.Random(field + kind.__name__)
-    outside = inside = 0
+    outside = inside = moved = 0
     for trial in range(300):
         n = rng.randint(0, 7)
         shape = (rng.randint(0, 6), n)  # a col_space basis has n rows too
         a = _random_matrix(k, rng, *(shape if kind is null_space else shape[::-1]),
                            rng.choice((0.2, 0.5, 0.9)))
-        basis = kind(k, a)
-        m = rng.randint(0, 3)
-        x = _random_matrix(k, rng, basis.cols, m, 0.7)
-        y = mat_mul(k, basis, x)
-        assert basis_coordinates(k, basis, y) == solve_matrix(k, basis, y) == x
-        stray = _random_matrix(k, rng, n, m, 0.6)
-        want = solve_matrix(k, basis, stray)
-        assert basis_coordinates(k, basis, stray) == want
-        outside += want is None
-        inside += want is not None and basis.cols < n
-    assert outside > 50 and inside > 50
+        for basis, singles in [(kind(k, a), [])] + [_with_single_entry_rows(k, rng, kind(k, a))]:
+            rows = basis_rows(k, basis)
+            m = rng.randint(0, 3)
+            x = _random_matrix(k, rng, basis.cols, m, 0.7)
+            y = mat_mul(k, basis, x)
+            assert basis_coordinates(k, basis, y) == solve_matrix(k, basis, y) == x
+            assert basis_coordinates(k, basis, y, rows) == x
+            strays = [_random_matrix(k, rng, basis.rows, m, 0.6)]
+            strays += [_bumped(k, y, i) for i in singles if m]
+            for stray in strays:
+                want = solve_matrix(k, basis, stray)
+                assert basis_coordinates(k, basis, stray) == want
+                assert basis_coordinates(k, basis, stray, rows) == want
+                outside += want is None
+                inside += want is not None and basis.cols < basis.rows
+            moved += len(strays) - 1
+    assert outside > 50 and inside > 50 and moved > 100
 
 
 @pytest.mark.parametrize("field", COORDINATE_FIELDS)
@@ -388,14 +421,14 @@ def test_a_vector_leaving_the_span_gives_the_error_line(site, field, monkeypatch
     real = basis_coordinates
     moved = []
 
-    def leaving(field, basis, y):
+    def leaving(field, basis, y, *rows):
         if _called_from(site, sys._getframe(1)) and not moved:
             stray = _leave_the_span(field, basis, y)
             if stray is not y:
                 moved.append(stray)
                 assert real(field, basis, stray) is None
-                return real(field, basis, stray)
-        return real(field, basis, y)
+                return real(field, basis, stray, *rows)
+        return real(field, basis, y, *rows)
 
     run(k)  # the site succeeds untouched
     monkeypatch.setattr(module, "basis_coordinates", leaving)

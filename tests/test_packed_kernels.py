@@ -85,6 +85,27 @@ def test_small_empty_and_sparse_products_stay_on_the_row_primitives(p, shape):
     assert (got.rows, got.cols) == (rows, cols) and _canonical(got, p)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_with_one_entry_per_row_of_a_read_rows_of_b(p):
+    """A with at most one nonzero entry per row (zero rows, ones, other
+    entries, some facing zero rows of B), large enough to pack otherwise."""
+    rng = random.Random(p)
+    k = PrimeField(p)
+    rows, inner, cols = 32, 24, 24
+    b = _matrix(rng, p, inner, cols, 0.8, frozenset({0, 5}))
+
+    def row(i):
+        out = [0] * inner
+        if i % 3:
+            out[rng.randrange(inner)] = 1 if i % 3 == 1 else rng.randrange(1, p)
+        return tuple(out)
+    a = Matrix(rows, inner, tuple(map(row, range(rows))))
+    got, packed = _packed(lambda: mat_mul(k, a, b))
+    assert not packed
+    assert got == scalar_mat_mul(k, a, b)
+    assert _canonical(got, p)
+
+
 @st.composite
 def combinations(draw):
     p = draw(st.sampled_from(PRIMES))

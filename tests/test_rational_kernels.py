@@ -88,6 +88,8 @@ def products(draw):
 @example((EMPTY[0], EMPTY[0]))
 @example((EMPTY[2], EMPTY[1]))
 @example((EMPTY[1], matrix(Q, [[1, 2]] * 3)))
+@example((matrix(Q, [[0, 1, 0], [0, 0, 0], [Fraction(-2, 3), 0, 0]]),
+          matrix(Q, [[Fraction(1, 2), 3], [0, Fraction(-7, 5)], [0, 0]])))
 def test_mat_mul_equals_the_oracle(pair):
     a, b = pair
     got = mat_mul(Q, a, b)
