@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .category import FiniteCategory
+from .category import FiniteCategory, law_failures
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, mat_vec, matrix,
                      unit_vec, vec)
@@ -112,25 +112,35 @@ class FiniteDimAlgebra:
                 out[t] = k.add(out.get(t, zero), k.mul(a, c))
         return {t: c for t, c in out.items() if c != zero}
 
-    def _triples(self):
+    def _triples(self, middle=None):
         """The basis triples (i, j, t) on which associativity is checked,
-        in lexicographic order: every triple."""
-        return itertools.product(range(self.dim), repeat=3)
+        in lexicographic order: every triple, or those with j in middle."""
+        n = range(self.dim)
+        return itertools.product(n, n if middle is None else sorted(middle), n)
+
+    def generating_basis(self) -> frozenset | None:
+        """Basis indices known to generate the algebra, or None when none
+        are known; a table read from a document has none."""
+        return None
 
     def verify(self) -> list[str]:
-        """Associativity on the basis triples of ``_triples``,
-        (b_i b_j) b_t = b_i (b_j b_t) compared through the stored products,
-        plus the unit laws on every basis element."""
+        """Associativity, (b_i b_j) b_t = b_i (b_j b_t) compared through the
+        stored products, by Light's test (see law_failures): on the triples
+        of ``_triples`` with j in ``generating_basis``, and on a failure, or
+        with no generating basis, on all of them. Then the unit laws on
+        every basis element."""
         k = self.field
         prods = self.products
-        problems = []
-        for i, j, t in self._triples():
-            left = self._sum((c, prods[s].get(t, ())) for s, c in prods[i].get(j, ()))
-            right = self._sum((c, prods[i].get(s, ())) for s, c in prods[j].get(t, ()))
-            if left != right:
-                problems.append(
-                    f"associativity failure on basis triple "
-                    f"({self.labels[i]!r},{self.labels[j]!r},{self.labels[t]!r})")
+
+        def triples(middle):
+            for i, j, t in self._triples(middle):
+                left = self._sum((c, prods[s].get(t, ())) for s, c in prods[i].get(j, ()))
+                right = self._sum((c, prods[i].get(s, ())) for s, c in prods[j].get(t, ()))
+                if left != right:
+                    yield (f"associativity failure on basis triple "
+                           f"({self.labels[i]!r},{self.labels[j]!r},{self.labels[t]!r})")
+
+        problems = list(law_failures(triples, self.generating_basis()))
         for i in range(self.dim):
             e = unit_vec(k, self.dim, i)
             if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
@@ -364,22 +374,49 @@ class SkewCategoryAlgebra(FiniteDimAlgebra):
         self.basis_offset = basis_offset
         super().__init__(field, products, unit, labels=labels, name=name, check=False)
 
-    def _triples(self):
-        """The composable triples only: unless the morphisms h, g, f of
-        b_i, b_j, b_t compose as h o g o f, both sides of associativity are
-        zero. Walked through the morphisms into each domain, which keeps
-        the lexicographic order."""
+    def _blocks(self) -> dict:
+        """Each morphism's basis indices: its offset, then dim R(dom)."""
+        return {m.name: range(self.basis_offset[m.name],
+                              self.basis_offset[m.name] + self.r.algebra(m.dom).dim)
+                for m in self.cat.morphisms}
+
+    def _triples(self, middle=None):
+        """The composable triples only, those with j in middle when given:
+        unless the morphisms h, g, f of b_i, b_j, b_t compose as h o g o f,
+        both sides of associativity are zero. Walked through the morphisms
+        into each domain, which keeps the lexicographic order."""
         cat = self.cat
-        blocks = {m.name: range(self.basis_offset[m.name],
-                                self.basis_offset[m.name] + self.r.algebra(m.dom).dim)
-                  for m in cat.morphisms}
+        blocks = self._blocks()
         for h in cat.morphisms:
             for i in blocks[h.name]:
                 for g in cat.into(h.dom):
                     for j in blocks[g]:
+                        if middle is not None and j not in middle:
+                            continue
                         for f in cat.into(cat.dom(g)):
                             for t in blocks[f]:
                                 yield i, j, t
+
+    def generating_basis(self) -> frozenset | None:
+        """The basis at the identities and at the generators of the
+        category, once the stored products confirm that it generates:
+        grown by products with it on either side, every other basis element
+        is reached as a nonzero multiple of one product of reached ones.
+        None when some element is not reached that way."""
+        cat, prods = self.cat, self.products
+        blocks = self._blocks()
+        gens = [j for m in cat.morphisms
+                if m.name in cat.generators or cat.is_identity(m.name) for j in blocks[m.name]]
+        reached = set(gens)
+        todo = list(gens)
+        while todo:
+            t = todo.pop()
+            for j in gens:
+                for cell in (prods[t].get(j), prods[j].get(t)):
+                    if cell is not None and len(cell) == 1 and cell[0][0] not in reached:
+                        reached.add(cell[0][0])
+                        todo.append(cell[0][0])
+        return frozenset(gens) if len(reached) == self.dim else None
 
     def element(self, f: str, coeff) -> tuple:
         """The element "coeff f" as a coefficient vector."""

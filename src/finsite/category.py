@@ -4,9 +4,14 @@ The orientation convention used everywhere in this package: the table
 entry for ``(g, f)`` is the composite "first f, then g", written ``gf``,
 and is defined exactly when ``dom(g) == cod(f)``.
 
-A category is validated exhaustively on construction (identity laws,
-totality of composition on composable pairs, associativity on every
-composable triple), so downstream code can trust the table blindly.
+A category is validated on construction, so downstream code can trust
+the table blindly: identity laws and totality of composition on every
+composable pair, and associativity by Light's test, on the composable
+triples with a generator in the middle (see ``law_failures``), the
+generators found on the raw table and kept as ``generators``. Only when
+a triple there fails, or an identity law does, is every composable
+triple walked, so a bad table is reported with the same problems in the
+same order as by the walk over every triple.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ _RAW_TYPES = {"objects": (list, "a list"), "morphisms": (list, "a list"),
               "identities": (dict, "a mapping"), "compose": (list, "a list")}
 
 
-def category_problems(data: dict) -> list[str]:
-    """Schema and axiom diagnostics for a raw category description."""
+def category_problems(data: dict, found: dict | None = None) -> list[str]:
+    """Schema and axiom diagnostics for a raw category description; found
+    is passed on to _table_problems."""
     problems = []
     unknown = set(data) - _RAW_KEYS
     if unknown:
@@ -82,21 +88,82 @@ def category_problems(data: dict) -> list[str]:
         compose[key] = value
     if problems:
         return problems
-    return _table_problems(data["objects"], morphisms, data["identities"], compose)
+    return _table_problems(data["objects"], morphisms, data["identities"], compose, found)
 
 
 def validate_category(data: dict) -> FiniteCategory:
     """Build a category from its raw description, or raise with every violation."""
-    problems = category_problems(data)
+    found = {}
+    problems = category_problems(data, found)
     if problems:
         raise InvalidCategoryError(problems)
     morphisms = [Morphism(m["id"], m["dom"], m["cod"]) for m in data["morphisms"]]
     compose = {(c["g"], c["f"]): c["gf"] for c in data["compose"]}
     return FiniteCategory._trusted(data["objects"], morphisms, data["identities"], compose,
-                                   name=data.get("name"))
+                                   name=data.get("name"), generators=found["generators"])
 
 
-def _table_problems(objects, morphisms, identity, compose) -> list[str]:
+def law_failures(sweep, middle):
+    """The failures of a law, in the order and with the messages of
+    sweep(None), the law checked on every instance; but checked first on
+    sweep(middle), the instances with a member of middle in the middle,
+    and in full only when one of those fails. A middle of None asks for
+    the full sweep.
+
+    This is Light's associativity test. The g with (x g) y = x (g y) for
+    all x and y are closed under products, so when middle generates and
+    every instance with a member of middle in the middle holds, every
+    instance holds. The same closure serves the laws of module actions
+    (act(x a) = act(a) act(x)) and of presheaves (F(g f) = F(f) F(g),
+    g on the left)."""
+    if middle is not None and next(iter(sweep(middle)), None) is None:
+        return iter(())
+    return iter(sweep(None))
+
+
+def _generators(dom: dict, cod: dict, identity, compose, into) -> frozenset:
+    """Non-identity morphisms whose composites are every non-identity
+    morphism, chosen greedily: those with the fewest factorisations g·f
+    into two non-identity morphisms first, then by index, each kept
+    unless the composites of those kept already reach it. Every morphism
+    reached is a composite of the ones kept, bracketed some way, which is
+    all Light's test needs: no law is assumed. dom and cod map each
+    morphism, in morphism order, to its ends; into maps each object to the
+    morphisms into it."""
+    ids = set(identity.values())
+    count = {m: 0 for m in dom if m not in ids}
+    for (g, f), gf in compose.items():
+        if gf in count and g not in ids and f not in ids:
+            count[gf] += 1
+    gens, reached = [], set()
+    out_of = {x: [] for x in into}    # object -> the generators out of it
+    into_gens = {x: [] for x in into}  # object -> the generators into it
+    # count is in morphism order, which the stable sort keeps among equals
+    for m in sorted(count, key=count.__getitem__):
+        if m in reached:
+            continue
+        gens.append(m)
+        out_of[dom[m]].append(m)
+        into_gens[cod[m]].append(m)
+        # every composite holding m: m with the reached on either side,
+        # then grown by one generator at a time on either side
+        todo = [m] + [compose[m, s] for s in into[dom[m]] if s in reached]
+        todo += [compose[s, m] for s in reached if dom[s] == cod[m]]
+        while todo:
+            t = todo.pop()
+            if t not in reached and t not in ids:
+                reached.add(t)
+                for g in out_of[cod[t]]:
+                    todo.append(compose[g, t])
+                for g in into_gens[dom[t]]:
+                    todo.append(compose[t, g])
+    return frozenset(gens)
+
+
+def _table_problems(objects, morphisms, identity, compose, found: dict | None = None
+                    ) -> list[str]:
+    """Every violation of the category axioms in a raw table. On a valid
+    table the generators it found are kept as found["generators"]."""
     problems = []
     objects = list(objects)
     if len(set(objects)) != len(objects):
@@ -105,7 +172,8 @@ def _table_problems(objects, morphisms, identity, compose) -> list[str]:
     if len(set(names)) != len(names):
         problems.append("duplicate morphism identifiers")
     obj_set = set(objects)
-    mor = {m.name: m for m in morphisms}
+    dom = {m: x for m, x, _ in morphisms}
+    cod = {m: y for m, _, y in morphisms}
     for m in morphisms:
         if m.dom not in obj_set:
             problems.append(f"unknown object {m.dom!r} as dom of {m.name!r}")
@@ -114,30 +182,32 @@ def _table_problems(objects, morphisms, identity, compose) -> list[str]:
     for x, i in identity.items():
         if x not in obj_set:
             problems.append(f"identity given for unknown object {x!r}")
-        elif i not in mor:
+        elif i not in dom:
             problems.append(f"bad identity at {x!r}: unknown morphism {i!r}")
-        elif mor[i].dom != x or mor[i].cod != x:
+        elif dom[i] != x or cod[i] != x:
             problems.append(f"bad identity at {x!r}: {i!r} is not an endomorphism of {x!r}")
     for x in objects:
         if x not in identity:
             problems.append(f"bad identity at {x!r}: none given")
     for (g, f), gf in compose.items():
-        if g not in mor or f not in mor:
+        if g not in dom or f not in dom:
             problems.append(f"composite ({g!r},{f!r}) names unknown morphisms")
             continue
-        if mor[g].dom != mor[f].cod:
+        if dom[g] != cod[f]:
             problems.append(f"stray composite ({g!r},{f!r}): pair is not composable")
             continue
-        if gf not in mor:
+        if gf not in dom:
             problems.append(f"composite ({g!r},{f!r}) maps to unknown morphism {gf!r}")
-        elif mor[gf].dom != mor[f].dom or mor[gf].cod != mor[g].cod:
+        elif dom[gf] != dom[f] or cod[gf] != cod[g]:
             problems.append(f"ill-typed composite ({g!r},{f!r}) -> {gf!r}")
     if problems:
         return problems
 
     # Totality on composable pairs, walked through the morphisms into each
     # object (in morphism order, so the pairs come in product order).
-    into = {x: [m.name for m in morphisms if m.cod == x] for x in objects}
+    into = {x: [] for x in objects}
+    for m in morphisms:
+        into[m.cod].append(m.name)
     for g in morphisms:
         for f in into[g.dom]:
             if (g.name, f) not in compose:
@@ -154,21 +224,28 @@ def _table_problems(objects, morphisms, identity, compose) -> list[str]:
         if right != m.name:
             problems.append(f"bad identity at {m.dom!r}: {m.name!r}∘1 = {right!r}")
 
-    # Associativity on every composable triple.
-    for h in morphisms:
-        for g in into[h.dom]:
-            hg = compose[(h.name, g)]
-            for f in into[mor[g].dom]:
-                a = compose[(h.name, compose[(g, f)])]
-                b = compose[(hg, f)]
-                if a != b:
-                    problems.append(f"associativity failure ({h.name!r},{g!r},{f!r}): "
-                                    f"{a!r} != {b!r}")
+    # Associativity by Light's test on the generators, once the identities
+    # are known to be identities, which makes them good too.
+    def triples(middle):
+        mid = into if middle is None else {x: [g for g in into[x] if g in middle] for x in into}
+        for h in morphisms:
+            for g in mid[h.dom]:
+                hg = compose[(h.name, g)]
+                for f in into[dom[g]]:
+                    a = compose[(h.name, compose[(g, f)])]
+                    b = compose[(hg, f)]
+                    if a != b:
+                        yield f"associativity failure ({h.name!r},{g!r},{f!r}): {a!r} != {b!r}"
+
+    gens = None if problems else _generators(dom, cod, identity, compose, into)
+    problems += law_failures(triples, gens)
+    if found is not None and not problems:
+        found["generators"] = gens
     return problems
 
 
 class FiniteCategory:
-    """Immutable finite category with exhaustive table validation."""
+    """Immutable finite category, its table validated on construction."""
 
     def __init__(self, objects: Iterable[str], morphisms, identity: dict, compose: dict,
                  *, name: str | None = None):
@@ -176,10 +253,14 @@ class FiniteCategory:
 
     @classmethod
     def _trusted(cls, objects, morphisms, identity: dict, compose: dict,
-                 *, name: str | None = None) -> FiniteCategory:
-        """Build from a table already known to be valid, without re-checking it."""
+                 *, name: str | None = None, generators: frozenset | None = None
+                 ) -> FiniteCategory:
+        """Build from a table already known to be valid, without re-checking
+        it; generators, when the check found them, are kept."""
         cat = cls.__new__(cls)
         cat._setup(objects, morphisms, identity, compose, name, check=False)
+        if generators is not None:
+            cat.generators = generators
         return cat
 
     def _setup(self, objects, morphisms, identity, compose, name, *, check: bool):
@@ -190,15 +271,19 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.compose_table = dict(compose)
         if check:
+            found = {}
             problems = _table_problems(self.objects, self.morphisms, self.identity,
-                                       self.compose_table)
+                                       self.compose_table, found)
             if problems:
                 raise InvalidCategoryError(problems)
+            self.generators = found["generators"]
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
         self.mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         self._by_name = {m.name: m for m in self.morphisms}
-        self._into = {x: tuple(m.name for m in self.morphisms if m.cod == x)
-                      for x in self.objects}
+        into = {x: [] for x in self.objects}
+        for m in self.morphisms:
+            into[m.cod].append(m.name)
+        self._into = {x: tuple(names) for x, names in into.items()}
         self._hom = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), []).append(m.name)
@@ -236,32 +321,11 @@ class FiniteCategory:
 
     @cached_property
     def generators(self) -> frozenset:
-        """Non-identity morphisms whose composites are every non-identity
-        morphism, chosen greedily: those with the fewest factorisations g·f
-        into two non-identity morphisms first, then by index, each kept
-        unless the composites of those kept already reach it."""
-        ids = set(self.identity.values())
-        table = self.compose_table
-        count = {m.name: 0 for m in self.morphisms if m.name not in ids}
-        for (g, f), gf in table.items():
-            if gf in count and g not in ids and f not in ids:
-                count[gf] += 1
-        gens, reached = [], set()
-        for m in sorted(count, key=lambda m: (count[m], self.mor_index[m])):
-            if m in reached:
-                continue
-            gens.append(m)
-            # every composite holding m: m with the reached on either side,
-            # then grown by one generator at a time on either side
-            todo = [m] + [table[m, s] for s in self.into(self.dom(m)) if s in reached]
-            todo += [table[s, m] for s in reached if self.dom(s) == self.cod(m)]
-            while todo:
-                t = todo.pop()
-                if t not in reached and t not in ids:
-                    reached.add(t)
-                    todo += [table[g, t] for g in gens if self.dom(g) == self.cod(t)]
-                    todo += [table[t, g] for g in gens if self.cod(g) == self.dom(t)]
-        return frozenset(gens)
+        """The generators of ``_generators``; a checked build keeps the
+        ones its check found."""
+        return _generators({m.name: m.dom for m in self.morphisms},
+                           {m.name: m.cod for m in self.morphisms},
+                           self.identity, self.compose_table, self._into)
 
     # -- isomorphisms and idempotents -----------------------------------
 

@@ -13,8 +13,10 @@ from .fields import _is_prime
 from .groups import FiniteGroup, check_subgroup_order
 
 # chain<n> and C<n> are refused before anything is built when their
-# composition table would hold more composable pairs than this: the checks
-# of FiniteCategory and FiniteGroup are cubic in the size.
+# composition table would hold more composable pairs than this. Every pair
+# is built, stored and checked; associativity is checked on the triples
+# with a generator in the middle, a few times as many as the pairs on these
+# tables, and on every triple only when one of those fails.
 MAX_COMPOSABLE_PAIRS = 2 ** 15
 
 _CHAIN_OBJECTS = ("x", "y", "z", "w", "v", "u")
@@ -158,7 +160,8 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
 
     morphisms = []
     morphism_coset = {}
-    hom_by_coset = {}
+    rep = {}     # morphism -> the first element of its coset
+    lookup = {}  # (src, dst) -> {g: the morphism of the coset gK}, g in the transporter
     identity = {}
     for i, src in enumerate(objects):
         h = object_subgroup[src]
@@ -166,28 +169,26 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
             k = object_subgroup[dst]
             transporter = [g for g in group.elements if group.conjugate(h, g) <= k]
             cosets = sorted({group.coset(g, k) for g in transporter}, key=group.subset_key)
+            hom = lookup[src, dst] = {}
             for coset in cosets:
-                rep = "+".join(sorted(coset, key=lambda a: group.index[a]))
-                name = f"c{i}.{j}[{rep}]"
+                elems = sorted(coset, key=lambda a: group.index[a])
+                name = f"c{i}.{j}[{'+'.join(elems)}]"
                 morphisms.append(Morphism(name, src, dst))
                 morphism_coset[name] = coset
-                hom_by_coset[(src, dst, coset)] = name
+                rep[name] = elems[0]
+                hom.update(dict.fromkeys(coset, name))
                 if src == dst and coset == h:
                     identity[src] = name
 
-    by_name = {m.name: m for m in morphisms}
+    # "first f, then g" is the coset of f's representative times g's: the
+    # product lies in the transporter, so the lookup holds its morphism.
+    into = {x: [] for x in objects}
+    for m in morphisms:
+        into[m.cod].append(m)
     compose = {}
-    for g_name, g_coset in morphism_coset.items():
-        for f_name, f_coset in morphism_coset.items():
-            g_mor = by_name[g_name]
-            f_mor = by_name[f_name]
-            if g_mor.dom != f_mor.cod:
-                continue
-            target_sub = object_subgroup[g_mor.cod]
-            f_rep = min(f_coset, key=lambda a: group.index[a])
-            g_rep = min(g_coset, key=lambda a: group.index[a])
-            coset = group.coset(group.mult(f_rep, g_rep), target_sub)
-            compose[(g_name, f_name)] = hom_by_coset[(f_mor.dom, g_mor.cod, coset)]
+    for g in morphisms:
+        for f in into[g.dom]:
+            compose[g.name, f.name] = lookup[f.dom, g.cod][group.mult(rep[f.name], rep[g.name])]
 
     cat = OrbitCategory(objects, morphisms, identity, compose,
                         name=f"O({group.name})")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .category import law_failures
 from .errors import EngineError
 
 # Subgroups, and with them orbit categories, are enumerated for groups of
@@ -17,6 +18,25 @@ class InvalidGroupError(EngineError):
         self.problems = list(problems)
         lines = "\n".join(f"  - {p}" for p in self.problems)
         super().__init__(f"invalid group:\n{lines}")
+
+
+def _generators(elements, table) -> list[str]:
+    """Elements whose products, bracketed from the left, are every
+    element: each element in order is kept unless the right
+    multiplication closure of those kept already holds it. No law of the
+    table is assumed, only that it is total on the elements."""
+    gens, reached = [], set()
+    for a in elements:
+        if a in reached:
+            continue
+        gens.append(a)
+        todo = [a] + [table[x, a] for x in reached]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo += [table[x, g] for g in gens]
+    return gens
 
 
 class FiniteGroup:
@@ -43,7 +63,9 @@ class FiniteGroup:
 
     def _check(self) -> list[str]:
         """Every violation of the group axioms; on a group, the identity
-        and the inverses found are kept as self.identity and self._inv."""
+        and the inverses found are kept as self.identity and self._inv.
+        Associativity is checked by Light's test (see law_failures) on the
+        elements _generators finds, and on a failure on every triple."""
         problems = []
         if len(set(self.elements)) != len(self.elements):
             problems.append("duplicate element names")
@@ -56,12 +78,17 @@ class FiniteGroup:
                     problems.append(f"product ({a!r},{b!r}) leaves the element set")
         if problems:
             return problems
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if (self.table[(self.table[(a, b)], c)]
-                            != self.table[(a, self.table[(b, c)])]):
-                        problems.append(f"associativity failure ({a!r},{b!r},{c!r})")
+        t = self.table
+
+        def triples(middle):
+            for a in self.elements:
+                for b in self.elements if middle is None else middle:
+                    ab = t[a, b]
+                    for c in self.elements:
+                        if t[ab, c] != t[a, t[b, c]]:
+                            yield f"associativity failure ({a!r},{b!r},{c!r})"
+
+        problems += law_failures(triples, _generators(self.elements, t))
         idents = [e for e in self.elements
                   if all(self.table[(e, b)] == b == self.table[(b, e)] for b in self.elements)]
         if len(idents) != 1:

@@ -4,7 +4,9 @@ A presheaf assigns a value to each object and, contravariantly, a map
 F(f): F(cod f) -> F(dom f) to each morphism. Set values are finite
 ordered tuples with explicit function tables; linear values are
 dimensions with exact matrices over a chosen field. Both flavours are
-validated exhaustively on construction (identities and functoriality).
+validated on construction: identities on every object, and
+functoriality on the pairs with a generator of the category on the left,
+on every composable pair only when one of those fails.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import random
 from typing import Iterable, NamedTuple
 
-from .category import FiniteCategory, FullSubcategory
+from .category import FiniteCategory, FullSubcategory, law_failures
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
                      mat_combination, mat_mul, sparse_null_space, zero_matrix)
@@ -140,13 +142,14 @@ def _check_functoriality(cat: FiniteCategory, fails):
     is exact once identities act as identities: if F(hf) = F(f)F(h) for
     every generator h and every f, then for g = hw with h a generator,
     F(gf) = F(wf)F(h) = F(f)F(w)F(h) = F(f)F(g) by induction on the
-    length of g as a word in the generators."""
+    length of g as a word in the generators (see law_failures)."""
     def pairs(only):
-        return ((g, f) for g in cat.morphisms if only is None or g.name in only
-                for f in cat.into(g.dom))
-    if any(fails(g, f) for g, f in pairs(cat.generators)):
-        g, f = next(pair for pair in pairs(None) if fails(*pair))
-        raise PresheafError(f"functoriality fails on ({g.name!r},{f!r})")
+        return (f"functoriality fails on ({g.name!r},{f!r})"
+                for g in cat.morphisms if only is None or g.name in only
+                for f in cat.into(g.dom) if fails(g, f))
+    failure = next(law_failures(pairs, cat.generators), None)
+    if failure is not None:
+        raise PresheafError(failure)
 
 
 def _as_subcategory(cat: FiniteCategory, sub) -> FullSubcategory:

@@ -17,7 +17,7 @@ from .algebras import MAX_SKEW_TABLE_CELLS, AlgebraPresheaf, FiniteDimAlgebra, \
     constant_algebra_presheaf, field_algebra, skew_category_algebra
 from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
-from .fields import (Matrix, basis_coordinates, block_diagonal, col_space, hstack,
+from .fields import (Matrix, basis_coordinates, basis_rows, block_diagonal, col_space, hstack,
                      identity_matrix, inverse, mat_mul, matrix,
                      matrix_from_cols, rref, unit_vec)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
@@ -87,9 +87,10 @@ def submodule_closure(n: AlgebraModule, vectors) -> AlgebraModule:
     """The submodule generated by the given vectors, in its canonical basis."""
     k = n.field
     span = _span_closure(n, vectors)
+    rows = basis_rows(k, span)
     acts = []
     for a in n.actions:
-        sol = basis_coordinates(k, span, mat_mul(k, a, span))
+        sol = basis_coordinates(k, span, mat_mul(k, a, span), rows)
         if sol is None:
             raise EngineError("span closure is not action-stable")
         acts.append(sol)

@@ -16,7 +16,10 @@ unpruned, with labels found by a scan of every object subset, the
 classifying subcategory by a scan of the candidates, the strictly full
 Karoubian subcategories by a Karoubi test of every union of isomorphism
 classes, pointwise
-coset maps for orbit categories, a direct category-algebra table,
+coset maps for orbit categories, orbit categories composed by coset
+products, the laws of category and group tables, of stored skew
+products and of module actions swept over every instance (the library
+tries the generators first, by Light's test), a direct category-algebra table,
 textbook dense tables of the stock algebras, the skew category algebra
 with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
@@ -45,13 +48,13 @@ import yaml
 
 from finsite import serialize
 from finsite.algebras import FiniteDimAlgebra, GrMorphism, GrothendieckConstruction
-from finsite.category import (FiniteCategory, FullSubcategory, is_ei, is_karoubian,
+from finsite.category import (FiniteCategory, FullSubcategory, Morphism, is_ei, is_karoubian,
                               iso_class_poset, iso_classes,
                               strictly_full_karoubian_subcategories)
 from finsite.fields import (Matrix, basis_coordinates, block_matrix, block_offsets,
-                            col_space, hstack, inverse, mat_mul, matrix, matrix_from_cols,
-                            null_space, rank, solve, solve_matrix, sparse_null_space,
-                            unit_vec)
+                            col_space, hstack, identity_matrix, inverse, mat_combination,
+                            mat_mul, matrix, matrix_from_cols, null_space, rank, solve,
+                            solve_matrix, sparse_null_space, unit_vec)
 from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
 from finsite.sampling import MAX_CONSTANTS, MAX_GENERATORS, MAX_RELATIONS
@@ -629,6 +632,201 @@ def orbit_morphism_function(orbit_cat, name: str) -> dict:
             assert table[key] == frozenset(image), "map is not well defined"
         table[key] = frozenset(image)
     return table
+
+
+# -- orbit categories by coset products ----------------------------------------
+
+
+def coset_orbit_category(group, chosen) -> tuple:
+    """The objects, morphisms, identities and composition table of the
+    orbit category on the chosen subgroups, each composite the morphism of
+    the coset of a product of coset minima, found among the cosets of its
+    hom-set."""
+    objects = [f"{group.name}/{group.subset_label(h)}" for h in chosen]
+    sub = dict(zip(objects, chosen))
+    morphisms, identity, coset_of, by_coset = [], {}, {}, {}
+    for i, src in enumerate(objects):
+        for j, dst in enumerate(objects):
+            cosets = {group.coset(g, sub[dst]) for g in group.elements
+                      if group.conjugate(sub[src], g) <= sub[dst]}
+            for coset in sorted(cosets, key=group.subset_key):
+                name = f"c{i}.{j}[{'+'.join(sorted(coset, key=group.index.get))}]"
+                morphisms.append(Morphism(name, src, dst))
+                coset_of[name] = coset
+                by_coset[src, dst, coset] = name
+                if src == dst and coset == sub[src]:
+                    identity[src] = name
+    compose = {}
+    for g in morphisms:
+        for f in morphisms:
+            if g.dom == f.cod:
+                f_rep = min(coset_of[f.name], key=group.index.get)
+                g_rep = min(coset_of[g.name], key=group.index.get)
+                coset = group.coset(group.mult(f_rep, g_rep), sub[g.cod])
+                compose[g.name, f.name] = by_coset[f.dom, g.cod, coset]
+    return objects, morphisms, identity, compose
+
+
+# -- every law on every instance: the sweeps Light's test falls back on --------
+
+
+def category_table_problems(objects, morphisms, identity, compose) -> list:
+    """The problems of a raw category table, associativity checked on
+    every composable triple."""
+    problems = []
+    objects = list(objects)
+    if len(set(objects)) != len(objects):
+        problems.append("duplicate object identifiers")
+    names = [m.name for m in morphisms]
+    if len(set(names)) != len(names):
+        problems.append("duplicate morphism identifiers")
+    obj_set = set(objects)
+    mor = {m.name: m for m in morphisms}
+    for m in morphisms:
+        if m.dom not in obj_set:
+            problems.append(f"unknown object {m.dom!r} as dom of {m.name!r}")
+        if m.cod not in obj_set:
+            problems.append(f"unknown object {m.cod!r} as cod of {m.name!r}")
+    for x, i in identity.items():
+        if x not in obj_set:
+            problems.append(f"identity given for unknown object {x!r}")
+        elif i not in mor:
+            problems.append(f"bad identity at {x!r}: unknown morphism {i!r}")
+        elif mor[i].dom != x or mor[i].cod != x:
+            problems.append(f"bad identity at {x!r}: {i!r} is not an endomorphism of {x!r}")
+    for x in objects:
+        if x not in identity:
+            problems.append(f"bad identity at {x!r}: none given")
+    for (g, f), gf in compose.items():
+        if g not in mor or f not in mor:
+            problems.append(f"composite ({g!r},{f!r}) names unknown morphisms")
+            continue
+        if mor[g].dom != mor[f].cod:
+            problems.append(f"stray composite ({g!r},{f!r}): pair is not composable")
+            continue
+        if gf not in mor:
+            problems.append(f"composite ({g!r},{f!r}) maps to unknown morphism {gf!r}")
+        elif mor[gf].dom != mor[f].dom or mor[gf].cod != mor[g].cod:
+            problems.append(f"ill-typed composite ({g!r},{f!r}) -> {gf!r}")
+    if problems:
+        return problems
+    into = {x: [m.name for m in morphisms if m.cod == x] for x in objects}
+    for g in morphisms:
+        for f in into[g.dom]:
+            if (g.name, f) not in compose:
+                problems.append(f"missing composite ({g.name!r},{f!r})")
+    if problems:
+        return problems
+    for m in morphisms:
+        left = compose[(identity[m.cod], m.name)]
+        right = compose[(m.name, identity[m.dom])]
+        if left != m.name:
+            problems.append(f"bad identity at {m.cod!r}: 1∘{m.name!r} = {left!r}")
+        if right != m.name:
+            problems.append(f"bad identity at {m.dom!r}: {m.name!r}∘1 = {right!r}")
+    for h in morphisms:
+        for g in into[h.dom]:
+            hg = compose[(h.name, g)]
+            for f in into[mor[g].dom]:
+                a = compose[(h.name, compose[(g, f)])]
+                b = compose[(hg, f)]
+                if a != b:
+                    problems.append(f"associativity failure ({h.name!r},{g!r},{f!r}): "
+                                    f"{a!r} != {b!r}")
+    return problems
+
+
+def group_table_problems(elements, table) -> list:
+    """The problems of a raw group table, associativity checked on every
+    triple."""
+    problems = []
+    if len(set(elements)) != len(elements):
+        problems.append("duplicate element names")
+    elems = set(elements)
+    for a in elements:
+        for b in elements:
+            if (a, b) not in table:
+                problems.append(f"missing product ({a!r},{b!r})")
+            elif table[(a, b)] not in elems:
+                problems.append(f"product ({a!r},{b!r}) leaves the element set")
+    if problems:
+        return problems
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    problems.append(f"associativity failure ({a!r},{b!r},{c!r})")
+    idents = [e for e in elements
+              if all(table[(e, b)] == b == table[(b, e)] for b in elements)]
+    if len(idents) != 1:
+        problems.append("no two-sided identity element")
+        return problems
+    e = idents[0]
+    for a in elements:
+        if not any(table[(a, b)] == e and table[(b, a)] == e for b in elements):
+            problems.append(f"no inverse for {a!r}")
+    return problems
+
+
+def _cell_sum(field, terms) -> dict:
+    out = {}
+    for a, cell in terms:
+        for t, c in cell:
+            out[t] = field.add(out.get(t, field.zero), field.mul(a, c))
+    return {t: c for t, c in out.items() if c != field.zero}
+
+
+def skew_verify_problems(skew) -> list:
+    """The problems of a skew category algebra's stored products,
+    associativity checked on every composable triple, then the unit laws
+    on every basis element through dense vectors."""
+    k, cat, prods = skew.field, skew.cat, skew.products
+    blocks = {m.name: range(skew.basis_offset[m.name],
+                            skew.basis_offset[m.name] + skew.r.algebra(m.dom).dim)
+              for m in cat.morphisms}
+    problems = []
+    for h in cat.morphisms:
+        for i in blocks[h.name]:
+            for g in cat.into(h.dom):
+                for j in blocks[g]:
+                    for f in cat.into(cat.dom(g)):
+                        for t in blocks[f]:
+                            left = _cell_sum(k, ((c, prods[s].get(t, ()))
+                                                 for s, c in prods[i].get(j, ())))
+                            right = _cell_sum(k, ((c, prods[i].get(s, ()))
+                                                  for s, c in prods[j].get(t, ())))
+                            if left != right:
+                                problems.append(
+                                    f"associativity failure on basis triple ({skew.labels[i]!r},"
+                                    f"{skew.labels[j]!r},{skew.labels[t]!r})")
+    alg = dense_algebra(skew)
+    for i in range(skew.dim):
+        e = unit_vec(k, skew.dim, i)
+        if dense_mul(alg, alg.unit, e) != e or dense_mul(alg, e, alg.unit) != e:
+            problems.append(f"unit fails on basis element {skew.labels[i]!r}")
+    return problems
+
+
+def action_failure(algebra, dim: int, actions, where: str = "") -> str | None:
+    """The message of the first module axiom actions break, every pair
+    of basis elements tried for multiplicativity, or None."""
+    k = algebra.field
+    if dim < 0:
+        return f"negative module dimension {dim}{where}"
+    if len(actions) != algebra.dim:
+        return f"need one action matrix per basis element{where}"
+    if any((a.rows, a.cols) != (dim, dim) for a in actions):
+        return f"action matrix{where} has the wrong shape"
+    if (dim and not algebra.dim) or \
+            mat_combination(k, algebra.unit, actions, dim, dim) != identity_matrix(k, dim):
+        return f"unit does not act as identity{where}"
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            lhs = mat_combination(k, algebra.mul_basis(i, j), actions, dim, dim)
+            if lhs != mat_mul(k, actions[j], actions[i]):
+                return (f"action not multiplicative{where} on basis "
+                        f"({algebra.labels[i]!r},{algebra.labels[j]!r})")
+    return None
 
 
 # -- direct category algebra table --------------------------------------------
