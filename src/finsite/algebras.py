@@ -128,7 +128,8 @@ class FiniteDimAlgebra:
         stored products, by Light's test (see law_failures): on the triples
         of ``_triples`` with j in ``generating_basis``, and on a failure, or
         with no generating basis, on all of them. Then the unit laws on
-        every basis element."""
+        every basis element, u b_i and b_i u read off the stored products
+        over the support of the unit u."""
         k = self.field
         prods = self.products
 
@@ -141,9 +142,11 @@ class FiniteDimAlgebra:
                            f"({self.labels[i]!r},{self.labels[j]!r},{self.labels[t]!r})")
 
         problems = list(law_failures(triples, self.generating_basis()))
+        support = [(s, c) for s, c in enumerate(self.unit) if c != k.zero]
         for i in range(self.dim):
-            e = unit_vec(k, self.dim, i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+            e = {i: k.one}
+            if (self._sum((c, prods[s].get(i, ())) for s, c in support) != e
+                    or self._sum((c, prods[i].get(s, ())) for s, c in support) != e):
                 problems.append(f"unit fails on basis element {self.labels[i]!r}")
         return problems
 

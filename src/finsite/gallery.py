@@ -145,7 +145,9 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
     if not chosen:
         raise EngineError("the subgroup family is empty")
     family = set(chosen)
-    closed = all(group.conjugate(h, g) in family for h in chosen for g in group.elements)
+    # conjugates[i][n]: chosen[i] conjugated by the n-th group element
+    conjugates = [[group.conjugate(h, g) for g in group.elements] for h in chosen]
+    closed = all(c in family for row in conjugates for c in row)
     if not closed:
         warnings.warn("subgroup family is not closed under conjugation; "
                       "the orbit category is still valid but is not a strictly "
@@ -167,7 +169,7 @@ def orbit_category(group: FiniteGroup, subgroup_filter=None) -> OrbitCategory:
         h = object_subgroup[src]
         for j, dst in enumerate(objects):
             k = object_subgroup[dst]
-            transporter = [g for g in group.elements if group.conjugate(h, g) <= k]
+            transporter = [g for g, c in zip(group.elements, conjugates[i]) if c <= k]
             cosets = sorted({group.coset(g, k) for g in transporter}, key=group.subset_key)
             hom = lookup[src, dst] = {}
             for coset in cosets:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 from .category import FiniteCategory, FullSubcategory, law_failures
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
-                     mat_combination, mat_mul, sparse_null_space, zero_matrix)
+                     mat_combination, shared_products, sparse_null_space, zero_matrix)
 
 
 class PresheafError(EngineError):
@@ -53,10 +53,10 @@ class SetPresheaf:
             ident = self.maps[self.cat.id_of(x)]
             if any(ident[a] != a for a in self.values[x]):
                 raise PresheafError(f"identity at {x!r} does not act as identity")
-        maps = self.maps
-        _check_functoriality(self.cat, lambda g, f: any(
-            maps[f][maps[g.name][a]] != maps[self.cat.compose(g.name, f)][a]
-            for a in self.values[g.cod]))
+        maps, cat = self.maps, self.cat
+        _check_functoriality(cat, lambda g: (f for f in cat.into(g.dom) if any(
+            maps[f][maps[g.name][a]] != maps[cat.compose(g.name, f)][a]
+            for a in self.values[g.cod])))
 
     def at(self, x: str) -> tuple:
         return self.values[x]
@@ -106,9 +106,14 @@ class LinearPresheaf:
         for x in self.cat.objects:
             if self.mats[self.cat.id_of(x)] != identity_matrix(self.field, self.dims[x]):
                 raise PresheafError(f"identity at {x!r} is not the identity matrix")
-        mats = self.mats
-        _check_functoriality(self.cat, lambda g, f: mat_mul(
-            self.field, mats[f], mats[g.name]) != mats[self.cat.compose(g.name, f)])
+        mats, cat = self.mats, self.cat
+
+        def failing(g):
+            into = cat.into(g.dom)
+            got = shared_products(self.field, [mats[f] for f in into], right=mats[g.name])
+            return (f for f, gf in zip(into, got) if gf != mats[cat.compose(g.name, f)])
+
+        _check_functoriality(cat, failing)
 
     def at(self, x: str) -> int:
         return self.dims[x]
@@ -136,9 +141,10 @@ class LinearPresheaf:
         return f"<LinearPresheaf over {self.field.label} dims [{dims}]>"
 
 
-def _check_functoriality(cat: FiniteCategory, fails):
-    """Raise on the first composable pair (g, f), in morphism order, with
-    fails(g, f). Only the generators g are tried until one fails, which
+def _check_functoriality(cat: FiniteCategory, failing):
+    """Raise on the first composable pair (g, f), in morphism order, on
+    which F(g f) = F(f) F(g) fails, failing(g) giving the f into dom g that
+    fail, in order. Only the generators g are tried until one fails, which
     is exact once identities act as identities: if F(hf) = F(f)F(h) for
     every generator h and every f, then for g = hw with h a generator,
     F(gf) = F(wf)F(h) = F(f)F(w)F(h) = F(f)F(g) by induction on the
@@ -146,7 +152,7 @@ def _check_functoriality(cat: FiniteCategory, fails):
     def pairs(only):
         return (f"functoriality fails on ({g.name!r},{f!r})"
                 for g in cat.morphisms if only is None or g.name in only
-                for f in cat.into(g.dom) if fails(g, f))
+                for f in failing(g))
     failure = next(law_failures(pairs, cat.generators), None)
     if failure is not None:
         raise PresheafError(failure)
@@ -310,12 +316,19 @@ def intertwiner_basis(src: Representation, dst: Representation) -> list[dict]:
 
 
 def is_intertwiner(src: Representation, dst: Representation, comps: dict) -> bool:
-    """Every component has the right shape and every square commutes."""
+    """Every component has the right shape and every square commutes: the
+    phi[x] S of the arrows out of each key x come from one product, and so
+    do the T phi[y] of the arrows into each key y."""
     k = src.field
     if any((comps[x].rows, comps[x].cols) != (dst.dims[x], d) for x, d in src.dims.items()):
         return False
-    return all(mat_mul(k, comps[x], s) == mat_mul(k, t, comps[y])
-               for (x, y, s), (_, _, t) in zip(src.arrows, dst.arrows))
+    left, right = {}, {}
+    for x in src.dims:
+        outs = [t for t, arrow in enumerate(src.arrows) if arrow[0] == x]
+        ins = [t for t, arrow in enumerate(src.arrows) if arrow[1] == x]
+        left.update(zip(outs, shared_products(k, [src.arrows[t][2] for t in outs], left=comps[x])))
+        right.update(zip(ins, shared_products(k, [dst.arrows[t][2] for t in ins], right=comps[x])))
+    return all(left[t] == right[t] for t in range(len(src.arrows)))
 
 
 def all_invertible(field, comps: dict) -> bool:

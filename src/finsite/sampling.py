@@ -19,7 +19,7 @@ from .category import FiniteCategory, FullSubcategory
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, basis_rows, block_diagonal, col_space, hstack,
                      identity_matrix, inverse, mat_mul, matrix,
-                     matrix_from_cols, rref, unit_vec)
+                     matrix_from_cols, rref, shared_products, unit_vec)
 from .modules import AlgebraModule, ModulePresheaf, to_module_presheaf, \
     transport_module_back
 from .presheaves import LinearPresheaf, SetPresheaf
@@ -122,8 +122,7 @@ def twist_algebra_module(n: AlgebraModule, p: Matrix, p_inv: Matrix | None = Non
     p_inv = p_inv or inverse(k, p)
     if p_inv is None:
         raise EngineError("twist matrix is not invertible")
-    acts = [mat_mul(k, p, mat_mul(k, a, p_inv)) for a in n.actions]
-    return AlgebraModule(n.algebra, n.dim, acts, check=False)
+    return AlgebraModule(n.algebra, n.dim, shared_products(k, n.actions, p, p_inv), check=False)
 
 
 def random_algebra_module(algebra: FiniteDimAlgebra, rng: random.Random) -> AlgebraModule:
@@ -153,7 +152,9 @@ def random_algebra_module(algebra: FiniteDimAlgebra, rng: random.Random) -> Alge
 def twist_module_presheaf(m: ModulePresheaf, twists: dict, inverses: dict | None = None
                           ) -> ModulePresheaf:
     """Conjugate every value by an invertible matrix per object; inverses,
-    when given, holds their inverses."""
+    when given, holds their inverses. The maps are taken to the new bases
+    with one product per codomain and one per domain, the actions with two
+    per object."""
     k = m.field
     invs = {}
     for x, p in twists.items():
@@ -161,13 +162,17 @@ def twist_module_presheaf(m: ModulePresheaf, twists: dict, inverses: dict | None
         if p_inv is None:
             raise EngineError(f"twist at {x!r} is not invertible")
         invs[x] = p_inv
-    mats = {}
+    by_dom, by_cod = ({x: [] for x in m.cat.objects} for _ in range(2))
     for mor in m.cat.morphisms:
-        mats[mor.name] = mat_mul(k, twists[mor.dom],
-                                 mat_mul(k, m.space.mat(mor.name), invs[mor.cod]))
+        by_dom[mor.dom].append(mor.name)
+        by_cod[mor.cod].append(mor.name)
+    right, mats = {}, {}
+    for y, names in by_cod.items():
+        right.update(zip(names, shared_products(k, map(m.space.mat, names), right=invs[y])))
+    for x, names in by_dom.items():
+        mats.update(zip(names, shared_products(k, map(right.get, names), left=twists[x])))
     space = LinearPresheaf(m.cat, k, dict(m.space.dims), mats)
-    actions = {x: tuple(mat_mul(k, twists[x], mat_mul(k, a, invs[x]))
-                        for a in m.actions[x])
+    actions = {x: tuple(shared_products(k, m.actions[x], twists[x], invs[x]))
                for x in m.cat.objects}
     return ModulePresheaf(m.r, space, actions, check=False)
 

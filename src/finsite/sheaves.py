@@ -20,9 +20,10 @@ member u to "v then u" for each generator v into dom(u), of the site or
 of D. The value at x of the dense fixed-point formula links each orbit
 representative to itself under every element of its stabilizer.
 
-One pull, ``_pull``, makes a presheaf of such values, reading each
-morphism's matrix off the family basis of its domain, whose row
-structure it reads once (see ``basis_rows``). One unit, ``_unit``,
+One pull, ``_pull``, makes a presheaf of such values, reading the
+matrices of the morphisms out of an object off the family basis there
+(see ``basis_coordinates``), all at once when the basis has rows whose
+check is a product. One unit, ``_unit``,
 restricts F(x) into the matching families over a sieve on x:
 the sheaf condition asks it to be bijective for every covering sieve,
 and on the minimal covering sieves it is the unit of half-sheafification.
@@ -43,7 +44,8 @@ from typing import NamedTuple
 from .category import FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, basis_rows, block_offsets, bottom_up_basis,
-                     identity_matrix, mat_mul, rank, sparse_null_space, vstack, zero_matrix)
+                     hstack, identity_matrix, mat_mul, rank, shared_products,
+                     sparse_null_space, vstack, zero_matrix)
 from .presheaves import LinearPresheaf, SetPresheaf
 from .sieves import Sieve
 from .topology import GrothendieckTopology
@@ -164,25 +166,31 @@ def _root_solve(f, dims, links) -> Matrix:
     has the block P_j M_r, P_j the product of the maps on the path from
     its root r; the links off the forest ask F(v) P_i M_r - P_j M_r' = 0
     of the root blocks, with kernel K. The families are W = (P_j K_r)_j,
-    and W (W_F)^-1 is their canonical basis (see bottom_up_basis)."""
+    and W (W_F)^-1 is their canonical basis (see bottom_up_basis). The
+    F(v) P_i of the links out of member i come from one product, and so
+    do the P_j K_r of the members of root r."""
     k = f.field
     roots, tree = _spanning_forest(len(dims), links)
     starts, width = block_offsets(dims[r] for r in roots)
     start = dict(zip(roots, starts))
+    out_of = [[] for _ in dims]
+    for t, (i, _, _) in enumerate(links):
+        out_of[i].append(t)
+    reaches = dict(tree)
     path = {r: (r, None) for r in roots}   # member -> (root, P), None for I
-    for t, j in tree:
-        i, v, _ = links[t]
+    lhs = {}                               # link t = (i, v, j) -> F(v) P_i
+    for i in roots + [j for _, j in tree]:
         r, p = path[i]
-        path[j] = (r, f.mat(v) if p is None else mat_mul(k, f.mat(v), p))
-    in_tree = {t for t, _ in tree}
+        maps = [f.mat(links[t][1]) for t in out_of[i]]
+        lhs.update(zip(out_of[i], maps if p is None else shared_products(k, maps, right=p)))
+        path.update((reaches[t], (r, lhs[t])) for t in out_of[i] if t in reaches)
     rows = []
     for t, (i, v, j) in enumerate(links):
-        if t in in_tree:
+        if t in reaches:
             continue
-        (ri, pi), (rj, pj) = path[i], path[j]
-        lhs = f.mat(v) if pi is None else mat_mul(k, f.mat(v), pi)
+        (ri, _), (rj, pj) = path[i], path[j]
         rhs = identity_matrix(k, dims[j]) if pj is None else pj
-        for a, b in zip(lhs.data, rhs.data):
+        for a, b in zip(lhs[t].data, rhs.data):
             row = dict(itertools.compress(enumerate(a, start[ri]), a))
             for c, x in itertools.compress(enumerate(b, start[rj]), b):
                 row[c] = k.sub(row.get(c, k.zero), x)
@@ -190,11 +198,13 @@ def _root_solve(f, dims, links) -> Matrix:
     kernel = sparse_null_space(k, rows, width)
     if len(roots) == len(dims):
         return kernel   # the root unknowns are all the unknowns
-    blocks = []
-    for r, p in map(path.get, range(len(dims))):
-        kr = Matrix(dims[r], kernel.cols, kernel.data[start[r]:start[r] + dims[r]])
-        blocks.append(kr if p is None else mat_mul(k, p, kr))
-    return bottom_up_basis(k, vstack(k, blocks))
+    blocks = {}
+    for r in roots:
+        blocks[r] = Matrix(dims[r], kernel.cols, kernel.data[start[r]:start[r] + dims[r]])
+        reached = [j for _, j in tree if path[j][0] == r]
+        blocks.update(zip(reached, shared_products(
+            k, [path[j][1] for j in reached], right=blocks[r])))
+    return bottom_up_basis(k, vstack(k, [blocks[j] for j in range(len(dims))]))
 
 
 def families(f, cat: FiniteCategory, members: tuple):
@@ -241,17 +251,32 @@ def _pull(f, cat: FiniteCategory, values: dict, plan):
                                        for j, a in steps) for fam in values[m.cod]}
         return SetPresheaf(cat, values, maps)
     k = f.field
-    rows = {x: basis_rows(k, values[x].basis) for x in cat.objects}
-    mats = {}
+    out_of = {x: [] for x in cat.objects}
     for m in cat.morphisms:
-        src, dst = values[m.dom], values[m.cod]
-        blocks = [dst.block(j) if a is None else mat_mul(k, f.mat(a), dst.block(j))
-                  for j, a in plan(m)]
-        pulled = vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim)
-        sol = basis_coordinates(k, src.basis, pulled, rows[m.dom])
-        if sol is None:
-            raise EngineError("pulled family left the family space")
-        mats[m.name] = sol
+        out_of[m.dom].append(m)
+    mats = {}
+    for x, out in out_of.items():
+        basis = values[x].basis
+        rows = basis_rows(k, basis)
+        pulled = []
+        for m in out:
+            dst = values[m.cod]
+            blocks = [dst.block(j) if a is None else mat_mul(k, f.mat(a), dst.block(j))
+                      for j, a in plan(m)]
+            pulled.append(vstack(k, blocks) if blocks else zero_matrix(k, 0, dst.dim))
+        # Side by side, the rows of the basis with two entries or more are
+        # checked by one product for all the morphisms out of x; a basis
+        # without such rows has no product to share, and laying the
+        # families side by side would only copy them.
+        sols = []
+        for batch in [pulled] if rows.dense else [[p] for p in pulled]:
+            sol = basis_coordinates(k, basis, hstack(k, batch), rows)
+            if sol is None:
+                raise EngineError("pulled family left the family space")
+            starts, _ = block_offsets(p.cols for p in batch)
+            sols += [Matrix(sol.rows, p.cols, tuple(row[lo:lo + p.cols] for row in sol.data))
+                     for lo, p in zip(starts, batch)]
+        mats.update(zip([m.name for m in out], sols))
     return LinearPresheaf(cat, k, {x: values[x].dim for x in cat.objects}, mats)
 
 
