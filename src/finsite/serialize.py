@@ -470,10 +470,24 @@ def _names(raw, what: str):
     return raw
 
 
+def _keyed(raw: dict, names, what: str, where: str, field: str) -> dict:
+    """raw, a mapping from names of the category, once each of its keys
+    is found among names: the objects or the morphisms, as what says."""
+    for key in raw:
+        if key not in names:
+            raise DocumentError(f"{where}: field {field!r} names no {what}: {key!r}")
+    return raw
+
+
 def _dims_in(doc: dict, cat: FiniteCategory, where: str) -> dict:
-    raw = _typed(doc["dims"], dict, f"{where}: field 'dims'")
-    return {x: _typed(raw.get(x, 0), int, f"{where}: field 'dims' at {x!r}")
+    raw = _keyed(_typed(doc["dims"], dict, f"{where}: field 'dims'"), cat.obj_index,
+                 "object", where, "dims")
+    dims = {x: _typed(raw.get(x, 0), int, f"{where}: field 'dims' at {x!r}")
             for x in cat.objects}
+    for x, n in dims.items():
+        if n < 0:
+            raise DocumentError(f"{where}: field 'dims' at {x!r} is negative: {n}")
+    return dims
 
 
 def _maps_out(cat: FiniteCategory, mat) -> dict:
@@ -483,7 +497,8 @@ def _maps_out(cat: FiniteCategory, mat) -> dict:
 
 def _maps_in(doc: dict, cat: FiniteCategory, field, dims: dict, where: str) -> dict:
     """The matrices of a map table, f of shape dims[dom f] x dims[cod f]."""
-    raw = _typed(doc["maps"], dict, f"{where}: field 'maps'")
+    raw = _keyed(_typed(doc["maps"], dict, f"{where}: field 'maps'"), cat.mor_index,
+                 "morphism", where, "maps")
     mats = {}
     for m in cat.morphisms:
         if raw.get(m.name) is None:
@@ -581,8 +596,10 @@ def presheaf_from_doc(doc: dict, cat: FiniteCategory):
             {"values", "maps", "field", "dims"}, "presheaf")
     if doc["flavor"] == "set":
         _expect(doc, {"format", "kind", "flavor", "values", "maps"}, set(), "presheaf")
-        raw_values = _typed(doc["values"], dict, "presheaf: field 'values'")
-        raw_maps = _typed(doc["maps"], dict, "presheaf: field 'maps'")
+        raw_values = _keyed(_typed(doc["values"], dict, "presheaf: field 'values'"),
+                            cat.obj_index, "object", "presheaf", "values")
+        raw_maps = _keyed(_typed(doc["maps"], dict, "presheaf: field 'maps'"),
+                          cat.mor_index, "morphism", "presheaf", "maps")
         values = {x: _names(_typed(raw_values.get(x, []), list, f"presheaf: the value at {x!r}"),
                             f"presheaf: field 'values' at {x!r}")
                   for x in cat.objects}

@@ -34,6 +34,13 @@ intersection, so the inclusion-poset colimit defining the construction
 is attained at its least element, which is how a GrothendieckTopology
 holds the topology: one least covering sieve per object. The long-form
 colimit lives in the test suite as an independent oracle.
+
+Sheafification is two half-sheafification passes, which stay the oracle
+of the one shortcut: on the dense site of an EI category, where each
+least cover holds the morphisms from the minimal objects, the sheaf is
+Ran_D(F|_D) for D the minimal objects, the fixed-point formula. There
+``sheafify`` solves the fixed points alone and writes them into the
+layout of two passes, byte for byte (see ``_dense_sheafify``).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .category import FiniteCategory, FullSubcategory, iso_class_poset
+from .category import EIRequiredError, FiniteCategory, FullSubcategory, iso_class_poset
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, basis_rows, block_offsets, bottom_up_basis,
                      hstack, identity_matrix, mat_mul, rank, shared_products,
@@ -326,11 +333,12 @@ def sheaf_defect(f, top: GrothendieckTopology):
     """The first (object, covering sieve) violating descent, or None.
 
     Objects are swept in order, and the covering sieves at each in
-    sieve_sort_key order.
+    sieve_sort_key order. The maximal sieve, last in that order, is left
+    out: its unit is bijective (Yoneda).
     """
     cat = f.cat
     for x in cat.objects:
-        for s in top.sieves_at(x):
+        for s in top.sieves_at(x)[:-1]:
             if not _sieve_is_descent(f, s):
                 return (x, s)
     return None
@@ -353,8 +361,17 @@ def half_sheafify(f, top: GrothendieckTopology):
 
 
 def sheafify(f, top: GrothendieckTopology):
-    """Two half-sheafification passes."""
-    return half_sheafify(half_sheafify(f, top), top)
+    """Two half-sheafification passes, in their layout: the value at x is
+    the matching families of F+ over L_x, F+ = half_sheafify(f, top).
+
+    When f.cat is EI and every L_x holds exactly the morphisms from the
+    minimal objects into x (the dense topology, whichever way it was
+    chosen), the same values and maps are read off the fixed points
+    instead (see _dense_sheafify); two passes stay the oracle."""
+    poset = _dense_poset(f.cat, top)
+    if poset is None:
+        return half_sheafify(half_sheafify(f, top), top)
+    return _dense_sheafify(f, top, poset)
 
 
 def unit_into_half_sheafification(f, top: GrothendieckTopology):
@@ -402,15 +419,29 @@ def dense_components(cat: FiniteCategory, poset, x: str) -> tuple[DenseComponent
     return tuple(out)
 
 
-def _match_component(cat: FiniteCategory, components, cls: int, t: str):
-    """Find the component whose orbit contains t, and a with rep∘a = t."""
+def _orbit_lookup(cat: FiniteCategory, components) -> dict:
+    """Each morphism t from a class representative into x, sent to the
+    component j whose orbit holds t and the first automorphism a with
+    "a then orbit_rep" = t."""
+    found = {}
     for j, comp in enumerate(components):
-        if comp.class_index != cls:
-            continue
         for a in cat.endos(comp.rep_object):
-            if cat.compose(comp.orbit_rep, a) == t:
-                return j, a
-    raise EngineError("orbit decomposition out of sync")
+            found.setdefault(cat.compose(comp.orbit_rep, a), (j, a))
+    return found
+
+
+def _fixed_point_values(f, cat: FiniteCategory, poset):
+    """The components at each object, and the value there of the
+    fixed-point formula: the families over the orbit representatives,
+    each linked to itself by its stabilizer."""
+    components = {x: dense_components(cat, poset, x) for x in cat.objects}
+    values = {}
+    for x, comps in components.items():
+        links = [(i, h, i) for i, comp in enumerate(comps) for h in comp.stabilizer
+                 if not cat.is_identity(h)]
+        values[x] = _linked_families(f, tuple(comp.orbit_rep for comp in comps),
+                                     [comp.rep_object for comp in comps], links)
+    return components, values
 
 
 def dense_sheafify_fixed_points(f):
@@ -426,21 +457,118 @@ def dense_sheafify_fixed_points(f):
     checked against the generic sheafification.
     """
     cat = f.cat
-    poset = iso_class_poset(cat)
-    components = {x: dense_components(cat, poset, x) for x in cat.objects}
-    values = {}
-    for x, comps in components.items():
-        links = [(i, h, i) for i, comp in enumerate(comps) for h in comp.stabilizer
-                 if not cat.is_identity(h)]
-        values[x] = _linked_families(f, tuple(comp.orbit_rep for comp in comps),
-                                     [comp.rep_object for comp in comps], links)
+    components, values = _fixed_point_values(f, cat, iso_class_poset(cat))
+    lookup = {x: _orbit_lookup(cat, comps) for x, comps in components.items()}
 
     def plan(m):
-        found = [_match_component(cat, components[m.cod], c.class_index,
-                                  cat.compose(m.name, c.orbit_rep)) for c in components[m.dom]]
+        found = [lookup[m.cod][cat.compose(m.name, c.orbit_rep)] for c in components[m.dom]]
         return [(j, None if cat.is_identity(a) else a) for j, a in found]
 
     return _pull(f, cat, values, plan)
+
+
+def _dense_poset(cat: FiniteCategory, top: GrothendieckTopology):
+    """The iso-class poset of cat when cat is EI and every least cover L_x
+    holds exactly the morphisms from the minimal objects into x, else None."""
+    try:
+        poset = iso_class_poset(cat)
+    except EIRequiredError:
+        return None
+    minimal = set(poset.minimal_objects())
+    if all(top.minimal_cover(x).members == {t for t in cat.into(x) if cat.dom(t) in minimal}
+           for x in cat.objects):
+        return poset
+    return None
+
+
+def _dense_sheafify(f, top: GrothendieckTopology, poset):
+    """half_sheafify(half_sheafify(f, top), top) on the dense site of an EI
+    category, from the fixed points.
+
+    At a minimal object d, L_d is the maximal sieve, so F+(d) is the image
+    of the unit eta_d: F(d) -> F+(d) (Yoneda), the families of F over L_d,
+    canonically the bottom_up_basis of the stacked F(v), v in L_d, with
+    eta_d the rows of that stack at the basis's unit rows. The matching
+    families of F+ over L_x are eta applied entrywise to those of F, the
+    fixed points: a member u is "g then t" for an isomorphism g from dom u
+    to its class representative, and t is "a then r" for the orbit
+    representative r of a component, so its entry is eta F(g) F(a) of the
+    entry at r. Each value is then written in the canonical layout of the
+    second pass.
+    """
+    cat = f.cat
+    members = {x: member_order(cat, top.minimal_cover(x)) for x in cat.objects}
+    components, fixed = _fixed_point_values(f, cat, poset)
+    # d -> (g, g^-1), g: d -> the first object of its class
+    iso = {}
+    for ci in poset.minimal_class_indices():
+        rep, *others = poset.classes[ci]
+        iso[rep] = (cat.id_of(rep), cat.id_of(rep))
+        for d in others:
+            g = cat.hom(d, rep)[0]
+            iso[d] = (g, cat.inverse(g))
+    plans = {}   # x -> (g, j) per member: its entry is eta F(g) of entry j
+    for x, comps in components.items():
+        lookup = _orbit_lookup(cat, comps)
+        plans[x] = []
+        for u in members[x]:
+            g, back = iso[cat.dom(u)]
+            j, a = lookup[cat.compose(u, back)]
+            plans[x].append((cat.compose(a, g), j))
+    values = (_dense_set_values if f.flavor == "set" else _dense_linear_values)(
+        f, members, fixed, plans, tuple(iso))
+    return _precomposition(f, cat, members, values)
+
+
+def _dense_set_values(f, members, fixed, plans, minimal):
+    """The families of F+ over each L_x, sorted into the product order of
+    the pools F+(dom u), each pool the families over L_d in product order."""
+    cat = f.cat
+    eta = {}   # d -> {a: (the place of eta_d a in the pool F+(d), eta_d a)}
+    for d in minimal:
+        index = [{a: n for n, a in enumerate(f.at(cat.dom(v)))} for v in members[d]]
+        fams = {a: tuple(f.apply(v, a) for v in members[d]) for a in f.at(d)}
+        pool = sorted(fams.values(), key=lambda fam: tuple(map(dict.__getitem__, index, fam)))
+        place = {fam: n for n, fam in enumerate(pool)}
+        eta[d] = {a: (place[fam], fam) for a, fam in fams.items()}
+    moved = {}   # g: d -> c sends a in F(c) to eta_d F(g) a, with its place
+    values = {}
+    for x, plan in plans.items():
+        for g, _ in plan:
+            if g not in moved:
+                moved[g] = {a: eta[cat.dom(g)][f.apply(g, a)] for a in f.at(cat.cod(g))}
+        keyed = sorted(tuple(moved[g][val[j]] for g, j in plan) for val in fixed[x])
+        values[x] = tuple(tuple(fam for _, fam in entries) for entries in keyed)
+    return values
+
+
+def _dense_linear_values(f, members, fixed, plans, minimal):
+    """The FamilySpace of F+ over each L_x: the fixed-point families moved
+    entry by entry, one product per component, in their canonical basis."""
+    cat, k = f.cat, f.field
+    eta = {}
+    for d in minimal:
+        stack = vstack(k, [f.mat(v) for v in members[d]])
+        unit = basis_rows(k, bottom_up_basis(k, stack)).unit
+        eta[d] = Matrix(len(unit), stack.cols, tuple(stack.data[i] for i in unit))
+    moved = {}   # g: d -> c, the matrix eta_d F(g)
+    values = {}
+    for x, plan in plans.items():
+        by_entry = {}
+        for at, (g, j) in enumerate(plan):
+            if g not in moved:
+                moved[g] = mat_mul(k, eta[cat.dom(g)], f.mat(g))
+            by_entry.setdefault(j, []).append(at)
+        blocks = [None] * len(plan)
+        for j, ats in by_entry.items():
+            prods = shared_products(k, [moved[plan[at][0]] for at in ats],
+                                    right=fixed[x].block(j))
+            for at, p in zip(ats, prods):
+                blocks[at] = p
+        dims = tuple(b.rows for b in blocks)
+        offsets, _ = block_offsets(dims)
+        values[x] = FamilySpace(members[x], dims, offsets, bottom_up_basis(k, vstack(k, blocks)))
+    return values
 
 
 # -- right Kan extension --------------------------------------------------

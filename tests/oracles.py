@@ -58,7 +58,7 @@ from finsite.fields import (Matrix, basis_coordinates, block_matrix, block_offse
 from finsite.modules import AlgebraModule
 from finsite.presheaves import LinearPresheaf, SetPresheaf
 from finsite.sampling import MAX_CONSTANTS, MAX_GENERATORS, MAX_RELATIONS
-from finsite.sheaves import (FamilySpace, _match_component, _sieve_is_descent,
+from finsite.sheaves import (FamilySpace, _sieve_is_descent,
                              dense_components, linear_matching_families, member_order,
                              set_matching_families)
 from finsite.serialize import dump_text, topology_to_doc
@@ -369,6 +369,18 @@ def kan_extension_oracle(g, sub):
 
 
 # -- the dense fixed-point formula, pool by pool and subspace by subspace ------
+
+
+def _match_component(cat, components, cls: int, t: str):
+    """The component of class cls whose orbit holds t, and a with "a then
+    orbit_rep" = t, found by search."""
+    for j, comp in enumerate(components):
+        if comp.class_index != cls:
+            continue
+        for a in cat.endos(comp.rep_object):
+            if cat.compose(comp.orbit_rep, a) == t:
+                return j, a
+    raise AssertionError("orbit decomposition out of sync")
 
 
 def dense_fixed_points_oracle(f):

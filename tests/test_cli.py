@@ -188,6 +188,15 @@ def test_sheaf_kan_cli(tmp_path, capsys, chain3):
     assert all(len(v) == 1 for v in doc["values"].values())
 
 
+def test_sheaf_kan_refuses_a_presheaf_on_more_than_the_subcategory(tmp_path, capsys, chain3):
+    ps_file = tmp_path / "g.yaml"
+    ps_file.write_text(dump_text(presheaf_to_doc(singleton_presheaf(chain3))))
+    code, out, err = run_cli(capsys, "sheaf", "kan", "--gallery", "chain3",
+                             "--presheaf", str(ps_file), "--objects", "x")
+    assert (code, out) == (1, "")
+    assert err == "error: presheaf: field 'values' names no object: 'y'\n"
+
+
 def test_dense_topology_cli(capsys):
     code, out, _ = run_cli(capsys, "top", "dense", "--gallery", "chain3")
     assert code == 0

@@ -167,6 +167,45 @@ def test_topology_doc_rejects_unknown_morphisms(chain3):
         topology_from_doc(roundtrip(doc), chain3)
 
 
+def _presheaf_docs(chain3, f5):
+    """A set, a linear, an algebra and a module presheaf document, each with
+    its reader."""
+    r = chain_diagonal_algebra_presheaf(f5)
+    return [(presheaf_to_doc(representable_presheaf(chain3, "y")),
+             lambda doc: presheaf_from_doc(doc, chain3)),
+            (presheaf_to_doc(constant_linear_presheaf(chain3, f5, 1)),
+             lambda doc: presheaf_from_doc(doc, chain3)),
+            (algebra_presheaf_to_doc(r), lambda doc: algebra_presheaf_from_doc(doc, chain3)),
+            (module_presheaf_to_doc(random_module_presheaf(r, random.Random(3))),
+             lambda doc: module_presheaf_from_doc(doc, r))]
+
+
+@pytest.mark.parametrize("field,key,what", [("values", "zz", "object"),
+                                            ("dims", "zz", "object"),
+                                            ("maps", "bogus", "morphism")])
+def test_presheaf_keys_naming_nothing_rejected(chain3, f5, field, key, what):
+    """A key of dims, values or maps that names no object or morphism is
+    refused by name, not dropped."""
+    tried = 0
+    for doc, read in _presheaf_docs(chain3, f5):
+        if field not in doc:
+            continue
+        entry = doc[field]["y" if field != "maps" else "g"]
+        doc[field] = {**doc[field], key: entry}
+        with pytest.raises(DocumentError) as got:
+            read(roundtrip(doc))
+        assert str(got.value).endswith(f": field {field!r} names no {what}: {key!r}")
+        tried += 1
+    assert tried == (1 if field == "values" else 2 if field == "dims" else 4)
+
+
+def test_negative_dimension_rejected_by_name(chain3, f5):
+    doc = presheaf_to_doc(constant_linear_presheaf(chain3, f5, 1))
+    doc["dims"]["x"] = -1
+    with pytest.raises(DocumentError, match="^presheaf: field 'dims' at 'x' is negative: -1$"):
+        presheaf_from_doc(roundtrip(doc), chain3)
+
+
 @pytest.mark.parametrize("raw", ["1/0", "abc", "1/x", ""])
 def test_bad_scalar_strings_rejected(chain3, f5, rationals, raw):
     for field in (f5, rationals):

@@ -323,6 +323,29 @@ def test_minimal_only_fast_path_agrees(chain3, involution, group_c2, orbit_c2, f
                         (least_sieve_defect(f, top) is None)
 
 
+def test_sheaf_defect_names_the_first_failure_of_the_full_sweep(chain3, involution, orbit_c2,
+                                                                f5):
+    """Leaving the maximal sieve out of the sweep names the same first
+    failing (object, sieve) as trying every covering sieve."""
+    from finsite.gallery import idempotent_pair_category
+    from finsite.sheaves import _sieve_is_descent
+
+    def full_sweep(f, top):
+        return next(((x, s) for x in f.cat.objects for s in top.sieves_at(x)
+                     if not _sieve_is_descent(f, s)), None)
+
+    rng = random.Random(9)
+    failures = 0
+    for cat in (chain3, involution, orbit_c2, idempotent_pair_category()):
+        for top in enumerate_topologies(cat):
+            for _ in range(3):
+                for f in (random_set_presheaf(cat, rng), random_linear_presheaf(cat, f5, rng)):
+                    want = full_sweep(f, top)
+                    assert sheaf_defect(f, top) == want
+                    failures += want is not None
+    assert failures > 20
+
+
 def test_fixed_point_route_rejects_non_ei():
     from finsite.gallery import idempotent_pair_category
     cat = idempotent_pair_category()
