@@ -10,11 +10,12 @@ zero-dimensional spaces keep their shape information.  Two kernels do
 the matrix work, and every other operation here is one of them:
 
 * ``mat_mul``, the product: one row of B per row of A when A holds at
-  most one nonzero entry per row, else over Q on integer rows, over F_p
-  packed for the larger products (each row in one Python int, reduced
-  once per entry at the end, delayed reduction as in FFLAS-FFPACK) and
-  on rows for the others.  Matrix-vector products, sums, scalings and
-  linear combinations are products too.
+  most one nonzero entry per row, else over Q on integer rows and over
+  F_p packed (each row in one Python int, reduced once per entry at the
+  end, delayed reduction as in FFLAS-FFPACK), whatever the size: on the
+  products the benchmark workloads make, summing the small and sparse
+  ones on rows saved no time.  Matrix-vector products, sums, scalings
+  and linear combinations are products too.
 * ``rref``, Gauss-Jordan with pivot columns taken in order, so reduced
   forms and the bases derived from them are canonical: over F_p packed
   for the denser matrices (see _packed_rref) and otherwise on sparse
@@ -268,7 +269,7 @@ def _slot_bytes(bound: int) -> int:
     bound: 1, 2, 4 or 8, or else a whole number of 8-byte words, so that
     struct packs and unpacks every slot."""
     size = (bound.bit_length() + 7) // 8
-    return next((w for w in (1, 2, 4, 8) if size <= w), -(-size // 8) * 8)
+    return 1 << max(size - 1, 0).bit_length() if size <= 8 else -(-size // 8) * 8
 
 
 def _pack_rows(p: int, entries, runs: int, size: int, width: int) -> list:
@@ -285,14 +286,12 @@ def _pack_rows(p: int, entries, runs: int, size: int, width: int) -> list:
             slots[k::width] = raw[k::entry]
         raw = slots
     step = width * size
-    view = memoryview(raw)
-    return [int.from_bytes(view[i:i + step], "little") for i in range(0, len(raw), step)]
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
 def _unpacked(p: int, sums: list, size: int, width: int):
     """The size slots of each int of sums in turn, each reduced mod p."""
-    raw = b"".join(map(int.to_bytes, sums, itertools.repeat(width * size),
-                       itertools.repeat("little")))
+    raw = b"".join([s.to_bytes(width * size, "little") for s in sums])
     if width <= 8:
         return map(p.__rmod__, struct.unpack(f"<{len(sums) * size}{_STRUCT_CODES[width]}", raw))
     words = struct.unpack(f"<{len(raw) // 8}Q", raw)
@@ -305,18 +304,17 @@ def _unpacked(p: int, sums: list, size: int, width: int):
 
 
 def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
-    """A B. When each row of A holds at most one nonzero entry c, at
-    column j, as the maps of linearised representables and their products
-    do, each row of A B is row j of B scaled by c (row j itself when c is
-    one). Otherwise, over Q see _rational_mat_mul; over F_p the larger
-    products are packed (see _packed_mat_mul) and the rest run on rows:
-    where at most a quarter of the entries of a row of A are nonzero and
-    face a nonzero row of B, that row of the product adds up those rows of
-    B, reduced at each step; otherwise it takes one dot product per column
-    of B, reduced once. The ratio is 4: rows alone or dot products alone
-    took 15-50% more time on the products of the bundle and sheafify
-    benchmark workloads, and any ratio from 2 to 8 is as fast as 4. The
-    zero of the field is its only falsy element."""
+    """A B, on one of three routes. When each row of A holds at most one
+    nonzero entry c, at column j, as the maps of linearised representables
+    and their products do, each row of A B is row j of B scaled by c (row
+    j itself when c is one). Otherwise, over Q see _rational_mat_mul, and
+    over F_p the product is packed (see _packed_mat_mul), whatever its
+    size: replayed in process, the F_p products of the bundle and sheafify
+    benchmark workloads and of a 2^64-59 sheafification and round trip
+    took no longer than with the small and sparse ones summed on rows. The
+    cost is on sparse products no workload makes: 5% nonzero, 3x34 by
+    34x34 over F_5 takes 3.3 times as long (+32 us), and 64x8 by 8x34 at
+    p = 2^64-59 4.4 times (+0.35 ms). Zero is the only falsy element."""
     if a.cols != b.rows:
         raise FieldError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     zero, out = (field.zero,) * b.cols, []
@@ -330,71 +328,22 @@ def mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.rows, b.cols, tuple(out))
     if isinstance(field, RationalField):
         return _rational_mat_mul(a, b)
-    p = field.p
-    product = _packed_mat_mul(p, a, b)
-    if product is not None:
-        return product
-    live = [j for j, r in enumerate(b.data) if any(r)]
-    bt = None
-    out = []
-    for row in a.data:
-        support = list(itertools.compress(live, map(row.__getitem__, live)))
-        if not support:
-            out.append((0,) * b.cols)
-        elif 4 * len(support) <= a.cols:
-            c = row[support[0]]
-            acc = [c * x % p for x in b.data[support[0]]]
-            for j in support[1:]:
-                c = row[j]
-                acc = [(y + c * x) % p for x, y in zip(b.data[j], acc)]
-            out.append(tuple(acc))
-        else:
-            bt = bt or tuple(zip(*b.data))
-            out.append(tuple([sum(map(operator.mul, row, col)) % p for col in bt]))
-    return Matrix(a.rows, b.cols, tuple(out))
+    return _packed_mat_mul(field.p, a, b)
 
 
-def _packed_mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix | None:
+def _packed_mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix:
     """A B over F_p with each nonzero row of B packed into one int (see
     _pack_rows) in slots of _slot_bytes(n * (p - 1)^2) bytes, n being the
     most nonzero entries of a row of A that face a nonzero row of B, so no
     sum carries into the next slot: row i of A B is one sum of a_ij times
-    packed row j over those a_ij, unpacked and reduced once per entry.
-    None when the product is too small or too sparse for packing to pay:
-    it runs when A has at least 4 rows, A B at least 16 entries, and the e
-    nonzero entries of A that face a nonzero row of B are at least w per
-    row of A and e * (columns of B) >= w * 256, w being 1, or 2 for slots
-    wider than 8 bytes, which are unpacked word by word. e is first
-    estimated from every ceil(rows/8)-th row of A, so that most sparse
-    products are turned down after a few row counts. On a grid of 1,200
-    shapes from 2x2 by 2x1 to 90x34 by 34x16, with A and B from 5% to 100%
-    dense, mat_mul packed 247 of them over F_5 and 166 at p = 2^64-59 and
-    ran them in a median 0.51 and 0.63 of the time of the route on rows
-    alone; the others paid for the check, a median 4% and 3% more."""
-    if a.rows < 4 or a.rows * b.cols < 16 or a.rows * a.cols * b.cols < 256:
-        return None
-    weight = 1 if p < 2 ** 32 else 2
-    step = -(-a.rows // 8)
-
-    def sparse(sample, width):
-        seen = len(sample) * width - sum([row.count(0) for row in sample])
-        return seen < weight * len(sample) or seen * a.rows * b.cols < weight * 256 * len(sample)
-
-    if sparse(a.data[::step], a.cols):
-        return None
+    packed row j over those a_ij, unpacked and reduced once per entry. A B
+    is zero when B has no nonzero row."""
     live = list(map(any, b.data))
     inner = sum(live)
-    rows = a.data
-    if inner < a.cols:
-        if sparse([tuple(itertools.compress(row, live)) for row in a.data[::step]], inner):
-            return None
-        rows = [tuple(itertools.compress(row, live)) for row in a.data]
-    zeros = [row.count(0) for row in rows]
-    nonzero = a.rows * inner - sum(zeros)
-    width = _slot_bytes((inner - min(zeros)) * (p - 1) ** 2)
-    weight = 1 if width <= 8 else 2
-    if nonzero < weight * a.rows or nonzero * b.cols < weight * 256:
-        return None
+    if not inner:
+        return Matrix(a.rows, b.cols, ((0,) * b.cols,) * a.rows)
+    rows = a.data if inner == a.cols else [tuple(itertools.compress(row, live)) for row in a.data]
+    width = _slot_bytes((inner - min([row.count(0) for row in rows])) * (p - 1) ** 2)
     packed = _pack_rows(p, itertools.chain.from_iterable(itertools.compress(b.data, live)),
                         inner, b.cols, width)
     sums = [sum(map(operator.mul, itertools.compress(row, row), itertools.compress(packed, row)))
@@ -645,7 +594,10 @@ def rref(field, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     at p = 2^64-59, in a median 0.40 and 0.61 of the time of the sparse
     route, and the whole grid took 0.26 and 0.38 of its sparse time; the
     packed route lost on 13 and 77 of those it took, by at most 1.6 and
-    3.3 times, and would have won on 76 and 8 of the others."""
+    3.3 times, and would have won on 76 and 8 of the others. Both routes
+    earn their code: the rref calls of one pass of the bundle benchmark
+    workload took 31 ms, against 40 ms packed only and 55 ms sparse only,
+    and those of a sheafify pass 4.3, 4.4 and 5.1 ms."""
     if isinstance(field, RationalField):
         return _rational_rref(a)
     nonzero = a.rows * a.cols - sum([row.count(0) for row in a.data])

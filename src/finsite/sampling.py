@@ -38,19 +38,13 @@ def random_invertible_matrix(field, n: int, rng: random.Random) -> Matrix:
 
 
 def _random_twist(field, n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random invertible n x n matrix A, redrawn until it is one, and its
-    inverse, from one rref of [A | I]: A is invertible when its pivots are
-    0..n-1, and the right half is then its inverse."""
-    ident = identity_matrix(field, n)
+    """A random invertible n x n matrix, redrawn until it is one, and its inverse."""
     if n == 0:
-        return ident, ident
+        return (identity_matrix(field, 0),) * 2
     while True:
         cand = matrix(field, [[field.rand(rng) for _ in range(n)] for _ in range(n)])
-        reduced, pivots = rref(field, hstack(field, [cand, ident]))
-        if pivots[n - 1] == n - 1:
-            inv = Matrix(n, n, tuple(row[n:] for row in reduced.data))
-            if mat_mul(field, cand, inv) != ident:
-                raise EngineError("twist matrix is not invertible")
+        inv = inverse(field, cand)
+        if inv is not None:
             return cand, inv
 
 

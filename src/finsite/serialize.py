@@ -479,15 +479,17 @@ def _keyed(raw: dict, names, what: str, where: str, field: str) -> dict:
     return raw
 
 
+def _dim(raw, what: str) -> int:
+    """raw, an integer that is not negative; what names it."""
+    if _typed(raw, int, what) < 0:
+        raise DocumentError(f"{what} is negative: {raw}")
+    return raw
+
+
 def _dims_in(doc: dict, cat: FiniteCategory, where: str) -> dict:
     raw = _keyed(_typed(doc["dims"], dict, f"{where}: field 'dims'"), cat.obj_index,
                  "object", where, "dims")
-    dims = {x: _typed(raw.get(x, 0), int, f"{where}: field 'dims' at {x!r}")
-            for x in cat.objects}
-    for x, n in dims.items():
-        if n < 0:
-            raise DocumentError(f"{where}: field 'dims' at {x!r} is negative: {n}")
-    return dims
+    return {x: _dim(raw.get(x, 0), f"{where}: field 'dims' at {x!r}") for x in cat.objects}
 
 
 def _maps_out(cat: FiniteCategory, mat) -> dict:
@@ -638,7 +640,7 @@ def _algebra_to_doc(a: FiniteDimAlgebra) -> dict:
 
 def _algebra_from_doc(doc: dict, field, where: str) -> FiniteDimAlgebra:
     _expect(doc, {"dim", "table", "unit"}, {"labels"}, where)
-    dim = _typed(doc["dim"], int, f"{where}: field 'dim'")
+    dim = _dim(doc["dim"], f"{where}: field 'dim'")
     raw = _typed(doc["table"], list, f"{where}: field 'table'")
     if len(raw) != dim or any(not isinstance(row, list) or len(row) != dim
                               or not all(isinstance(cell, list) for cell in row)
@@ -648,7 +650,7 @@ def _algebra_from_doc(doc: dict, field, where: str) -> FiniteDimAlgebra:
     unit = [_scalar_in(field, c) for c in _typed(doc["unit"], list, f"{where}: field 'unit'")]
     labels = doc.get("labels")
     if labels is not None:
-        _typed(labels, list, f"{where}: field 'labels'")
+        _names(_typed(labels, list, f"{where}: field 'labels'"), f"{where}: field 'labels'")
     return FiniteDimAlgebra.from_table(field, table, unit, labels=labels)
 
 
@@ -695,7 +697,8 @@ def module_presheaf_from_doc(doc: dict, r: AlgebraPresheaf) -> ModulePresheaf:
     dims = _dims_in(doc, cat, "module-presheaf")
     space = LinearPresheaf(cat, field, dims,
                            _maps_in(doc, cat, field, dims, "module-presheaf"))
-    raw_actions = _typed(doc["actions"], dict, "module-presheaf: field 'actions'")
+    raw_actions = _keyed(_typed(doc["actions"], dict, "module-presheaf: field 'actions'"),
+                         cat.obj_index, "object", "module-presheaf", "actions")
     actions = {}
     for x in cat.objects:
         raw = raw_actions.get(x)
@@ -721,7 +724,7 @@ def algebra_module_from_doc(doc: dict, algebra: FiniteDimAlgebra) -> AlgebraModu
     field = field_by_label(doc["field"])
     if field != algebra.field:
         raise DocumentError("algebra-module: field differs from the algebra")
-    dim = _typed(doc["dim"], int, "algebra-module: field 'dim'")
+    dim = _dim(doc["dim"], "algebra-module: field 'dim'")
     raw = _typed(doc["actions"], list, "algebra-module: field 'actions'")
     if len(raw) != algebra.dim:
         raise DocumentError("algebra-module: need one action matrix per basis element")

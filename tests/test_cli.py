@@ -559,7 +559,7 @@ def run_cli_process(*argv):
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
-@pytest.mark.parametrize("dim,message", [(-1, "negative module dimension -1"),
+@pytest.mark.parametrize("dim,message", [(-1, "algebra-module: field 'dim' is negative: -1"),
                                          (1000000, "unit does not act as identity")])
 def test_module_over_the_zero_algebra_is_refused_by_its_dim(tmp_path, capsys, dim, message,
                                                             field):
@@ -783,6 +783,55 @@ def test_malformed_field_is_one_error_line(tmp_path, capsys, chain3, f5, c2,
         assert [line for line in err.splitlines() if line.startswith("error:")] == \
             [err.splitlines()[0]]
         assert key in err
+
+
+# Module and algebra documents on chain3 cut from genuine ones, each
+# refused by name: the CLI call reading it as "BAD", its kind, the edit
+# and the error.
+REFUSED_CASES = {
+    "actions at an unknown object": (
+        ["mod", "theta", "--gallery", "chain3", "--algebra", "ALGEBRA", "--module", "BAD"],
+        "module-presheaf", lambda doc: doc["actions"].update(w=doc["actions"]["y"]),
+        "module-presheaf: field 'actions' names no object: 'w'"),
+    "negative module dim": (
+        ["mod", "omega", "--gallery", "chain3", "--algebra", "ALGEBRA",
+         "--algebra-module", "BAD"],
+        "algebra-module", lambda doc: doc.update(dim=-1),
+        "algebra-module: field 'dim' is negative: -1"),
+    "negative algebra dim": (
+        ["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
+        "algebra-presheaf", lambda doc: doc["algebras"]["x"].update(dim=-1),
+        "algebra-presheaf at 'x': field 'dim' is negative: -1"),
+    "label that is not a name": (
+        ["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
+        "algebra-presheaf", lambda doc: doc["algebras"]["x"]["labels"].__setitem__(0, ["a"]),
+        "algebra-presheaf at 'x': field 'labels': ['a'] is not a name"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CASES)
+def test_module_and_algebra_documents_refused_in_one_error_line(tmp_path, capsys, f5, case):
+    import random
+
+    from finsite.algebras import chain_diagonal_algebra_presheaf
+    from finsite.modules import to_algebra_module
+    from finsite.sampling import random_module_presheaf
+    from finsite.serialize import (algebra_module_to_doc, algebra_presheaf_to_doc,
+                                   module_presheaf_to_doc)
+
+    argv, kind, edit, message = REFUSED_CASES[case]
+    r = chain_diagonal_algebra_presheaf(f5)
+    m = random_module_presheaf(r, random.Random(3))
+    genuine = {"module-presheaf": module_presheaf_to_doc(m),
+               "algebra-module": algebra_module_to_doc(to_algebra_module(m)),
+               "algebra-presheaf": algebra_presheaf_to_doc(r)}
+    bad = copy.deepcopy(genuine[kind])
+    edit(bad)
+    paths = {"BAD": tmp_path / "bad.yaml", "ALGEBRA": tmp_path / "algebra.yaml"}
+    paths["BAD"].write_text(dump_text(bad))
+    paths["ALGEBRA"].write_text(dump_text(genuine["algebra-presheaf"]))
+    code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # Topology documents on chain3 that are no topology: a covering "sieve"

@@ -48,8 +48,8 @@ def _random_matrix(field, rng, rows, cols, density):
 
 def _cases(field, seed, count):
     """(rng, rows, cols, inner, density): A is rows x cols, B cols x inner.
-    The last three shapes are large enough for the packed route of mat_mul
-    to take rows of A with no, one and several terms."""
+    The last three shapes give the packed route of mat_mul rows of A with
+    no, one and several terms."""
     rng = random.Random(seed)
     shapes = [(0, 3, 7), (3, 0, 7), (0, 0, 7), (1, 1, 7)]
     for _ in range(count):
@@ -64,7 +64,8 @@ def test_kernels_equal_the_scalar_loops(field):
     with mock.patch.object(fields, "_pack_rows", wraps=fields._pack_rows) as packings:
         paths = _kernel_paths(field, packings)
     if field.char:
-        assert paths == {0, 1, 2, "dots", ("packed", 0), ("packed", 1), ("packed", 2)}
+        assert paths == {"row selection", "zero product",
+                         ("packed", 0), ("packed", 1), ("packed", 2)}
     else:
         assert paths == {"zero row of A", "B without rows or columns", "rank deficient"}
         assert packings.call_count == 0
@@ -72,9 +73,10 @@ def test_kernels_equal_the_scalar_loops(field):
 
 def _kernel_paths(field, packings) -> set:
     """Check every kernel against its oracle on the seeded cases and return
-    the paths taken: for mat_mul over F_p, the packed route, or the row
-    sums and dot products of the route on rows, each by the number of
-    nonzero entries of a row of A that face a nonzero row of B."""
+    the paths taken: for mat_mul over F_p, row selection when each row of
+    A holds at most one nonzero entry, else the zero product when B has no
+    nonzero row, else the packed route by the number of nonzero entries of
+    a row of A that face a nonzero row of B."""
     paths = set()
     for rng, rows, cols, inner, density in _cases(field, 11, 14):
         a = _random_matrix(field, rng, rows, cols, density)
@@ -88,12 +90,16 @@ def _kernel_paths(field, packings) -> set:
         before = packings.call_count
         assert mat_mul(field, a, b) == scalar_mat_mul(field, a, b)
         if field.char:
-            packed = packings.call_count > before
             live = [any(r) for r in b.data]
-            for row in a.data:
-                terms = sum(1 for x, y in zip(row, live) if x and y)
-                paths.add(("packed", min(terms, 2)) if packed else
-                          min(terms, 2) if 4 * terms <= cols else "dots")
+            selection = all(len(row) - row.count(0) <= 1 for row in a.data)
+            assert (packings.call_count > before) == (not selection and any(live))
+            if selection:
+                paths.add("row selection")
+            elif not any(live):
+                paths.add("zero product")
+            else:
+                paths.update(("packed", min(sum(1 for x, y in zip(row, live) if x and y), 2))
+                             for row in a.data)
         v = tuple(field.of(x) for x in _random_matrix(field, rng, 1, cols, density).data[0]) \
             if cols else ()
         assert mat_vec(field, a, v) == scalar_mat_vec(field, a, v)

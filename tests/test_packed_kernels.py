@@ -45,8 +45,8 @@ def _packed(call):
 
 @st.composite
 def packed_products(draw):
-    """A product dense and large enough for the packed route, with zero
-    rows in up to half of A and of B."""
+    """A dense product with a long inner dimension, with zero rows in up
+    to half of A and of B."""
     p = draw(st.sampled_from(PRIMES))
     rows, cols = draw(st.integers(4, 12)), draw(st.integers(4, 12))
     least = -(-8192 // (rows * cols))
@@ -70,17 +70,28 @@ def test_packed_mat_mul_equals_the_oracle(case):
     assert _canonical(got, p)
 
 
+def _row_selection(a: Matrix) -> bool:
+    """Whether each row of A holds at most one nonzero entry."""
+    return all(len(row) - row.count(0) <= 1 for row in a.data)
+
+
 @pytest.mark.parametrize("shape", ((0, 0, 0, 1.0), (0, 5, 3, 1.0), (4, 0, 3, 1.0),
                                    (4, 5, 0, 1.0), (3, 40, 40, 1.0), (4, 40, 3, 1.0),
                                    (16, 16, 16, 0.02), (40, 2, 2, 1.0)))
+@pytest.mark.parametrize("zero_b", ("none", "half", "all"))
 @pytest.mark.parametrize("p", PRIMES)
-def test_small_empty_and_sparse_products_stay_on_the_row_primitives(p, shape):
+def test_small_empty_and_sparse_products_pack_unless_a_selects_rows(p, shape, zero_b):
+    """Empty shapes, A under 4 rows, A 2% nonzero and B with no, half or
+    all of its rows zero: every F_p product that is not a row selection
+    packs, except that B without a nonzero row gives the zero product."""
     rows, inner, cols, density = shape
     rng = random.Random(p + rows)
-    a, b = _matrix(rng, p, rows, inner, density), _matrix(rng, p, inner, cols, 1.0)
+    zero = {"none": (), "half": range(0, inner, 2), "all": range(inner)}[zero_b]
+    a, b = _matrix(rng, p, rows, inner, density), _matrix(rng, p, inner, cols, 1.0,
+                                                         frozenset(zero))
     k = PrimeField(p)
     got, packed = _packed(lambda: mat_mul(k, a, b))
-    assert not packed
+    assert packed == (not _row_selection(a) and any(map(any, b.data)))
     assert got == scalar_mat_mul(k, a, b)
     assert (got.rows, got.cols) == (rows, cols) and _canonical(got, p)
 
@@ -169,15 +180,15 @@ def test_slots_hold_the_widest_sum_without_carry(p, width, n):
 def test_all_p_minus_1_products_at_the_widest_sum(p, width, n):
     """Operands of p - 1 only at inner dimension n and n + 1: every entry
     of the product is n (p - 1)^2 or (n + 1) (p - 1)^2 before reduction,
-    at the top of its slot or just past it. The packed route takes them
-    unless slots wider than 8 bytes hold fewer than two terms."""
+    at the top of its slot or just past it. The packed route takes every
+    one of them but the single-term products, which select rows of B."""
     k = PrimeField(p)
     rows = cols = next(r for r in range(4, 64) if r * r * n >= 512)
     for inner in (n, n + 1):
         a = Matrix(rows, inner, ((p - 1,) * inner,) * rows)
         b = Matrix(inner, cols, ((p - 1,) * cols,) * inner)
         got, packed = _packed(lambda: mat_mul(k, a, b))
-        assert packed == (inner >= 2 or fields._slot_bytes(inner * (p - 1) ** 2) <= 8)
+        assert packed == (inner >= 2)
         assert got == Matrix(rows, cols, ((inner * (p - 1) ** 2 % p,) * cols,) * rows)
         assert _canonical(got, p)
         if inner > 5000:

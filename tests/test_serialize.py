@@ -182,10 +182,11 @@ def _presheaf_docs(chain3, f5):
 
 @pytest.mark.parametrize("field,key,what", [("values", "zz", "object"),
                                             ("dims", "zz", "object"),
-                                            ("maps", "bogus", "morphism")])
+                                            ("maps", "bogus", "morphism"),
+                                            ("actions", "zz", "object")])
 def test_presheaf_keys_naming_nothing_rejected(chain3, f5, field, key, what):
-    """A key of dims, values or maps that names no object or morphism is
-    refused by name, not dropped."""
+    """A key of dims, values, maps or actions that names no object or
+    morphism is refused by name, not dropped."""
     tried = 0
     for doc, read in _presheaf_docs(chain3, f5):
         if field not in doc:
@@ -196,7 +197,7 @@ def test_presheaf_keys_naming_nothing_rejected(chain3, f5, field, key, what):
             read(roundtrip(doc))
         assert str(got.value).endswith(f": field {field!r} names no {what}: {key!r}")
         tried += 1
-    assert tried == (1 if field == "values" else 2 if field == "dims" else 4)
+    assert tried == {"values": 1, "dims": 2, "maps": 4, "actions": 1}[field]
 
 
 def test_negative_dimension_rejected_by_name(chain3, f5):
@@ -204,6 +205,29 @@ def test_negative_dimension_rejected_by_name(chain3, f5):
     doc["dims"]["x"] = -1
     with pytest.raises(DocumentError, match="^presheaf: field 'dims' at 'x' is negative: -1$"):
         presheaf_from_doc(roundtrip(doc), chain3)
+
+
+def test_negative_algebra_and_module_dims_rejected_by_name(chain3, f5):
+    """An algebra-module, and an algebra of an algebra-presheaf, with dim
+    -1 are refused by name before any matrix or table is read."""
+    r = chain_diagonal_algebra_presheaf(f5)
+    module = to_algebra_module(random_module_presheaf(r, random.Random(3)))
+    doc = {**algebra_module_to_doc(module), "dim": -1}
+    with pytest.raises(DocumentError, match="^algebra-module: field 'dim' is negative: -1$"):
+        algebra_module_from_doc(roundtrip(doc), module.algebra)
+    doc = algebra_presheaf_to_doc(r)
+    doc["algebras"]["x"]["dim"] = -1
+    with pytest.raises(DocumentError,
+                       match="^algebra-presheaf at 'x': field 'dim' is negative: -1$"):
+        algebra_presheaf_from_doc(roundtrip(doc), chain3)
+
+
+def test_algebra_labels_that_are_not_names_rejected(chain3, f5):
+    doc = algebra_presheaf_to_doc(chain_diagonal_algebra_presheaf(f5))
+    doc["algebras"]["y"]["labels"][0] = ["a"]
+    with pytest.raises(DocumentError) as got:
+        algebra_presheaf_from_doc(roundtrip(doc), chain3)
+    assert str(got.value) == "algebra-presheaf at 'y': field 'labels': ['a'] is not a name"
 
 
 @pytest.mark.parametrize("raw", ["1/0", "abc", "1/x", ""])
