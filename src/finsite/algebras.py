@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .category import FiniteCategory, law_failures
+from .category import FiniteCategory, _as_subcategory, _generators, law_failures
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, mat_vec, matrix,
                      unit_vec, vec)
 from .gallery import group_category
 from .groups import FiniteGroup
-from .presheaves import LinearPresheaf, _as_subcategory
+from .presheaves import LinearPresheaf
 
 # The dense form of a dim-dimensional algebra, an alg skew document's table
 # or the regular module's dim right multiplications, holds dim^3 cells.
@@ -118,18 +118,23 @@ class FiniteDimAlgebra:
         n = range(self.dim)
         return itertools.product(n, n if middle is None else sorted(middle), n)
 
-    def generating_basis(self) -> frozenset | None:
-        """Basis indices known to generate the algebra, or None when none
-        are known; a table read from a document has none."""
-        return None
+    def generating_basis(self) -> frozenset:
+        """Basis indices that generate the algebra: the generators that
+        category._generators finds on the products that are one nonzero
+        multiple of one basis element, b_i b_j = c b_t, read as the table
+        of a one-object category with no identity. Every other index is
+        reached as c^-1 times a product of reached ones."""
+        one = dict.fromkeys(range(self.dim), "*")
+        compose = {(i, j): cell[0][0] for i, row in enumerate(self.products)
+                   for j, cell in row.items() if len(cell) == 1}
+        return _generators(one, one, {}, compose, {"*": range(self.dim)})
 
     def verify(self) -> list[str]:
         """Associativity, (b_i b_j) b_t = b_i (b_j b_t) compared through the
         stored products, by Light's test (see law_failures): on the triples
-        of ``_triples`` with j in ``generating_basis``, and on a failure, or
-        with no generating basis, on all of them. Then the unit laws on
-        every basis element, u b_i and b_i u read off the stored products
-        over the support of the unit u."""
+        of ``_triples`` with j in ``generating_basis``, and on a failure on
+        all of them. Then the unit laws on every basis element, u b_i and
+        b_i u read off the stored products over the support of the unit u."""
         k = self.field
         prods = self.products
 
@@ -399,27 +404,6 @@ class SkewCategoryAlgebra(FiniteDimAlgebra):
                         for f in cat.into(cat.dom(g)):
                             for t in blocks[f]:
                                 yield i, j, t
-
-    def generating_basis(self) -> frozenset | None:
-        """The basis at the identities and at the generators of the
-        category, once the stored products confirm that it generates:
-        grown by products with it on either side, every other basis element
-        is reached as a nonzero multiple of one product of reached ones.
-        None when some element is not reached that way."""
-        cat, prods = self.cat, self.products
-        blocks = self._blocks()
-        gens = [j for m in cat.morphisms
-                if m.name in cat.generators or cat.is_identity(m.name) for j in blocks[m.name]]
-        reached = set(gens)
-        todo = list(gens)
-        while todo:
-            t = todo.pop()
-            for j in gens:
-                for cell in (prods[t].get(j), prods[j].get(t)):
-                    if cell is not None and len(cell) == 1 and cell[0][0] not in reached:
-                        reached.add(cell[0][0])
-                        todo.append(cell[0][0])
-        return frozenset(gens) if len(reached) == self.dim else None
 
     def element(self, f: str, coeff) -> tuple:
         """The element "coeff f" as a coefficient vector."""

@@ -78,7 +78,7 @@ def category_problems(data: dict, found: dict | None = None) -> list[str]:
              + [("morphisms", v) for m in morphisms for v in m]
              + [("compose", v) for (g, f), gf in pairs for v in (g, f, gf)])
     problems = [f"field {key}: {v!r} is not a name" for key, v in named
-                if isinstance(v, (list, dict))]
+                if not isinstance(v, str)]
     if problems:
         return problems
     compose = {}
@@ -129,8 +129,11 @@ def _generators(dom: dict, cod: dict, identity, compose, into) -> frozenset:
     reached is a composite of the ones kept, bracketed some way, which is
     all Light's test needs: no law is assumed. dom and cod map each
     morphism, in morphism order, to its ends; into maps each object to the
-    morphisms into it."""
-    ids = set(identity.values())
+    morphisms into it. A pair missing from compose composes to nothing,
+    as a composite that is an identity does, so a group's table (one
+    object, no identity given) and an algebra's one-term products (see
+    ``FiniteDimAlgebra.generating_basis``) find their generators here too."""
+    ids = {*identity.values(), None}
     count = {m: 0 for m in dom if m not in ids}
     for (g, f), gf in compose.items():
         if gf in count and g not in ids and f not in ids:
@@ -147,16 +150,16 @@ def _generators(dom: dict, cod: dict, identity, compose, into) -> frozenset:
         into_gens[cod[m]].append(m)
         # every composite holding m: m with the reached on either side,
         # then grown by one generator at a time on either side
-        todo = [m] + [compose[m, s] for s in into[dom[m]] if s in reached]
-        todo += [compose[s, m] for s in reached if dom[s] == cod[m]]
+        todo = [m] + [compose.get((m, s)) for s in into[dom[m]] if s in reached]
+        todo += [compose.get((s, m)) for s in reached if dom[s] == cod[m]]
         while todo:
             t = todo.pop()
             if t not in reached and t not in ids:
                 reached.add(t)
                 for g in out_of[cod[t]]:
-                    todo.append(compose[g, t])
+                    todo.append(compose.get((g, t)))
                 for g in into_gens[dom[t]]:
-                    todo.append(compose[t, g])
+                    todo.append(compose.get((t, g)))
     return frozenset(gens)
 
 
@@ -436,6 +439,15 @@ class FullSubcategory:
 
     def __repr__(self):
         return f"FullSubcategory({list(self.objects)})"
+
+
+def _as_subcategory(cat: FiniteCategory, sub) -> FullSubcategory:
+    """sub, a FullSubcategory of cat or an iterable of its objects."""
+    if isinstance(sub, FullSubcategory):
+        if not sub.parent.same_as(cat):
+            raise EngineError("subcategory belongs to a different category")
+        return sub
+    return FullSubcategory(cat, tuple(sub))
 
 
 def is_ei(cat: FiniteCategory) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .category import law_failures
+from .category import _generators, law_failures
 from .errors import EngineError
 
 # Subgroups, and with them orbit categories, are enumerated for groups of
@@ -18,25 +18,6 @@ class InvalidGroupError(EngineError):
         self.problems = list(problems)
         lines = "\n".join(f"  - {p}" for p in self.problems)
         super().__init__(f"invalid group:\n{lines}")
-
-
-def _generators(elements, table) -> list[str]:
-    """Elements whose products, bracketed from the left, are every
-    element: each element in order is kept unless the right
-    multiplication closure of those kept already holds it. No law of the
-    table is assumed, only that it is total on the elements."""
-    gens, reached = [], set()
-    for a in elements:
-        if a in reached:
-            continue
-        gens.append(a)
-        todo = [a] + [table[x, a] for x in reached]
-        while todo:
-            x = todo.pop()
-            if x not in reached:
-                reached.add(x)
-                todo += [table[x, g] for g in gens]
-    return gens
 
 
 class FiniteGroup:
@@ -65,7 +46,8 @@ class FiniteGroup:
         """Every violation of the group axioms; on a group, the identity
         and the inverses found are kept as self.identity and self._inv.
         Associativity is checked by Light's test (see law_failures) on the
-        elements _generators finds, and on a failure on every triple."""
+        generators of the table as a one-object category with no identity
+        given (see category._generators), and on a failure on every triple."""
         problems = []
         if len(set(self.elements)) != len(self.elements):
             problems.append("duplicate element names")
@@ -88,7 +70,8 @@ class FiniteGroup:
                         if t[ab, c] != t[a, t[b, c]]:
                             yield f"associativity failure ({a!r},{b!r},{c!r})"
 
-        problems += law_failures(triples, _generators(self.elements, t))
+        one = dict.fromkeys(self.elements, "*")
+        problems += law_failures(triples, _generators(one, one, {}, t, {"*": self.elements}))
         idents = [e for e in self.elements
                   if all(self.table[(e, b)] == b == self.table[(b, e)] for b in self.elements)]
         if len(idents) != 1:

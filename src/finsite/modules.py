@@ -11,13 +11,13 @@ from typing import NamedTuple
 
 from .algebras import (AlgebraPresheaf, FiniteDimAlgebra,
                        SkewCategoryAlgebra, skew_category_algebra)
-from .category import FiniteCategory, FullSubcategory, iso_class_poset, is_ei, law_failures
+from .category import (FiniteCategory, FullSubcategory, _as_subcategory, iso_class_poset,
+                       is_ei, law_failures)
 from .errors import EngineError
 from .fields import (Matrix, basis_coordinates, basis_rows, block_diagonal, block_matrix,
                      block_offsets, col_space, hstack, identity_matrix, is_invertible,
                      mat_combination, mat_mul, unit_vec, vstack, zero_matrix)
-from .presheaves import (LinearPresheaf, Representation, _as_subcategory,
-                         all_invertible, is_intertwiner)
+from .presheaves import LinearPresheaf, Representation, all_invertible, is_intertwiner
 from .sheaves import kan_extension, sheaf_defect
 from .topology import GrothendieckTopology, subcategory_topology
 
@@ -103,8 +103,8 @@ def check_action(algebra: FiniteDimAlgebra, dim: int, actions, where: str = ""):
     with act(x a) = act(a) act(x) for every x are closed under sums and
     products, so the law is tried on the j in the algebra's
     ``generating_basis`` first (Light's test, see law_failures): dim x |G|
-    products, not dim^2. On a failure every pair is tried, and the first
-    failing pair is named."""
+    products, not dim^2, over any algebra, a document's too. On a failure
+    every pair is tried, and the first failing pair is named."""
     k = algebra.field
     if dim < 0:
         raise ModuleError(f"negative module dimension {dim}{where}")

@@ -15,7 +15,7 @@ import itertools
 import random
 from typing import Iterable, NamedTuple
 
-from .category import FiniteCategory, FullSubcategory, law_failures
+from .category import FiniteCategory, _as_subcategory, law_failures
 from .errors import EngineError
 from .fields import (Matrix, block_offsets, identity_matrix, is_invertible,
                      mat_combination, shared_products, sparse_null_space, zero_matrix)
@@ -156,14 +156,6 @@ def _check_functoriality(cat: FiniteCategory, failing):
     failure = next(law_failures(pairs, cat.generators), None)
     if failure is not None:
         raise PresheafError(failure)
-
-
-def _as_subcategory(cat: FiniteCategory, sub) -> FullSubcategory:
-    if isinstance(sub, FullSubcategory):
-        if not sub.parent.same_as(cat):
-            raise EngineError("subcategory belongs to a different category")
-        return sub
-    return FullSubcategory(cat, tuple(sub))
 
 
 # -- stock presheaves ---------------------------------------------------

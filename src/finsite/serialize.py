@@ -462,10 +462,11 @@ def _typed(raw, kind: type, what: str):
     return raw
 
 
-def _names(raw, what: str):
-    """raw, a list or mapping none of whose entries is a list or mapping."""
+def _names(raw, what: str, *, strict: bool = False):
+    """raw, a list or mapping none of whose entries is a list or mapping;
+    when strict, every entry is a string."""
     for a in raw.values() if isinstance(raw, dict) else raw:
-        if isinstance(a, (list, dict)):
+        if isinstance(a, (list, dict)) or strict and not isinstance(a, str):
             raise DocumentError(f"{what}: {a!r} is not a name")
     return raw
 
@@ -530,10 +531,11 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 def group_from_doc(doc: dict) -> FiniteGroup:
     _expect(doc, {"format", "kind", "elements", "table"}, {"name"}, "group")
-    rows = [_names(_typed(row, list, "group: each row of 'table'"), "group: field 'table'")
+    rows = [_names(_typed(row, list, "group: each row of 'table'"), "group: field 'table'",
+                   strict=True)
             for row in _typed(doc["table"], list, "group: field 'table'")]
     elements = _typed(doc["elements"], list, "group: field 'elements'")
-    return FiniteGroup.from_rows(_names(elements, "group: field 'elements'"),
+    return FiniteGroup.from_rows(_names(elements, "group: field 'elements'", strict=True),
                                  rows, name=doc.get("name", "G"))
 
 

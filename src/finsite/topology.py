@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import (FiniteCategory, FullSubcategory, is_karoubian, karoubi_classes,
-                       retract_closed_sets)
+from .category import (FiniteCategory, FullSubcategory, _as_subcategory, is_karoubian,
+                       karoubi_classes, retract_closed_sets)
 from .errors import EngineError
 from .sieves import (Sieve, is_sieve, maximal_sieve, pullback_sieve,
                      sieve_sort_key, sieves_on)
@@ -203,10 +203,7 @@ def subcategory_topology(cat: FiniteCategory, sub) -> GrothendieckTopology:
 
     The subcategory must be strictly full (closed under isomorphism).
     """
-    if not isinstance(sub, FullSubcategory):
-        sub = FullSubcategory(cat, tuple(sub))
-    if not sub.parent.same_as(cat):
-        raise EngineError("subcategory belongs to a different category")
+    sub = _as_subcategory(cat, sub)
     if not sub.is_strictly_full():
         raise EngineError(
             f"object set {list(sub.objects)} is not closed under isomorphism")

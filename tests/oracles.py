@@ -18,8 +18,9 @@ Karoubian subcategories by a Karoubi test of every union of isomorphism
 classes, pointwise
 coset maps for orbit categories, orbit categories composed by coset
 products, the laws of category and group tables, of stored skew
-products and of module actions swept over every instance (the library
-tries the generators first, by Light's test), a direct category-algebra table,
+products, of the products of any algebra and of module actions swept
+over every instance (the library tries the generators first, by Light's
+test), a direct category-algebra table,
 textbook dense tables of the stock algebras, the skew category algebra
 with its dense table, a
 searched basis change onto the 2x2 matrix algebra, and the scalar-loop
@@ -1219,6 +1220,13 @@ def dense_verify(alg) -> list:
         if dense_mul(alg, alg.unit, e) != e or dense_mul(alg, e, alg.unit) != e:
             problems.append(f"unit fails on basis element {alg.labels[i]!r}")
     return problems
+
+
+def dense_verify_problems(alg) -> list:
+    """The problems of an algebra's stored products by the full sweep of
+    dense_verify on its dense table: associativity on every dim^3 basis
+    triple, then the unit laws (the library tries generators first)."""
+    return dense_verify(dense_algebra(alg))
 
 
 def greedy_quotient_module(n, vectors) -> AlgebraModule:

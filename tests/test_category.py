@@ -64,6 +64,24 @@ def test_stray_composite_rejected():
     assert any("stray composite" in p for p in category_problems(data))
 
 
+NUMBERED = {"objects": [0], "morphisms": [{"id": 1, "dom": 0, "cod": 0}],
+            "identities": {0: 1}, "compose": [{"g": 1, "f": 1, "gf": 1}]}
+
+
+def test_names_that_are_not_strings_reported():
+    """Names are joined into labels, so each must be a string."""
+    assert category_problems(NUMBERED) == [
+        "field objects: 0 is not a name", "field identities: 1 is not a name",
+        "field morphisms: 1 is not a name", "field morphisms: 0 is not a name",
+        "field morphisms: 0 is not a name", "field compose: 1 is not a name",
+        "field compose: 1 is not a name", "field compose: 1 is not a name"]
+    data = chain3_data()
+    data["compose"][0]["gf"] = True
+    data["morphisms"][1]["dom"] = None
+    assert category_problems(data) == ["field morphisms: None is not a name",
+                                       "field compose: True is not a name"]
+
+
 def test_empty_category_is_valid():
     cat = validate_category({"objects": [], "morphisms": [],
                              "identities": {}, "compose": []})

@@ -14,6 +14,7 @@ from finsite.presheaves import representable_presheaf, singleton_presheaf
 from finsite.topology import dense_topology, subcategory_topology
 
 from oracles import pure_yaml
+from test_category import NUMBERED
 
 
 def run_cli(capsys, *argv):
@@ -723,6 +724,10 @@ MALFORMED_CASES = [
      "group", "elements", ["e", ["r"]]),
     (["top", "enumerate", "--gallery", "group", "--group-file", "BAD"],
      "group", "table", [["e", "r"], ["r", ["e"]]]),
+    (["top", "enumerate", "--gallery", "orbit", "--group-file", "BAD"],
+     "group", "elements", [0, "r"]),
+    (["top", "enumerate", "--gallery", "orbit", "--group-file", "BAD"],
+     "group", "table", [["e", True], [True, "e"]]),
     (["alg", "skew", "--gallery", "chain3", "--algebra", "BAD"],
      "algebra-presheaf", "algebras.x.table", [[[1, 0], [0]], [[0, 0], [0, 1]]]),
     (["alg", "verify", "--gallery", "chain3", "--algebra", "BAD"],
@@ -832,6 +837,20 @@ def test_module_and_algebra_documents_refused_in_one_error_line(tmp_path, capsys
     paths["ALGEBRA"].write_text(dump_text(genuine["algebra-presheaf"]))
     code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_category_names_that_are_not_strings_refused(tmp_path, capsys):
+    path = tmp_path / "cat.yaml"
+    path.write_text(dump_text({"format": "finsite/1", "kind": "category", **NUMBERED}))
+    code, out, err = run_cli(capsys, "cat", "validate", "--category", str(path))
+    assert (code, err) == (1, "")
+    report = yaml.safe_load(out)
+    assert report["valid"] is False
+    assert report["problems"][0] == "field objects: 0 is not a name"
+    code, out, err = run_cli(capsys, "top", "enumerate", "--category", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[:2] == ["error: invalid category:",
+                                    "  - field objects: 0 is not a name"]
 
 
 # Topology documents on chain3 that are no topology: a covering "sieve"

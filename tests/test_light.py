@@ -1,10 +1,12 @@
 """Laws checked by Light's test: associativity of category and group
-tables and of the stored products of skew category algebras, and the
-multiplicativity of module actions, each tried on the instances with a
-generator in the middle and swept in full only when one of those fails.
+tables and of the stored products of skew category algebras and of
+algebras read from dense tables, and the multiplicativity of module
+actions, each tried on the instances with a generator in the middle and
+swept in full only when one of those fails. Every algebra's generating
+basis must generate it.
 
 Every check here corrupts one entry of a valid structure: a composite, a
-group product, a stored skew product or an action matrix. The problem
+group product, a stored product or an action matrix. The problem
 list, or the message, must be the one of the full sweep in oracles.py,
 and some of the cases of each kind must fail at a non-generator, so that
 a check that stops at the generators would report less. The orbit
@@ -16,20 +18,21 @@ import random
 
 import pytest
 
-from finsite import category, groups
-from finsite.algebras import (SkewCategoryAlgebra, chain_diagonal_algebra_presheaf,
-                              constant_algebra_presheaf, field_algebra,
-                              involution_group_algebra_presheaf, skew_category_algebra,
-                              swap_action_presheaf)
+from finsite import category
+from finsite.algebras import (AlgebraError, FiniteDimAlgebra, SkewCategoryAlgebra,
+                              chain_diagonal_algebra_presheaf, constant_algebra_presheaf,
+                              diagonal_algebra, field_algebra, group_algebra,
+                              involution_group_algebra_presheaf, matrix_algebra,
+                              skew_category_algebra, swap_action_presheaf)
 from finsite.category import FiniteCategory, InvalidCategoryError
-from finsite.fields import Matrix, PrimeField
-from finsite.gallery import category_by_name, group_by_name
+from finsite.fields import Matrix, PrimeField, RationalField
+from finsite.gallery import category_by_name, cyclic_group, group_by_name, symmetric_group
 from finsite.groups import FiniteGroup, InvalidGroupError
 from finsite.modules import AlgebraModule, ModuleError, check_action
 from finsite.sampling import random_algebra_module
 
 from oracles import (action_failure, category_table_problems, coset_orbit_category,
-                     group_table_problems, skew_verify_problems)
+                     dense_verify_problems, group_table_problems, skew_verify_problems, table_of)
 from test_topology import monoid_categories, random_concrete_categories
 
 F5 = PrimeField(5)
@@ -171,8 +174,9 @@ def test_a_corrupted_group_product_is_reported_as_the_full_sweep_does(name):
         with pytest.raises(InvalidGroupError) as err:
             FiniteGroup(group.elements, table, name=name)
         assert err.value.problems == expected
+        one = dict.fromkeys(group.elements, "*")
         light += bool(failing_middles(expected)
-                      - set(groups._generators(group.elements, table)))
+                      - category._generators(one, one, {}, table, {"*": group.elements}))
     if len(group.elements) > 2:
         assert light, "every corruption was found among the generators"
 
@@ -191,23 +195,79 @@ def test_random_group_tables_are_reported_as_the_full_sweep_does():
         assert problems == expected
 
 
-# -- skew category algebras -----------------------------------------------------
+# -- algebras -------------------------------------------------------------------
 
 
-def skew_algebras():
-    for r in (chain_diagonal_algebra_presheaf(F5), involution_group_algebra_presheaf(F5),
-              swap_action_presheaf(F5)):
+def skew_algebras(field=F5):
+    for r in (chain_diagonal_algebra_presheaf(field), involution_group_algebra_presheaf(field),
+              swap_action_presheaf(field)):
         yield skew_category_algebra(r.cat, r)
     for spec in [("orbit", "C3"), ("orbit", "S3", 2), ("orbit-p", "S4", 3)]:
         cat = member(*spec)
-        yield skew_category_algebra(cat, constant_algebra_presheaf(cat, field_algebra(F5)))
+        yield skew_category_algebra(cat, constant_algebra_presheaf(cat, field_algebra(field)))
+
+
+def stock_algebras(field):
+    yield field_algebra(field)
+    yield diagonal_algebra(field, 3)
+    yield matrix_algebra(field, 2)
+    yield matrix_algebra(field, 3)
+    yield group_algebra(field, cyclic_group(3))
+    yield group_algebra(field, symmetric_group(3))
+    yield from skew_algebras(field)
+
+
+def one_term_closure(alg, start) -> set:
+    """The basis indices reached from start by the products b_i b_j = c b_t
+    of reached ones, round by round until nothing grows."""
+    reached = set(start)
+    while True:
+        grown = reached | {cell[0][0] for i in reached for j, cell in alg.products[i].items()
+                           if j in reached and len(cell) == 1}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@pytest.mark.parametrize("field", [F5, RationalField()], ids=lambda k: k.label)
+def test_the_generating_basis_of_every_stock_algebra_generates(field):
+    for alg in stock_algebras(field):
+        assert one_term_closure(alg, alg.generating_basis()) == set(range(alg.dim)), alg
+
+
+def document_algebras():
+    """Algebras read from their dense tables, as documents are."""
+    for alg in (matrix_algebra(F5, 3), group_algebra(F5, symmetric_group(3))):
+        yield FiniteDimAlgebra.from_table(F5, table_of(alg), alg.unit, labels=alg.labels)
+
+
+def test_a_corrupted_document_product_is_reported_as_the_full_sweep_does():
+    rng = random.Random(29)
+    light = 0
+    for alg in document_algebras():
+        assert alg.verify() == dense_verify_problems(alg) == []
+        table = table_of(alg)
+        for _ in range(8):
+            i, j, t = (rng.randrange(alg.dim) for _ in range(3))
+            cells = [list(map(list, row)) for row in table]
+            cells[i][j][t] = F5.add(cells[i][j][t], F5.one)
+            broken = FiniteDimAlgebra.from_table(F5, cells, alg.unit, labels=alg.labels,
+                                                 check=False)
+            expected = dense_verify_problems(broken)
+            assert expected
+            with pytest.raises(AlgebraError) as err:
+                FiniteDimAlgebra.from_table(F5, cells, alg.unit, labels=alg.labels)
+            assert str(err.value) == "invalid algebra:\n" + "\n".join(
+                f"  - {p}" for p in expected)
+            gens = {alg.labels[s] for s in broken.generating_basis()}
+            light += bool(failing_middles(expected) - gens)
+    assert light >= 5
 
 
 def test_a_corrupted_skew_product_is_reported_as_the_full_sweep_does():
     rng = random.Random(31)
     light = 0
     for skew in skew_algebras():
-        assert skew.generating_basis() is not None
         assert skew.verify() == skew_verify_problems(skew) == []
         for _ in range(5):
             products = [dict(row) for row in skew.products]
@@ -222,38 +282,48 @@ def test_a_corrupted_skew_product_is_reported_as_the_full_sweep_does():
             expected = skew_verify_problems(broken)
             assert broken.verify() == expected
             gens = broken.generating_basis()
-            if gens is not None:
-                light += bool(failing_middles(expected) - {skew.labels[j] for j in gens})
+            light += bool(failing_middles(expected) - {skew.labels[j] for j in gens})
     assert light >= 5
 
 
 # -- module actions -------------------------------------------------------------
 
 
-def test_a_corrupted_action_matrix_is_refused_as_the_full_sweep_does():
-    rng = random.Random(17)
+def corrupted_actions_refused(algebras, rng: random.Random, count: int) -> int:
+    """Refuse actions of a random module over each algebra, each with one
+    entry of count action matrices moved, with the message of the full
+    sweep; the number of refusals naming a pair whose right member is
+    not in the generating basis."""
     light = 0
-    for skew in skew_algebras():
-        gens = skew.generating_basis()
-        n = random_algebra_module(skew, rng)
-        assert action_failure(skew, n.dim, n.actions) is None
-        check_action(skew, n.dim, n.actions)
-        for j in rng.sample(range(skew.dim), min(6, skew.dim)):
+    for alg in algebras:
+        gens = alg.generating_basis()
+        n = random_algebra_module(alg, rng)
+        assert action_failure(alg, n.dim, n.actions) is None
+        check_action(alg, n.dim, n.actions)
+        for j in rng.sample(range(alg.dim), min(count, alg.dim)):
             a = n.actions[j]
             rows = [list(row) for row in a.data]
             r, c = rng.randrange(n.dim), rng.randrange(n.dim)
             rows[r][c] = F5.add(rows[r][c], F5.one)
             actions = list(n.actions)
             actions[j] = Matrix(a.rows, a.cols, tuple(map(tuple, rows)))
-            expected = action_failure(skew, n.dim, actions)
+            expected = action_failure(alg, n.dim, actions)
             assert expected is not None
             with pytest.raises(ModuleError) as err:
-                AlgebraModule(skew, n.dim, actions)
+                AlgebraModule(alg, n.dim, actions)
             assert str(err.value) == expected
             if expected.startswith("action not multiplicative"):
                 named = ast.literal_eval(expected[expected.index("basis ") + 6:])
-                light += skew.labels.index(named[1]) not in gens
-    assert light >= 5
+                light += alg.labels.index(named[1]) not in gens
+    return light
+
+
+def test_a_corrupted_action_matrix_is_refused_as_the_full_sweep_does():
+    assert corrupted_actions_refused(skew_algebras(), random.Random(17), 6) >= 5
+
+
+def test_a_corrupted_action_over_a_document_algebra_is_refused_as_the_full_sweep_does():
+    assert corrupted_actions_refused(document_algebras(), random.Random(19), 9) >= 2
 
 
 # -- orbit categories -----------------------------------------------------------

@@ -47,6 +47,17 @@ def test_group_roundtrip(c2):
     assert g.table == c2.table
 
 
+@pytest.mark.parametrize("elements,table,message", [
+    ([0, 1], [[0, 1], [1, 0]], "group: field 'table': 0 is not a name"),
+    (["e", True], [["e", True], [True, "e"]], "group: field 'table': True is not a name"),
+    ([0, "r"], [["e", "r"], ["r", "e"]], "group: field 'elements': 0 is not a name")])
+def test_group_names_that_are_not_strings_rejected(elements, table, message):
+    doc = {"format": "finsite/1", "kind": "group", "elements": elements, "table": table}
+    with pytest.raises(DocumentError) as got:
+        group_from_doc(roundtrip(doc))
+    assert str(got.value) == message
+
+
 def test_topology_roundtrip(chain3):
     for top in enumerate_topologies(chain3):
         doc = roundtrip(topology_to_doc(top))
