@@ -201,9 +201,6 @@ class Matrix(NamedTuple):
     cols: int
     data: tuple  # tuple of row tuples, len rows, each len cols
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.data)
 
@@ -760,17 +757,14 @@ def solve_matrix(field, a: Matrix, b: Matrix) -> Matrix | None:
     """A particular solution X of A X = B (free variables zero), or None."""
     if a.rows != b.rows:
         raise FieldError("solve shape mismatch")
-    aug = hstack(field, [a, b]) if b.cols else Matrix(a.rows, a.cols, a.data)
-    r, pivots = rref(field, aug)
     if b.cols == 0:
         return zero_matrix(field, a.cols, 0)
-    if any(p >= a.cols for p in pivots):
+    r, pivots = rref(field, hstack(field, [a, b]))
+    if any(c >= a.cols for c in pivots):
         return None
-    x = [[field.zero] * b.cols for _ in range(a.cols)]
-    for i, c in enumerate(pivots):
-        for j in range(b.cols):
-            x[c][j] = r.entry(i, a.cols + j)
-    return Matrix(a.cols, b.cols, tuple(tuple(row) for row in x))
+    at = {c: row[a.cols:] for c, row in zip(pivots, r.data)}
+    zero = (field.zero,) * b.cols
+    return Matrix(a.cols, b.cols, tuple(at.get(c, zero) for c in range(a.cols)))
 
 
 def solve(field, a: Matrix, v: Sequence) -> tuple | None:
@@ -781,14 +775,11 @@ def solve(field, a: Matrix, v: Sequence) -> tuple | None:
 
 
 def inverse(field, a: Matrix) -> Matrix | None:
+    """A^-1, or None: [A | I] has rank n, so its pivots lie in A's columns
+    exactly when A is invertible, and then its reduced right half is A^-1."""
     if a.rows != a.cols:
         return None
-    x = solve_matrix(field, a, identity_matrix(field, a.rows))
-    if x is None:
-        return None
-    if mat_mul(field, a, x) != identity_matrix(field, a.rows):
-        return None
-    return x
+    return solve_matrix(field, a, identity_matrix(field, a.rows))
 
 
 def is_invertible(field, a: Matrix) -> bool:

@@ -46,8 +46,9 @@ class FiniteGroup:
         """Every violation of the group axioms; on a group, the identity
         and the inverses found are kept as self.identity and self._inv.
         Associativity is checked by Light's test (see law_failures) on the
-        generators of the table as a one-object category with no identity
-        given (see category._generators), and on a failure on every triple."""
+        generators of the table as a one-object category with the two-sided
+        identity found, if any (see category._generators), and on a failure
+        on every triple."""
         problems = []
         if len(set(self.elements)) != len(self.elements):
             problems.append("duplicate element names")
@@ -61,6 +62,9 @@ class FiniteGroup:
         if problems:
             return problems
         t = self.table
+        # Two two-sided identities e, e' would give e = e e' = e'.
+        e = next((e for e in self.elements
+                  if all(t[e, b] == b == t[b, e] for b in self.elements)), None)
 
         def triples(middle):
             for a in self.elements:
@@ -71,17 +75,15 @@ class FiniteGroup:
                             yield f"associativity failure ({a!r},{b!r},{c!r})"
 
         one = dict.fromkeys(self.elements, "*")
-        problems += law_failures(triples, _generators(one, one, {}, t, {"*": self.elements}))
-        idents = [e for e in self.elements
-                  if all(self.table[(e, b)] == b == self.table[(b, e)] for b in self.elements)]
-        if len(idents) != 1:
+        identity = {} if e is None else {"*": e}
+        problems += law_failures(triples, _generators(one, one, identity, t, {"*": self.elements}))
+        if e is None:
             problems.append("no two-sided identity element")
             return problems
-        e = self.identity = idents[0]
+        self.identity = e
         self._inv = {}
         for a in self.elements:
-            b = next((b for b in self.elements
-                      if self.table[(a, b)] == e and self.table[(b, a)] == e), None)
+            b = next((b for b in self.elements if t[a, b] == e and t[b, a] == e), None)
             if b is None:
                 problems.append(f"no inverse for {a!r}")
             self._inv[a] = b

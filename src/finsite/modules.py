@@ -54,9 +54,6 @@ class ModulePresheaf:
     def dim(self, x: str) -> int:
         return self.space.at(x)
 
-    def total_dim(self) -> int:
-        return self.space.total_dim()
-
     def act(self, x: str, coeffs) -> Matrix:
         """Matrix of the right action of the algebra element with the given
         coordinates at x."""
@@ -390,8 +387,8 @@ def transport_module(m: ModulePresheaf, sub: FullSubcategory) -> AlgebraModule:
             f"coefficient presheaf is not a sheaf of algebras: descent fails "
             f"at {defect[0]!r}")
     _check_sheaf_module(m, top)
-    skew_d = skew_category_algebra(sub.category, m.r.restrict(sub))
-    return to_algebra_module(m.restrict(sub), skew_d)
+    m_d = m.restrict(sub)
+    return to_algebra_module(m_d, skew_category_algebra(sub.category, m_d.r))
 
 
 def transport_module_back(n: AlgebraModule, r: AlgebraPresheaf,
@@ -404,10 +401,11 @@ def transport_module_back(n: AlgebraModule, r: AlgebraPresheaf,
 
 
 def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub):
-    """transport_module_back, with the Kan families it is built on."""
+    """transport_module_back, with its Kan families and the unbundling of n."""
     cat = r.cat
     sub = _as_subcategory(cat, sub)
-    m_d = to_module_presheaf(n, check=False)
+    data = _unbundle(n, check=False)
+    m_d = data.presheaf
     if not m_d.cat.same_as(sub.category):
         raise ModuleError("module does not live over the chosen subcategory")
     k = n.field
@@ -427,7 +425,7 @@ def _transport_back(n: AlgebraModule, r: AlgebraPresheaf, sub):
         actions[x] = tuple(acts)
     out = ModulePresheaf(r, space, actions)
     _check_sheaf_module(out, subcategory_topology(cat, sub))
-    return out, kan
+    return out, kan, data
 
 
 def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory):
@@ -437,8 +435,8 @@ def transport_roundtrip_witness(m: ModulePresheaf, sub: FullSubcategory):
     cat, k = m.cat, m.field
     sub = _as_subcategory(cat, sub)
     n = transport_module(m, sub)
-    back, kan = _transport_back(n, m.r, sub)
-    _, unit_comps = unbundle_bundle_witness(m.restrict(sub))
+    back, kan, _ = _transport_back(n, m.r, sub)
+    _, unit_comps = unbundle_bundle_witness(m.restrict(sub), n.algebra)
     comps = {}
     for x in cat.objects:
         blocks = [mat_mul(k, unit_comps[cat.dom(t)], m.space.mat(t))
@@ -459,9 +457,8 @@ def transport_back_roundtrip_witness(n: AlgebraModule, r: AlgebraPresheaf,
     cat = r.cat
     k = n.field
     sub = _as_subcategory(cat, sub)
-    back, kan = _transport_back(n, r, sub)
+    back, kan, data = _transport_back(n, r, sub)
     forward = transport_module(back, sub)
-    data = _unbundle(n, check=False)
     blocks = []
     for w in sub.objects:
         counit = kan[w].block(kan[w].members.index(cat.id_of(w)))

@@ -108,7 +108,7 @@ def check_topology(cat: FiniteCategory, top) -> list[TopologyViolation]:
         return violations
     for x in cat.objects:
         for f in cat.into(x):
-            if not least[cat.dom(f)].members <= pullback_sieve(cat, least[x], f).members:
+            if not all(cat.compose(f, g) in least[x].members for g in least[cat.dom(f)].members):
                 violations.append(TopologyViolation("stability", x, least[x], f))
     for x in cat.objects:
         union = Sieve(x, frozenset(cat.compose(f, g) for f in least[x].members

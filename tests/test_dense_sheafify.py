@@ -17,14 +17,15 @@ import random
 import pytest
 
 from finsite import sheaves
-from finsite.category import FiniteCategory, Morphism, iso_class_poset
+from finsite.category import FiniteCategory, FullSubcategory, Morphism, iso_class_poset
 from finsite.fields import PrimeField, RationalField
 from finsite.gallery import (category_by_name, idempotent_pair_category, orbit_category,
                              split_idempotent_category, symmetric_group)
 from finsite.sampling import random_linear_presheaf, random_set_presheaf
 from finsite.serialize import dump_text, presheaf_to_doc
-from finsite.sheaves import half_sheafify, sheafify
-from finsite.topology import dense_topology, enumerate_topologies, subcategory_topology
+from finsite.sheaves import half_sheafify, kan_extension, sheafify
+from finsite.topology import (dense_topology, enumerate_topologies, minimal_topology,
+                              subcategory_topology)
 
 EI_MEMBERS = [("chain3",), ("chain4",), ("involution",), ("group", "C2"), ("group", "S3"),
               ("orbit", "C2"), ("orbit", "S3"), ("orbit", "S3", 2), ("orbit-p", "S3", 2),
@@ -125,3 +126,31 @@ def test_non_ei_members_keep_two_passes(make, monkeypatch, f5):
         assert sheaves._dense_poset(cat, top) is None
         for f in (random_set_presheaf(cat, rng), random_linear_presheaf(cat, f5, rng)):
             sheafify(f, top)
+
+
+RAN_MEMBERS = [("chain3",), ("chain4",), ("involution",), ("idem",), ("idem-split",),
+               ("group", "C2"), ("group", "S3"), ("orbit", "C2"), ("orbit", "S3"),
+               ("orbit", "S3", 2), ("orbit-p", "S3", 2)]
+
+
+@pytest.mark.parametrize("flavour", ["set", "F5", "Q"])
+def test_sheafify_is_the_right_kan_extension_of_the_restriction(flavour):
+    """For D the objects x with 1_x in L_x, a topology whose least covers
+    hold only morphisms out of D sheafifies F to Ran_D(F|_D), F|_D laid out
+    as families over the maximal sieves of D, on sets and over F5 and Q.
+    34 of the 64 topologies on these members qualify."""
+    k = FIELDS[flavour]
+    qualify = 0
+    for spec in RAN_MEMBERS:
+        cat = member(spec)
+        for top in enumerate_topologies(cat):
+            d = [x for x in cat.objects if cat.id_of(x) in top.least[x].members]
+            if not all(cat.dom(u) in d for x in cat.objects for u in top.least[x].members):
+                continue
+            qualify += 1
+            sub = FullSubcategory(cat, tuple(d))
+            rng = random.Random(1)
+            f = random_set_presheaf(cat, rng) if k is None else random_linear_presheaf(cat, k, rng)
+            g = half_sheafify(f.restrict(sub), minimal_topology(sub.category))
+            assert_equal_exactly(sheafify(f, top), kan_extension(g, sub)[0])
+    assert qualify == 34

@@ -6,7 +6,7 @@ import pytest
 from finsite.fields import (FieldError, Matrix, PrimeField, RationalField, _is_prime,
                             block_diagonal, block_offsets, col_space,
                             field_by_label, hstack, identity_matrix, in_column_span,
-                            inverse, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
+                            inverse, is_invertible, mat_add, mat_mul, mat_scale, mat_sub, mat_vec,
                             matrix, matrix_from_cols, null_space, rank, rref, solve,
                             solve_matrix, transpose, vstack, zero_matrix)
 from oracles import scalar_combination, scalar_mat_vec, scalar_solve, trial_division_is_prime
@@ -196,6 +196,32 @@ def test_sums_scalings_and_solves_equal_the_scalar_oracles(field):
             assert solve(field, a, v) == want
             assert in_column_span(field, a, v) == (want is not None)
         assert scalar_mat_vec(field, a, scalar_solve(field, a, inside)) == inside
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=lambda k: k.label)
+def test_inverse_is_none_exactly_on_singular_matrices(field):
+    """inverse(A) is None exactly when is_invertible(A) is false, and
+    otherwise A inverse(A) = I, on square matrices of sizes 0 to 6, about
+    half of them with a last row that is a multiple of the first, so
+    singular from 2 x 2 on. solve_matrix with a right side of no columns
+    returns the cols x 0 matrix."""
+    rng = random.Random(32)
+    seen = set()
+    for n in list(range(7)) * 8:
+        a = _random(field, rng, n, n)
+        if n and rng.random() < 0.5:
+            c = field.rand(rng)
+            a = a._replace(data=a.data[:-1] + (tuple(field.mul(c, x) for x in a.data[0]),))
+        inv, invertible = inverse(field, a), is_invertible(field, a)
+        assert (inv is None) == (not invertible)
+        if invertible:
+            assert mat_mul(field, a, inv) == identity_matrix(field, n) and _elements(field, inv)
+        seen.add(invertible)
+    assert seen == {False, True}
+    for rows, cols in [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 6))
+                                                  for _ in range(10)]:
+        a = _random(field, rng, rows, cols)
+        assert solve_matrix(field, a, zero_matrix(field, rows, 0)) == Matrix(cols, 0, ((),) * cols)
 
 
 @pytest.mark.parametrize("field", HELPER_FIELDS, ids=lambda k: k.label)

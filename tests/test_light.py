@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from finsite import category
+from finsite import category, groups
 from finsite.algebras import (AlgebraError, FiniteDimAlgebra, SkewCategoryAlgebra,
                               chain_diagonal_algebra_presheaf, constant_algebra_presheaf,
                               diagonal_algebra, field_algebra, group_algebra,
@@ -161,9 +161,24 @@ def test_a_valid_table_keeps_the_generators_its_check_found():
 CORRUPT_GROUPS = ["C2", "C3", "C4", "C6", "S3", "S4"]
 
 
+def recorded_middles(monkeypatch) -> list:
+    """The middles groups.law_failures is called with, in order."""
+    middles = []
+
+    def recording(sweep, middle):
+        middles.append(middle)
+        return category.law_failures(sweep, middle)
+
+    monkeypatch.setattr(groups, "law_failures", recording)
+    return middles
+
+
 @pytest.mark.parametrize("name", CORRUPT_GROUPS)
-def test_a_corrupted_group_product_is_reported_as_the_full_sweep_does(name):
+def test_a_corrupted_group_product_is_reported_as_the_full_sweep_does(name, monkeypatch):
+    """A table that keeps its identity e is swept without e in the middle."""
     group = group_by_name(name)
+    e = group.identity
+    middles = recorded_middles(monkeypatch)
     rng = random.Random(name)
     light = 0
     entries = sorted(group.table, key=lambda ab: (group.index[ab[0]], group.index[ab[1]]))
@@ -174,11 +189,22 @@ def test_a_corrupted_group_product_is_reported_as_the_full_sweep_does(name):
         with pytest.raises(InvalidGroupError) as err:
             FiniteGroup(group.elements, table, name=name)
         assert err.value.problems == expected
-        one = dict.fromkeys(group.elements, "*")
-        light += bool(failing_middles(expected)
-                      - category._generators(one, one, {}, table, {"*": group.elements}))
+        if all(table[e, c] == c == table[c, e] for c in group.elements):
+            assert e not in middles[-1]
+        light += bool(failing_middles(expected) - middles[-1])
     if len(group.elements) > 2:
         assert light, "every corruption was found among the generators"
+
+
+def test_a_groups_light_test_sweeps_no_identity(monkeypatch):
+    """The identity is found before the law check and left out of the
+    generators: C6 and C180 sweep {r} alone."""
+    middles = recorded_middles(monkeypatch)
+    for name in ["C6", "C180", "S4"]:
+        group = group_by_name(name)
+        assert group.identity not in middles[-1], name
+        assert group.subgroup_closure(middles[-1]) == set(group.elements), name
+        assert len(middles[-1]) == 1 or name == "S4", name
 
 
 def test_random_group_tables_are_reported_as_the_full_sweep_does():
